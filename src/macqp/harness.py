@@ -9,6 +9,7 @@ requested reconstruction images into the output directory.
 
 import json
 import os
+import time
 
 import numpy as np
 
@@ -201,11 +202,13 @@ def run_experiment(cfg):
                 net, dataset, schedule, step_cfg, sel_cfg, workers=workers,
                 time_budget=time_budget, z_init=z0,
             )
+        t0 = time.perf_counter()
         net = postprocess(net, Z, dataset, cfg=step_cfg, workers=workers)
+        post_s = time.perf_counter() - t0
         e1 = nested_objective(net, dataset)
         last_it = trace.rows[-1].iteration if trace.rows else 0
         last_s = trace.rows[-1].seconds if trace.rows else 0.0
-        trace.add(last_it + 1, last_s, trace.rows[-1].mu if trace.rows else 0.0,
+        trace.add(last_it + 1, last_s + post_s, trace.rows[-1].mu if trace.rows else 0.0,
                   e1, _val_error(net, dataset), e1, 0.0, "postprocess")
     elif method == "sgd":
         net, trace = sgd_train(net, dataset, SgdConfig(**cfg.get("sgd", {})),

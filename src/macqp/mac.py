@@ -9,7 +9,6 @@ updates.
 """
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -86,6 +85,10 @@ class StepConfig:
             raise ValueError("Gauss-Newton iteration counts must be positive")
         if not (0 < self.backtrack_factor < 1):
             raise ValueError("backtrack_factor must lie in (0, 1)")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be positive")
+        if self.gn_damping < 0:
+            raise ValueError("gn_damping must be nonnegative")
 
 
 @dataclass
@@ -144,17 +147,6 @@ def block_apply(net, sl, Z_in):
     for i in range(sl[0], sl[1]):
         cur = layer_apply(net.layers[i], cur, index=i + 1)
     return cur
-
-
-def block_input_jacobian(net, sl, z_in):
-    """Jacobian of a block map w.r.t. its input, at one point."""
-    cur = np.asarray(z_in, dtype=np.float64)
-    jac = None
-    for i in range(sl[0], sl[1]):
-        j_layer, _ = layer_jacobians(net.layers[i], cur)
-        jac = j_layer if jac is None else j_layer @ jac
-        cur = layer_apply(net.layers[i], cur[None, :], index=i + 1)[0]
-    return jac, cur
 
 
 def lift_to_feasible(net, X):
@@ -222,21 +214,27 @@ def multiplier_estimates(net, Z, X, mu):
 # W-step
 
 
+def _damping_levels(base_damping):
+    """The Levenberg damping levels a damped solve tries in turn."""
+    damp = 0.0
+    for _ in range(12):
+        yield damp
+        damp = base_damping if damp == 0.0 else damp * 10.0
+        if damp == 0.0:
+            damp = 1e-8
+
+
 def _damped_solve(H, g, base_damping):
     """Solve H d = -g, escalating Levenberg damping until it is a descent step."""
     m = H.shape[0]
-    damp = 0.0
     scale = 1.0 + np.trace(H) / m
-    for _ in range(12):
+    for damp in _damping_levels(base_damping):
         try:
             d = np.linalg.solve(H + damp * scale * np.eye(m), -g)
         except np.linalg.LinAlgError:
             d = None
         if d is not None and np.all(np.isfinite(d)) and float(np.dot(g, d)) < 0:
             return d
-        damp = base_damping if damp == 0.0 else damp * 10.0
-        if damp == 0.0:
-            damp = 1e-8
     return None
 
 
@@ -340,15 +338,14 @@ def w_step(net, Z, data, mu, cfg, workers=1, transient_reg=0.0):
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
     targets = list(Z.coords) + [data.Y]
-    new_layers = [Layer(l.spec, LayerWeights(l.weights.matrix.copy())) for l in net.layers]
+    new_layers = list(net.layers)
     for j, sl in enumerate(slices):
         weight = 1.0 if j == len(slices) - 1 else mu
         fitted = fit_block(
             net, sl, ins[j], targets[j], weight, cfg,
             workers=workers, transient_reg=transient_reg,
         )
-        cand = net.copy()
-        cand.layers[sl[0] : sl[1]] = fitted
+        cand = NestedNet(net.layers[: sl[0]] + fitted + net.layers[sl[1] :], net.placement)
         before = _block_objective(net, sl, ins[j], targets[j], weight, transient_reg)
         after = _block_objective(cand, sl, ins[j], targets[j], weight, transient_reg)
         if after <= before:
@@ -359,97 +356,186 @@ def w_step(net, Z, data, mu, cfg, workers=1, transient_reg=0.0):
 # ---------------------------------------------------------------------------
 # Z-step
 
-
-def _z_point_objective(net, slices, x, y, zs, mu):
-    ins = [x] + zs[:-1] if zs else [x]
-    val = 0.0
-    for j in range(len(slices) - 1):
-        g = block_apply(net, slices[j], ins[j][None, :])[0]
-        val += 0.5 * mu * float(np.sum((zs[j] - g) ** 2))
-    out = block_apply(net, slices[-1], (zs[-1] if zs else x)[None, :])[0]
-    val += 0.5 * float(np.sum((y - out) ** 2))
-    return val
+# Points per Z-step tile.  The tiles, not the worker count, fix which
+# points are batched together, so results are the same for any number of
+# workers; small tiles keep the stacked Jacobians small in memory.
+Z_TILE = 16
 
 
-def _z_residual_and_jacobian(net, slices, x, y, zs, mu, widths):
-    """Stacked residual r(z) and its Jacobian for one point's subproblem."""
-    sqrt_mu = math.sqrt(mu)
-    total = sum(widths)
-    offs = np.concatenate([[0], np.cumsum(widths)]).astype(int)
-    d_out = y.shape[0]
-    n_rows = d_out + total
-    r = np.empty(n_rows)
-    J = np.zeros((n_rows, total))
-    ins = [x] + zs[:-1]
-    # constraint rows, in boundary order, after the output rows
-    row = d_out
-    for j in range(len(slices) - 1):
-        jac_in, g = block_input_jacobian(net, slices[j], ins[j])
-        w = widths[j]
-        r[row : row + w] = sqrt_mu * (zs[j] - g)
-        J[row : row + w, offs[j] : offs[j + 1]] = sqrt_mu * np.eye(w)
-        if j > 0:
-            J[row : row + w, offs[j - 1] : offs[j]] = -sqrt_mu * jac_in
-        row += w
-    jac_out, g_out = block_input_jacobian(net, slices[-1], zs[-1])
-    r[:d_out] = y - g_out
-    J[:d_out, offs[-2] : offs[-1]] = -jac_out
-    return r, J
+def _block_forward(net, sl, Z_in):
+    """Block outputs and input Jacobians (n, out, in) for a batch of inputs."""
+    cur = Z_in
+    jac = None
+    for i in range(sl[0], sl[1]):
+        j_layer, _ = layer_jacobians(net.layers[i], cur)
+        jac = j_layer if jac is None else j_layer @ jac
+        cur = layer_apply(net.layers[i], cur, index=i + 1)
+    return cur, jac
 
 
-def _z_point_update(net, slices, x, y, zs0, mu, cfg, widths):
-    zs = [z.copy() for z in zs0]
-    f_cur = _z_point_objective(net, slices, x, y, zs, mu)
-    flat = np.concatenate(zs)
-    offs = np.concatenate([[0], np.cumsum(widths)]).astype(int)
+def _z_objective(net, slices, x, y, zs, mu):
+    """Each point's part of E_Q at coordinates zs, shape (n,)."""
+    ins = [x] + zs
+    val = np.zeros(x.shape[0])
+    for j, z in enumerate(zs):
+        val += 0.5 * mu * np.sum((z - block_apply(net, slices[j], ins[j])) ** 2, axis=1)
+    out = block_apply(net, slices[-1], ins[-1])
+    return val + 0.5 * np.sum((y - out) ** 2, axis=1)
 
-    def split(v):
-        return [v[offs[j] : offs[j + 1]] for j in range(len(widths))]
 
+def _z_gn_system(net, slices, x, y, zs, mu):
+    """Block-tridiagonal Gauss-Newton system of each point's subproblem.
+
+    With A_{j+1} the Jacobian of block j+1 w.r.t. coordinate block j, the
+    diagonal blocks are mu*I + mu*A_{j+1}^T A_{j+1} (the last one
+    mu*I + A_out^T A_out), the super-diagonal blocks -mu*A_{j+1}^T and the
+    sub-diagonal ones their transposes.  Returns the diagonal blocks, the
+    super-diagonal blocks and the gradient blocks, all with a leading
+    point axis; the dense Jacobian is never formed.
+    """
+    K = len(zs)
+    res = [zs[0] - block_apply(net, slices[0], x)]
+    jacs = []
+    for j in range(1, K + 1):
+        out, A = _block_forward(net, slices[j], zs[j - 1])
+        res.append((zs[j] if j < K else y) - out)
+        jacs.append(A)
+    D, U, g = [], [], []
+    for j, A in enumerate(jacs):
+        weight = mu if j + 1 < K else 1.0
+        At = A.transpose(0, 2, 1)
+        Dj = weight * (At @ A)
+        diag = np.arange(Dj.shape[1])
+        Dj[:, diag, diag] += mu
+        D.append(Dj)
+        g.append(mu * res[j] - weight * (At @ res[j + 1][:, :, None])[:, :, 0])
+        if j + 1 < K:
+            U.append(-mu * At)
+    return D, U, g
+
+
+def _block_thomas(D, U, b):
+    """Solve stacked symmetric block-tridiagonal systems by block elimination.
+
+    D[j] (n, w_j, w_j) are the diagonal blocks, U[j] (n, w_j, w_{j+1}) the
+    super-diagonal ones (the sub-diagonal blocks are their transposes),
+    b[j] (n, w_j) the right-hand sides.  A point whose elimination meets an
+    exactly singular block gets a NaN solution; the others are unaffected.
+    """
+    singular = np.zeros(b[0].shape[0], dtype=bool)
+
+    def solve(A, B):
+        try:
+            return np.linalg.solve(A, B)
+        except np.linalg.LinAlgError:
+            # one singular matrix fails the whole stack: set those aside
+            sing = np.linalg.slogdet(A)[0] == 0
+            singular[sing] = True
+            return np.linalg.solve(np.where(sing[:, None, None], np.eye(A.shape[1]), A), B)
+
+    Dp, bp = D[0], b[0]
+    elim = []
+    for j in range(1, len(D)):
+        sol = solve(Dp, np.concatenate([U[j - 1], bp[:, :, None]], axis=2))
+        DiU, Dib = sol[:, :, :-1], sol[:, :, -1]
+        elim.append((DiU, Dib))
+        L = U[j - 1].transpose(0, 2, 1)
+        Dp = D[j] - L @ DiU
+        bp = b[j] - (L @ Dib[:, :, None])[:, :, 0]
+    x = [solve(Dp, bp[:, :, None])[:, :, 0]]
+    for DiU, Dib in reversed(elim):
+        x.insert(0, Dib - (DiU @ x[0][:, :, None])[:, :, 0])
+    for xj in x:
+        xj[singular] = np.nan
+    return x
+
+
+def _damped_tridiag_solve(D, U, g, base_damping):
+    """Per-point _damped_solve of the stacked systems H d = -g.
+
+    Each point escalates its own Levenberg damping until its step is
+    finite and a descent direction.  Returns the steps and a mask of the
+    points that found one.
+    """
+    n = g[0].shape[0]
+    m = sum(gj.shape[1] for gj in g)
+    scale = 1.0 + sum(np.trace(Dj, axis1=1, axis2=2) for Dj in D) / m
+    steps = [np.zeros_like(gj) for gj in g]
+    found = np.zeros(n, dtype=bool)
+    for damp in _damping_levels(base_damping):
+        idx = np.flatnonzero(~found)
+        if idx.size == 0:
+            break
+        shift = (damp * scale[idx])[:, None, None]
+        d = _block_thomas(
+            [Dj[idx] + shift * np.eye(Dj.shape[1]) for Dj in D],
+            [Uj[idx] for Uj in U],
+            [-gj[idx] for gj in g],
+        )
+        finite = np.all([np.all(np.isfinite(dj), axis=1) for dj in d], axis=0)
+        gd = sum(np.einsum("ij,ij->i", gj[idx], dj) for gj, dj in zip(g, d))
+        ok = finite & (gd < 0)
+        for s, dj in zip(steps, d):
+            s[idx[ok]] = dj[ok]
+        found[idx[ok]] = True
+    return steps, found
+
+
+def _z_tile_update(net, slices, x, y, zs, mu, cfg):
+    """Damped Gauss-Newton with backtracking on one tile of points.
+
+    Every point follows its own damping, step length and stopping, as if
+    solved alone: a point that finds no descent direction or no
+    decreasing step keeps its coordinates and leaves the iteration.
+    """
+    zs = [z.copy() for z in zs]
+    f_cur = _z_objective(net, slices, x, y, zs, mu)
+    live = np.arange(x.shape[0])
     for _ in range(cfg.z_gn_iters):
-        r, J = _z_residual_and_jacobian(net, slices, x, y, split(flat), mu, widths)
-        g = J.T @ r
-        H = J.T @ J
-        d = _damped_solve(H, g, cfg.gn_damping)
-        if d is None:
+        if live.size == 0:
             break
-        step = 1.0
-        accepted = False
+        z_live = [z[live] for z in zs]
+        D, U, g = _z_gn_system(net, slices, x[live], y[live], z_live, mu)
+        d, found = _damped_tridiag_solve(D, U, g, cfg.gn_damping)
+        step = np.ones(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        pending = np.flatnonzero(found)
         for _ in range(cfg.max_backtracks):
-            cand = flat + step * d
-            f_new = _z_point_objective(net, slices, x, y, split(cand), mu)
-            if f_new < f_cur:
-                flat, f_cur = cand, f_new
-                accepted = True
+            if pending.size == 0:
                 break
-            step *= cfg.backtrack_factor
-        if not accepted:
-            break
-    return split(flat)
+            rows = live[pending]
+            cand = [zj[pending] + step[pending, None] * dj[pending]
+                    for zj, dj in zip(z_live, d)]
+            f_new = _z_objective(net, slices, x[rows], y[rows], cand, mu)
+            better = f_new < f_cur[rows]
+            for z, c in zip(zs, cand):
+                z[rows[better]] = c[better]
+            f_cur[rows[better]] = f_new[better]
+            accepted[pending[better]] = True
+            pending = pending[~better]
+            step[pending] *= cfg.backtrack_factor
+        live = live[accepted]
+    return zs
 
 
 def z_step(net, Z, data, mu, cfg, workers=1):
-    """Per-point coordinate update by damped Gauss-Newton; never increases E_Q."""
+    """Per-point coordinate update by damped Gauss-Newton; never increases E_Q.
+
+    The points are solved in fixed tiles of Z_TILE, each tile as one
+    batched block-tridiagonal system; workers take whole tiles.
+    """
     slices = block_slices(net)
     if len(slices) < 2:
         return Z.copy()
-    widths = [c.shape[1] for c in Z.coords]
     X, Y = data.X, data.Y
 
-    def point_task(rng):
-        lo, hi = rng
-        out = [np.empty((hi - lo, w)) for w in widths]
-        for n in range(lo, hi):
-            zs0 = [c[n] for c in Z.coords]
-            zs = _z_point_update(net, slices, X[n], Y[n], zs0, mu, cfg, widths)
-            for j in range(len(widths)):
-                out[j][n - lo] = zs[j]
-        return out
+    def tile_task(lo, hi):
+        zs = [c[lo:hi] for c in Z.coords]
+        return _z_tile_update(net, slices, X[lo:hi], Y[lo:hi], zs, mu, cfg)
 
-    chunks = chunk_slices(data.n, workers)
-    parts = parallel_map([lambda r=rng: point_task(r) for rng in chunks], workers)
-    coords = [np.vstack([p[j] for p in parts]) for j in range(len(widths))]
-    return AuxState(coords)
+    tiles = [(lo, min(lo + Z_TILE, data.n)) for lo in range(0, data.n, Z_TILE)]
+    parts = parallel_map([lambda t=t: tile_task(*t) for t in tiles], workers)
+    return AuxState([np.vstack([p[j] for p in parts]) for j in range(len(Z.coords))])
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +602,8 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     iters_since_selection = 0
     stop = False
 
+    track_val = data.val_X is not None
+
     def record(event):
         e1_train = nested_objective(net, data)
         trace.add(
@@ -523,26 +611,34 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
             time.perf_counter() - t0,
             mu,
             e1_train,
-            _eval_net(net, data),
+            _eval_net(net, data) if track_val else e1_train,
             qp_objective(net, Z, data, mu, transient),
             float(np.max(constraint_residuals(net, Z, data.X))),
             event,
         )
+        return trace.rows[-1]
 
-    track_val = data.val_X is not None
+    def stage_signal(row):
+        """What a stage watches: validation E1 with a split, E_Q without."""
+        return row.e1_val if track_val else row.eq
+
+    row = None
     for stage in range(schedule.max_stages):
-        if track_val:
+        if row is not None:
+            prev = stage_signal(row)
+        elif track_val:
             prev = _eval_net(net, data)
-            best = (net.copy(), Z.copy(), prev)
         else:
             prev = qp_objective(net, Z, data, mu, transient)
+        if track_val:
+            best = (net.copy(), Z.copy(), prev)
         for _ in range(schedule.max_iters_per_stage):
             net = w_step(net, Z, data, mu, cfg, workers=workers, transient_reg=transient)
             it += 1
             record("wstep")
             Z = z_step(net, Z, data, mu, cfg, workers=workers)
             it += 1
-            record("zstep")
+            row = record("zstep")
             if iteration_callback is not None:
                 iteration_callback(net, Z)
 
@@ -550,33 +646,25 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
                 iters_since_selection += 1
                 if iters_since_selection >= sel_cfg.cadence:
                     iters_since_selection = 0
-                    before_total = (
-                        qp_objective(net, Z, data, mu, transient) + aic_cost(net, sel_cfg.epsilon_sq)
-                    )
+                    before_total = row.eq + aic_cost(net, sel_cfg.epsilon_sq)
                     net = selection_step(
                         net, Z, data, mu, sel_cfg, step_cfg=cfg,
                         workers=workers, transient_reg=transient,
                     )
-                    after_total = (
-                        qp_objective(net, Z, data, mu, transient) + aic_cost(net, sel_cfg.epsilon_sq)
-                    )
+                    it += 1
+                    row = record("model_select")
                     trace.selection_events.append(
                         {
-                            "iteration": it,
+                            "iteration": it - 1,
                             "before": before_total,
-                            "after": after_total,
+                            "after": row.eq + aic_cost(net, sel_cfg.epsilon_sq),
                             "sizes": [l.spec.out_dim for l in net.layers],
                         }
                     )
-                    it += 1
-                    record("model_select")
 
-            if track_val:
-                cur = _eval_net(net, data)
-                if cur < best[2]:
-                    best = (net.copy(), Z.copy(), cur)
-            else:
-                cur = qp_objective(net, Z, data, mu, transient)
+            cur = stage_signal(row)
+            if track_val and cur < best[2]:
+                best = (net.copy(), Z.copy(), cur)
             if time_budget is not None and time.perf_counter() - t0 > time_budget:
                 stop = True
                 break
@@ -594,7 +682,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         if mu > schedule.reg_drop_threshold:
             transient = 0.0
         it += 1
-        record("mu_increase")
+        row = record("mu_increase")
         if time_budget is not None and time.perf_counter() - t0 > time_budget:
             break
     return net, Z, trace

@@ -253,28 +253,38 @@ def nested_objective(net, data):
 def layer_jacobians(layer, z_in):
     """Exact first derivatives of one layer map at input z_in.
 
-    Returns (J_input, weight_grads): J_input is the out_dim x in_dim
-    Jacobian w.r.t. the input; weight_grads[h] is the gradient of output
-    unit h w.r.t. its own weight row.
+    ``z_in`` is one input (in_dim,) or a batch (n, in_dim).  Returns
+    (J_input, weight_grads): J_input is the out_dim x in_dim Jacobian
+    w.r.t. the input; weight_grads[h] is the gradient of output unit h
+    w.r.t. its own weight row.  A batch puts a leading point axis on
+    both, giving shapes (n, out_dim, in_dim) and (n, out_dim, cols).
     """
     spec = layer.spec
     z_in = np.asarray(z_in, dtype=np.float64)
-    if z_in.shape != (spec.in_dim,):
+    if z_in.ndim not in (1, 2) or z_in.shape[-1] != spec.in_dim:
         raise DimensionMismatchError("layer_jacobians input width mismatch")
+    Z = np.atleast_2d(z_in)
     W = layer.weights.matrix
     if spec.kind == LayerKind.GAUSSIAN_RBF:
-        a = rbf_design(z_in[None, :], W, spec.rbf_width)[0]
-        diff = z_in[None, :] - W
+        a = rbf_design(Z, W, spec.rbf_width)
+        diff = Z[:, None, :] - W[None, :, :]
         coef = (2.0 / spec.rbf_width**2) * a
-        j_in = -coef[:, None] * diff
-        w_grads = coef[:, None] * diff
-        return j_in, w_grads
-    zt = np.append(z_in, 1.0) if spec.bias else z_in
-    if spec.kind == LayerKind.LINEAR_DENSE:
-        return W[:, : spec.in_dim].copy(), np.tile(zt, (spec.out_dim, 1))
-    a = sigmoid((W @ zt)[None, :])[0]
-    s = a * (1.0 - a)
-    return s[:, None] * W[:, : spec.in_dim], s[:, None] * zt[None, :]
+        w_grads = coef[:, :, None] * diff
+        j_in = -w_grads
+    else:
+        Zt = add_bias_col(Z) if spec.bias else Z
+        shape = (Z.shape[0], spec.out_dim)
+        if spec.kind == LayerKind.LINEAR_DENSE:
+            j_in = np.broadcast_to(W[:, : spec.in_dim], shape + (spec.in_dim,)).copy()
+            w_grads = np.broadcast_to(Zt[:, None, :], shape + (Zt.shape[1],)).copy()
+        else:
+            a = sigmoid(Zt @ W.T)
+            s = a * (1.0 - a)
+            j_in = s[:, :, None] * W[None, :, : spec.in_dim]
+            w_grads = s[:, :, None] * Zt[:, None, :]
+    if z_in.ndim == 1:
+        return j_in[0], w_grads[0]
+    return j_in, w_grads
 
 
 def _backward_through_layer(layer, A_in, A_out, G):

@@ -8,11 +8,17 @@ for any worker count.
 
 import hashlib
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .model import MacqpError
+
+# One executor per worker count, kept for the life of the process: a
+# training run calls parallel_map once per W- and Z-step.
+_POOLS = {}
+_POOLS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -55,8 +61,9 @@ def parallel_map(tasks, workers):
             except Exception as exc:
                 raise MacqpError(f"task {i} failed: {exc}") from exc
         return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(t) for t in tasks]
+    pool = _pool(workers)
+    futures = [pool.submit(t) for t in tasks]
+    try:
         out = []
         for i, fut in enumerate(futures):
             try:
@@ -66,6 +73,19 @@ def parallel_map(tasks, workers):
             except Exception as exc:
                 raise MacqpError(f"task {i} failed: {exc}") from exc
         return out
+    finally:
+        # a failed phase leaves no task of it running into the next one
+        for fut in futures:
+            fut.cancel()
+        wait(futures)
+
+
+def _pool(workers):
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
+        return pool
 
 
 def chunk_slices(n, workers):

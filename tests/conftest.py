@@ -67,6 +67,113 @@ def slow_forward(net, x):
     return cur
 
 
+def slow_layer_jacobian(layer, x):
+    """One layer's input Jacobian at a single input, computed with scalar loops."""
+    spec = layer.spec
+    W = layer.weights.matrix
+    a = slow_layer_map(layer, x)
+    J = np.zeros((spec.out_dim, spec.in_dim))
+    for h in range(spec.out_dim):
+        for k in range(spec.in_dim):
+            if spec.kind == LayerKind.GAUSSIAN_RBF:
+                J[h, k] = -2.0 * a[h] * (x[k] - W[h, k]) / spec.rbf_width**2
+            elif spec.kind == LayerKind.LINEAR_DENSE:
+                J[h, k] = W[h, k]
+            else:
+                J[h, k] = a[h] * (1.0 - a[h]) * W[h, k]
+    return J
+
+
+def _slow_damped_solve(H, g, base_damping):
+    """Solve H d = -g, escalating Levenberg damping until d is a descent step."""
+    m = H.shape[0]
+    damp = 0.0
+    scale = 1.0 + np.trace(H) / m
+    for _ in range(12):
+        try:
+            d = np.linalg.solve(H + damp * scale * np.eye(m), -g)
+        except np.linalg.LinAlgError:
+            d = None
+        if d is not None and np.all(np.isfinite(d)) and float(np.dot(g, d)) < 0:
+            return d
+        damp = base_damping if damp == 0.0 else damp * 10.0
+        if damp == 0.0:
+            damp = 1e-8
+    return None
+
+
+def slow_z_step(net, Z, data, mu, cfg):
+    """Z-step solved point by point: damped Gauss-Newton on a dense stacked
+    residual (output rows, then sqrt(mu)-weighted constraint rows) and its
+    Jacobian, with backtracking.  Returns the new coordinate matrices."""
+    bounds = [0] + list(net.placement) + [len(net.layers)]
+    blocks = [net.layers[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    widths = [c.shape[1] for c in Z.coords]
+    offs = np.cumsum([0] + widths)
+    K, sqrt_mu = len(widths), math.sqrt(mu)
+
+    def block_map(j, v):
+        jac = np.eye(v.shape[0])
+        for layer in blocks[j]:
+            jac = slow_layer_jacobian(layer, v) @ jac
+            v = slow_layer_map(layer, v)
+        return v, jac
+
+    def split(flat):
+        return [flat[offs[j] : offs[j + 1]] for j in range(K)]
+
+    def objective(x, y, flat):
+        zs = split(flat)
+        ins = [x] + zs
+        val = 0.0
+        for j in range(K):
+            val += 0.5 * mu * float(np.sum((zs[j] - block_map(j, ins[j])[0]) ** 2))
+        return val + 0.5 * float(np.sum((y - block_map(K, zs[-1])[0]) ** 2))
+
+    def residual_and_jacobian(x, y, flat):
+        zs = split(flat)
+        ins = [x] + zs
+        d_out = y.shape[0]
+        r = np.empty(d_out + offs[-1])
+        J = np.zeros((d_out + offs[-1], offs[-1]))
+        out, jac = block_map(K, zs[-1])
+        r[:d_out] = y - out
+        J[:d_out, offs[-2] :] = -jac
+        for j in range(K):
+            rows = slice(d_out + offs[j], d_out + offs[j + 1])
+            out, jac = block_map(j, ins[j])
+            r[rows] = sqrt_mu * (zs[j] - out)
+            J[rows, offs[j] : offs[j + 1]] = sqrt_mu * np.eye(widths[j])
+            if j > 0:
+                J[rows, offs[j - 1] : offs[j]] = -sqrt_mu * jac
+        return r, J
+
+    coords = [c.copy() for c in Z.coords]
+    for n in range(data.n):
+        x, y = data.X[n], data.Y[n]
+        flat = np.concatenate([c[n] for c in Z.coords])
+        f_cur = objective(x, y, flat)
+        for _ in range(cfg.z_gn_iters):
+            r, J = residual_and_jacobian(x, y, flat)
+            d = _slow_damped_solve(J.T @ J, J.T @ r, cfg.gn_damping)
+            if d is None:
+                break
+            step = 1.0
+            accepted = False
+            for _ in range(cfg.max_backtracks):
+                cand = flat + step * d
+                f_new = objective(x, y, cand)
+                if f_new < f_cur:
+                    flat, f_cur, accepted = cand, f_new, True
+                    break
+                step *= cfg.backtrack_factor
+            if not accepted:
+                break
+        for c, z in zip(coords, split(flat)):
+            c[n] = z
+    return coords
+
+
 def random_mixed_net(rng, ridge=0.0):
     """Small random net exercising all three layer kinds."""
     d_in = int(rng.integers(2, 5))

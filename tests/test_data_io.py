@@ -214,6 +214,11 @@ class TestHarness:
         rows = res["trace"].rows
         assert rows[-1].e1_train <= rows[0].e1_train
 
+    def test_postprocess_row_records_its_own_time(self, tmp_path):
+        rows = run_experiment(_mac_config(tmp_path))["trace"].rows
+        assert rows[-1].event == "postprocess"
+        assert rows[-1].seconds > rows[-2].seconds
+
     def test_identical_configs_give_identical_traces(self, tmp_path):
         a = run_experiment(_mac_config(tmp_path / "a"))
         b = run_experiment(_mac_config(tmp_path / "b"))

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_mixed_net, sigmoid_autoencoder, slow_forward
+import macqp.mac
+from conftest import (
+    rbf_autoencoder,
+    random_dataset,
+    random_mixed_net,
+    sigmoid_autoencoder,
+    slow_forward,
+    slow_z_step,
+)
 from macqp.mac import (
+    Z_TILE,
     AuxState,
     PenaltySchedule,
     StepConfig,
@@ -217,6 +226,136 @@ class TestZStep:
             assert after <= before * (1 + 1e-10)
 
 
+def _z_problem(rng, kind, n):
+    """A net, data and coordinates moved off the lifted state."""
+    if kind == "sigmoid":
+        net = sigmoid_autoencoder((6, 5, 2, 5, 6), seed=21)
+    elif kind == "rbf":
+        net = rbf_autoencoder(5, 8, 2, 8, width1=1.0, width3=1.0, seed=5)
+    else:
+        # unequal coordinate widths, and a middle block of two layer kinds
+        specs = [
+            LayerSpec(LayerKind.SIGMOID_DENSE, 5, 6),
+            LayerSpec(LayerKind.SIGMOID_DENSE, 6, 3),
+            LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 7, rbf_width=1.5),
+            LayerSpec(LayerKind.LINEAR_DENSE, 7, 5),
+        ]
+        net = init_weights(specs, 8, placement=[1, 3])
+    X = rng.uniform(size=(n, net.in_dim))
+    data = Dataset(X, rng.uniform(size=(n, net.out_dim)))
+    Z = AuxState(
+        [c + 0.3 * rng.normal(size=c.shape) for c in lift_to_feasible(net, X).coords]
+    )
+    return net, data, Z
+
+
+class TestBatchedZStep:
+    """The tiled block-tridiagonal Z-step against the point-by-point reference."""
+
+    @pytest.mark.parametrize("n", [1, Z_TILE - 3, 2 * Z_TILE + 5])
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
+    def test_matches_point_by_point_reference(self, rng, kind, n):
+        net, data, Z = _z_problem(rng, kind, n)
+        cfg = StepConfig(z_gn_iters=2)
+        for mu in (0.5, 50.0):
+            got = z_step(net, Z, data, mu, cfg).coords
+            ref = slow_z_step(net, Z, data, mu, cfg)
+            assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
+
+    def test_point_without_descent_direction_keeps_its_coordinates(self, rng):
+        # A linear net with dyadic weights, and point 3 placed exactly at its
+        # optimum: its gradient is exactly zero, so every damping level fails
+        # the descent test and it takes no step, while its tile-mates move.
+        lin = LayerKind.LINEAR_DENSE
+        net = NestedNet(
+            [
+                Layer(LayerSpec(lin, 2, 2),
+                      LayerWeights([[1.0, -0.5, 0.25], [0.5, 2.0, -1.0]])),
+                Layer(LayerSpec(lin, 2, 3),
+                      LayerWeights([[0.75, 1.0, 0.0], [-2.0, 0.5, 1.0], [1.0, 1.0, -0.5]])),
+            ],
+            [1],
+        )
+        X = rng.normal(size=(10, 2))
+        X[3] = [0.5, -1.25]
+        Y = rng.normal(size=(10, 3))
+        Y[3] = forward_all(net, X[3:4])[-1][0]
+        data = Dataset(X, Y)
+        lifted = lift_to_feasible(net, X).coords[0]
+        noise = rng.normal(size=lifted.shape)
+        noise[3] = 0.0
+        Z = AuxState([lifted + noise])
+        got = z_step(net, Z, data, 2.0, StepConfig()).coords[0]
+        np.testing.assert_array_equal(got[3], Z.coords[0][3])
+        others = np.arange(10) != 3
+        assert np.all(np.any(got[others] != Z.coords[0][others], axis=1))
+        ref = slow_z_step(net, Z, data, 2.0, StepConfig())[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_points_without_accepted_step_leave_the_others_unaffected(self, rng):
+        # narrow RBF widths and a single step length: on this problem some
+        # full Gauss-Newton steps overshoot, so those points stop, while the
+        # others iterate on from the objective value of their last step
+        net = rbf_autoencoder(4, 6, 2, 6, width1=0.3, width3=0.3, seed=2)
+        X = rng.uniform(size=(Z_TILE + 4, 4))
+        data = Dataset(X, X)
+        Z = AuxState(
+            [c + 0.5 * rng.normal(size=c.shape) for c in lift_to_feasible(net, X).coords]
+        )
+        cfg = StepConfig(max_backtracks=1, z_gn_iters=3)
+        got = z_step(net, Z, data, 1.0, cfg).coords[0]
+        moved = np.any(got != Z.coords[0], axis=1)
+        assert 0 < moved.sum() < data.n
+        ref = slow_z_step(net, Z, data, 1.0, cfg)[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_singular_point_leaves_its_tile_mates_unaffected(self, rng):
+        # At mu = 0 only the decoder constrains the code.  Point 4's code is
+        # so far from every decoder centre that its RBF responses underflow
+        # to zero: its system is exactly singular and its gradient zero, so
+        # it takes no step, while the stacked solve still serves the rest.
+        net = rbf_autoencoder(5, 8, 2, 8, width1=1.0, width3=1.0, seed=5)
+        X = rng.uniform(size=(7, 5))
+        data = Dataset(X, X)
+        code = lift_to_feasible(net, X).coords[0]
+        code[4] = [1e3, -1e3]
+        Z = AuxState([code])
+        got = z_step(net, Z, data, 0.0, StepConfig()).coords[0]
+        np.testing.assert_array_equal(got[4], code[4])
+        others = np.arange(7) != 4
+        assert np.all(np.any(got[others] != code[others], axis=1))
+        ref = slow_z_step(net, Z, data, 0.0, StepConfig())[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_singular_systems_escalate_damping(self, rng):
+        # At mu = 0 with a rank-one decoder of dyadic weights every point's
+        # Gauss-Newton matrix is exactly singular while its gradient is not
+        # zero: the undamped solve fails and damping must find the step.
+        lin = LayerKind.LINEAR_DENSE
+        net = NestedNet(
+            [
+                Layer(LayerSpec(lin, 3, 2), LayerWeights(rng.normal(size=(2, 4)))),
+                Layer(LayerSpec(lin, 2, 3, bias=False),
+                      LayerWeights([[1.0, 2.0], [2.0, 4.0], [-0.5, -1.0]])),
+            ],
+            [1],
+        )
+        X = rng.normal(size=(9, 3))
+        data = Dataset(X, rng.normal(size=(9, 3)))
+        Z = lift_to_feasible(net, X)
+        got = z_step(net, Z, data, 0.0, StepConfig()).coords[0]
+        assert np.all(np.any(got != Z.coords[0], axis=1))
+        ref = slow_z_step(net, Z, data, 0.0, StepConfig())[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+class TestStepConfig:
+    @pytest.mark.parametrize("bad", [{"gn_damping": -1e-8}, {"max_backtracks": 0}])
+    def test_invalid_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            StepConfig(**bad)
+
+
 class TestResidualsAndMultipliers:
     def test_single_coordinate_perturbation(self, rng):
         net = sigmoid_autoencoder((5, 3, 5), seed=2)
@@ -301,6 +440,24 @@ class TestMacTrain:
         for prev, cur in zip(trace.rows, trace.rows[1:]):
             if cur.event in ("wstep", "zstep") and prev.mu == cur.mu:
                 assert cur.eq <= prev.eq * (1 + 1e-10)
+
+    def test_each_trace_value_computed_once_per_row(self, rng, monkeypatch):
+        calls = {"nested_objective": 0, "qp_objective": 0}
+        for name in calls:
+            fn = getattr(macqp.mac, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(macqp.mac, name, counted)
+        net = sigmoid_autoencoder((5, 3, 5), seed=1)
+        X = rng.uniform(size=(12, 5))
+        schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=2)
+        _, _, trace = mac_train(net, Dataset(X, X), schedule, StepConfig())
+        # E1 once per row; E_Q once per row plus once for the first stage
+        assert calls["nested_objective"] == len(trace.rows)
+        assert calls["qp_objective"] == len(trace.rows) + 1
 
     def test_reduces_nested_error(self, rng):
         from macqp.data import synth_manifold_dataset

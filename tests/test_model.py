@@ -189,6 +189,29 @@ class TestLayerJacobians:
                 d = (apply_at(z, Wp)[hh] - apply_at(z, Wm)[hh]) / (2 * h)
                 np.testing.assert_allclose(w_grads[hh, k], d, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("kind", list(LayerKind))
+    def test_batch_matches_finite_differences(self, rng, kind):
+        in_dim, out_dim, n = 4, 3, 5
+        spec = LayerSpec(
+            kind, in_dim, out_dim,
+            rbf_width=1.3 if kind == LayerKind.GAUSSIAN_RBF else 0.0,
+        )
+        layer = Layer(spec, LayerWeights(rng.normal(size=spec.weight_shape)))
+        Zb = rng.normal(size=(n, in_dim))
+        j_in, w_grads = layer_jacobians(layer, Zb)
+        assert j_in.shape == (n, out_dim, in_dim)
+        assert w_grads.shape == (n, out_dim, spec.weight_cols)
+        h = 1e-6
+        for p in range(n):
+            for k in range(in_dim):
+                zp, zm = Zb[p].copy(), Zb[p].copy()
+                zp[k] += h
+                zm[k] -= h
+                col = (slow_layer_map(layer, zp) - slow_layer_map(layer, zm)) / (2 * h)
+                np.testing.assert_allclose(j_in[p, :, k], col, rtol=1e-6, atol=1e-8)
+            _, w_one = layer_jacobians(layer, Zb[p])
+            np.testing.assert_allclose(w_grads[p], w_one, rtol=1e-13, atol=1e-15)
+
 
 class TestInitWeights:
     def test_fan_in_100_bounds(self):

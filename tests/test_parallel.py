@@ -1,5 +1,8 @@
 """Deterministic parallel execution of independent subproblems."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,45 @@ class TestParallelMap:
 
     def test_empty_task_list(self):
         assert parallel_map([], 4) == []
+
+    def test_one_pool_per_worker_count(self):
+        names = set()
+
+        def task():
+            names.add(threading.current_thread().name)
+
+        for _ in range(20):
+            parallel_map([task] * 6, 3)
+        assert 1 <= len(names) <= 3
+
+    def test_concurrent_callers(self):
+        # more callers and workers than cores, first calls racing to create
+        # the pool: each caller gets its own results, and one pool serves all
+        workers, names, results = 5, set(), {}
+
+        def caller(c):
+            for r in range(30):
+                tasks = [
+                    lambda i=i: names.add(threading.current_thread().name) or (c, r, i)
+                    for i in range(7)
+                ]
+                results[c, r] = parallel_map(tasks, workers)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(c,)) for c in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {
+            (c, r): [(c, r, i) for i in range(7)] for c in range(6) for r in range(30)
+        }
+        assert len(names) <= workers
 
 
 class TestChunkSlices:
