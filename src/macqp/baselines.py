@@ -11,9 +11,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .kernels import rbf_design
+from .kernels import rbf_design, sq_dist
 from .model import (
     Dataset,
     Layer,
@@ -64,33 +63,35 @@ def kmeans(points, k, seed=0, iters=20):
 
     When k equals the number of points the centers are the points
     themselves.  An empty cluster is re-seeded from the point farthest
-    from its assigned center.
+    from its assigned center, empty clusters taken in ascending order.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m = points.shape[0]
+    m, d = points.shape
     if k > m:
         raise MacqpError(f"k-means with k={k} > {m} points")
     if k == m:
         return points.copy()
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(m, size=k, replace=False)].copy()
+    flat = points.ravel()
+    cols = np.arange(d)
     for _ in range(iters):
-        d2 = (
-            np.sum(points**2, axis=1)[:, None]
-            - 2.0 * points @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
+        d2 = sq_dist(points, centers)
         assign = np.argmin(d2, axis=1)
         closest = d2[np.arange(m), assign]
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = assign == j
-            if not np.any(mask):
-                far = int(np.argmax(closest))
-                new_centers[j] = points[far]
-                closest[far] = 0.0
-            else:
-                new_centers[j] = points[mask].mean(axis=0)
+        counts = np.bincount(assign, minlength=k)
+        # bincount adds each cluster's rows in point order, as an axis-0
+        # mean over a (c, d >= 2) block does, so the centers match it bit for bit
+        sums = np.bincount(
+            (assign[:, None] * d + cols).ravel(), weights=flat, minlength=k * d
+        ).reshape(k, d)
+        full = counts > 0
+        new_centers = np.empty_like(centers)
+        new_centers[full] = sums[full] / counts[full, None]
+        for j in np.flatnonzero(~full):
+            far = int(np.argmax(closest))
+            new_centers[j] = points[far]
+            closest[far] = 0.0
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers
@@ -98,12 +99,7 @@ def kmeans(points, k, seed=0, iters=20):
 
 
 def kmeans_objective(points, centers):
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    return float(np.sum(np.min(d2, axis=1)))
+    return float(np.sum(np.min(sq_dist(points, centers), axis=1)))
 
 
 def ridge_lsq(features, targets, lam):
@@ -119,18 +115,22 @@ def ridge_lsq(features, targets, lam):
     m = A.shape[0]
     A[np.diag_indices(m)] += lam
     try:
-        cf = scipy.linalg.cho_factor(A, lower=True)
-        W = scipy.linalg.cho_solve(cf, rhs)
+        W = _cholesky_solve(A, rhs)
     except np.linalg.LinAlgError:
         if lam > 0:
             raise MacqpError("ridge system is singular") from None
         A[np.diag_indices(m)] += 1e-12
         try:
-            cf = scipy.linalg.cho_factor(A, lower=True)
-            W = scipy.linalg.cho_solve(cf, rhs)
+            W = _cholesky_solve(A, rhs)
         except np.linalg.LinAlgError:
             raise MacqpError("least-squares system is singular") from None
     return W[:, 0] if squeeze else W
+
+
+def _cholesky_solve(A, rhs):
+    """A^-1 rhs through A = L L^T; LinAlgError if A is not positive definite."""
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def sgd_train(net, data, cfg, time_budget=None):

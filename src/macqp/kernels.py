@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-__all__ = ["sigmoid", "rbf_design", "backend_name", "NUMBA_ENABLED"]
+__all__ = ["sigmoid", "rbf_design", "sq_dist", "backend_name", "NUMBA_ENABLED"]
 
 
 def _sigmoid_np(t):
@@ -23,13 +23,22 @@ def _sigmoid_np(t):
     return out
 
 
-def _rbf_design_np(X, C, width):
-    """Gaussian basis responses exp(-||x_n - c_m||^2 / width^2), shape (N, M)."""
-    sq = (
+def sq_dist(X, C):
+    """Squared distances ||x_n - c_m||^2, shape (N, M).
+
+    Expanded as |x|^2 - 2 x.c + |c|^2, so entries may round slightly
+    below zero; callers that need them nonnegative clamp.
+    """
+    return (
         np.sum(X * X, axis=1)[:, None]
         - 2.0 * (X @ C.T)
         + np.sum(C * C, axis=1)[None, :]
     )
+
+
+def _rbf_design_np(X, C, width):
+    """Gaussian basis responses exp(-||x_n - c_m||^2 / width^2), shape (N, M)."""
+    sq = sq_dist(X, C)
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-sq / (width * width))
 

@@ -376,11 +376,17 @@ def _block_forward(net, sl, Z_in):
 def _z_objective(net, slices, x, y, zs, mu):
     """Each point's part of E_Q at coordinates zs, shape (n,)."""
     ins = [x] + zs
-    val = np.zeros(x.shape[0])
-    for j, z in enumerate(zs):
-        val += 0.5 * mu * np.sum((z - block_apply(net, slices[j], ins[j])) ** 2, axis=1)
-    out = block_apply(net, slices[-1], ins[-1])
-    return val + 0.5 * np.sum((y - out) ** 2, axis=1)
+    res = [z - block_apply(net, slices[j], ins[j]) for j, z in enumerate(zs)]
+    res.append(y - block_apply(net, slices[-1], ins[-1]))
+    return _z_objective_from_residuals(res, mu)
+
+
+def _z_objective_from_residuals(res, mu):
+    """Per-point E_Q from the constraint residuals and the output residual."""
+    val = np.zeros(res[0].shape[0])
+    for r in res[:-1]:
+        val += 0.5 * mu * np.sum(r**2, axis=1)
+    return val + 0.5 * np.sum(res[-1] ** 2, axis=1)
 
 
 def _z_gn_system(net, slices, x, y, zs, mu):
@@ -391,7 +397,8 @@ def _z_gn_system(net, slices, x, y, zs, mu):
     mu*I + A_out^T A_out), the super-diagonal blocks -mu*A_{j+1}^T and the
     sub-diagonal ones their transposes.  Returns the diagonal blocks, the
     super-diagonal blocks and the gradient blocks, all with a leading
-    point axis; the dense Jacobian is never formed.
+    point axis (the dense Jacobian is never formed), and each point's
+    objective, equal to _z_objective at zs.
     """
     K = len(zs)
     res = [zs[0] - block_apply(net, slices[0], x)]
@@ -411,7 +418,7 @@ def _z_gn_system(net, slices, x, y, zs, mu):
         g.append(mu * res[j] - weight * (At @ res[j + 1][:, :, None])[:, :, 0])
         if j + 1 < K:
             U.append(-mu * At)
-    return D, U, g
+    return D, U, g, _z_objective_from_residuals(res, mu)
 
 
 def _block_thomas(D, U, b):
@@ -489,13 +496,15 @@ def _z_tile_update(net, slices, x, y, zs, mu, cfg):
     decreasing step keeps its coordinates and leaves the iteration.
     """
     zs = [z.copy() for z in zs]
-    f_cur = _z_objective(net, slices, x, y, zs, mu)
+    f_cur = None
     live = np.arange(x.shape[0])
     for _ in range(cfg.z_gn_iters):
         if live.size == 0:
             break
         z_live = [z[live] for z in zs]
-        D, U, g = _z_gn_system(net, slices, x[live], y[live], z_live, mu)
+        D, U, g, f_live = _z_gn_system(net, slices, x[live], y[live], z_live, mu)
+        if f_cur is None:  # first iteration: every point is live
+            f_cur = f_live
         d, found = _damped_tridiag_solve(D, U, g, cfg.gn_damping)
         step = np.ones(live.size)
         accepted = np.zeros(live.size, dtype=bool)

@@ -85,7 +85,9 @@ class LayerWeights:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        # C order: matmul rounding depends on the layout, and a checkpoint
+        # reloads C-ordered matrices
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if not np.all(np.isfinite(self.matrix)):
             raise NonFiniteError("layer weights contain non-finite entries")
 

@@ -174,6 +174,40 @@ def slow_z_step(net, Z, data, mu, cfg):
     return coords
 
 
+def slow_kmeans(points, k, seed=0, iters=20):
+    """Lloyd's algorithm recomputing one center at a time with a masked mean.
+
+    Seeds, the k == m shortcut, empty-cluster re-seeding from the farthest
+    point and the stopping test follow macqp.baselines.kmeans."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m = points.shape[0]
+    if k == m:
+        return points.copy()
+    rng = np.random.default_rng(seed)
+    centers = points[rng.choice(m, size=k, replace=False)].copy()
+    for _ in range(iters):
+        d2 = (
+            np.sum(points**2, axis=1)[:, None]
+            - 2.0 * points @ centers.T
+            + np.sum(centers**2, axis=1)[None, :]
+        )
+        assign = np.argmin(d2, axis=1)
+        closest = d2[np.arange(m), assign]
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = assign == j
+            if not np.any(mask):
+                far = int(np.argmax(closest))
+                new_centers[j] = points[far]
+                closest[far] = 0.0
+            else:
+                new_centers[j] = points[mask].mean(axis=0)
+        if np.array_equal(new_centers, centers):
+            break
+        centers = new_centers
+    return centers
+
+
 def random_mixed_net(rng, ridge=0.0):
     """Small random net exercising all three layer kinds."""
     d_in = int(rng.integers(2, 5))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import rbf_autoencoder, sigmoid_autoencoder
+from conftest import rbf_autoencoder, sigmoid_autoencoder, slow_kmeans
 from macqp.baselines import (
     CgConfig,
     SgdConfig,
@@ -184,6 +184,61 @@ class TestKmeans:
         with pytest.raises(MacqpError):
             kmeans(rng.normal(size=(4, 2)), 5)
 
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_matches_per_cluster_loop_bitwise(self, rng, d):
+        # the flat bincount adds each cluster's rows in order, as the
+        # axis-0 mean of a (c, d >= 2) block does
+        for m, k in ((40, 1), (40, 3), (97, 8), (200, 25)):
+            pts = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0)
+            for seed in (0, 1, 7):
+                for iters in (0, 1, 20):
+                    np.testing.assert_array_equal(
+                        kmeans(pts, k, seed=seed, iters=iters),
+                        slow_kmeans(pts, k, seed=seed, iters=iters),
+                    )
+
+    def test_matches_per_cluster_loop_one_dimensional(self, rng):
+        # a 1-D mean sums pairwise, so only the last bits may differ
+        for m, k in ((40, 1), (40, 3), (97, 8), (200, 25)):
+            pts = rng.normal(size=(m, 1))
+            for seed in (0, 1, 7):
+                for iters in (0, 1, 20):
+                    np.testing.assert_allclose(
+                        kmeans(pts, k, seed=seed, iters=iters),
+                        slow_kmeans(pts, k, seed=seed, iters=iters),
+                        rtol=1e-12,
+                    )
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_duplicate_points_force_empty_clusters(self, rng, d):
+        distinct = rng.normal(size=(6, d))
+        pts = np.repeat(distinct, 8, axis=0)
+        empty_seen = False
+        for seed in range(12):
+            seeds = kmeans(pts, 9, seed=seed, iters=0)
+            # equal seeds tie in the argmin, leaving all but the first empty
+            empty_seen |= len(np.unique(seeds, axis=0)) < 9
+            for iters in (1, 2, 20):
+                np.testing.assert_array_equal(
+                    kmeans(pts, 9, seed=seed, iters=iters),
+                    slow_kmeans(pts, 9, seed=seed, iters=iters),
+                )
+        assert empty_seen
+
+    def test_empty_clusters_reseeded_farthest_first_in_order(self):
+        pts = np.zeros((40, 2))
+        pts[-2] = [5.0, 0.0]
+        pts[-1] = [-7.0, 0.0]
+        seed = next(
+            s for s in range(200) if not np.any(kmeans(pts, 3, seed=s, iters=0))
+        )
+        # all three seeds sit at the origin, so clusters 1 and 2 start empty:
+        # cluster 1 takes the farthest point, cluster 2 the next farthest
+        np.testing.assert_array_equal(
+            kmeans(pts, 3, seed=seed, iters=1),
+            [[-2.0 / 40, 0.0], [-7.0, 0.0], [5.0, 0.0]],
+        )
+
 
 class TestRidgeLsq:
     def test_identity_features_zero_ridge(self, rng):
@@ -208,3 +263,25 @@ class TestRidgeLsq:
     def test_negative_ridge_rejected(self, rng):
         with pytest.raises(ValueError):
             ridge_lsq(np.eye(3), np.eye(3), -1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3, 50.0])
+    def test_matches_augmented_lstsq(self, rng, lam):
+        phi = rng.normal(size=(40, 7))
+        T = rng.normal(size=(40, 3))
+        aug = np.vstack([phi, np.sqrt(lam) * np.eye(7)])
+        want = np.linalg.lstsq(aug, np.vstack([T, np.zeros((7, 3))]), rcond=None)[0]
+        np.testing.assert_allclose(ridge_lsq(phi, T, lam), want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(ridge_lsq(phi, T[:, 0], lam), want[:, 0], rtol=1e-10,
+                                   atol=1e-12)
+
+    def test_singular_systems_raise(self):
+        # entries 2^42 and a rank-one Gram matrix: adding 1e-6 or 1e-12 to
+        # the diagonal is lost in rounding, so the factorization fails
+        phi = np.full((4, 2), 2.0**20)
+        T = np.ones((4, 1))
+        with pytest.raises(MacqpError, match="ridge system is singular"):
+            ridge_lsq(phi, T, 1e-6)
+        with pytest.raises(MacqpError, match="least-squares system is singular"):
+            ridge_lsq(phi, T, 0.0)
+        # at unit scale the 1e-12 retry makes the zero-ridge system solvable
+        assert np.all(np.isfinite(ridge_lsq(np.ones((4, 2)), T, 0.0)))

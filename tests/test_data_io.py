@@ -19,7 +19,16 @@ from macqp.data import (
 )
 from macqp.harness import run_experiment, validate_config
 from macqp.mac import TRACE_HEADER
-from macqp.model import Dataset, DimensionMismatchError, MacqpError, forward_all
+from macqp.model import (
+    Dataset,
+    DimensionMismatchError,
+    Layer,
+    LayerWeights,
+    MacqpError,
+    NestedNet,
+    forward_all,
+    nested_objective,
+)
 
 
 class TestDatasetFormats:
@@ -53,6 +62,21 @@ class TestDatasetFormats:
         p.write_text("x0,x1,y0\n1.0,2.0,3.0\n4.0,oops,6.0\n")
         with pytest.raises(MacqpError, match=r"3.*column 2"):
             load_dataset(p, "csv")
+
+    def test_fortran_ordered_weights_reproduce_e1_after_reload(self, rng, tmp_path):
+        # matmul rounding depends on memory layout and a checkpoint reloads
+        # C-ordered matrices, so weights are stored C-ordered from the start
+        net = random_mixed_net(rng)
+        net = NestedNet(
+            [Layer(l.spec, LayerWeights(np.asfortranarray(l.weights.matrix)))
+             for l in net.layers],
+            net.placement,
+        )
+        assert all(l.weights.matrix.flags.c_contiguous for l in net.layers)
+        data = Dataset(rng.normal(size=(50, net.in_dim)), rng.normal(size=(50, net.out_dim)))
+        p = tmp_path / "fortran.macn"
+        save_model(net, p)
+        assert nested_objective(load_model(p), data) == nested_objective(net, data)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.macd"

@@ -349,6 +349,18 @@ class TestBatchedZStep:
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
+    def test_gn_system_objective_equals_z_objective_bitwise(self, rng, kind):
+        # the first line search starts from the objective the Gauss-Newton
+        # system builds from its residuals, not from a second forward pass
+        net, data, Z = _z_problem(rng, kind, Z_TILE + 5)
+        slices = block_slices(net)
+        for mu in (0.0, 1.0, 1e3):
+            *_, f = macqp.mac._z_gn_system(net, slices, data.X, data.Y, Z.coords, mu)
+            want = macqp.mac._z_objective(net, slices, data.X, data.Y, Z.coords, mu)
+            np.testing.assert_array_equal(f, want)
+
+
 class TestStepConfig:
     @pytest.mark.parametrize("bad", [{"gn_damping": -1e-8}, {"max_backtracks": 0}])
     def test_invalid_values_rejected(self, bad):
