@@ -10,43 +10,12 @@ from .model import (
     MacqpError,
     NestedNet,
     NonFiniteError,
-    backprop_gradient,
-    bias_warmup_step,
     forward,
-    forward_all,
     init_weights,
-    layer_jacobians,
     nested_objective,
 )
-from .mac import (
-    AuxState,
-    PenaltySchedule,
-    StepConfig,
-    TrainTrace,
-    constraint_residuals,
-    lift_to_feasible,
-    mac_train,
-    multiplier_estimates,
-    postprocess,
-    qp_objective,
-    w_step,
-    z_step,
-)
-from .baselines import (
-    CgConfig,
-    SgdConfig,
-    alt_opt_rbf_train,
-    cg_train,
-    kmeans,
-    ridge_lsq,
-    sgd_train,
-)
-from .selection import (
-    SelectionConfig,
-    aic_cost,
-    mac_train_with_selection,
-    selection_step,
-)
-from .parallel import ParallelConfig, parallel_map, speedup_bench
+from .mac import PenaltySchedule, StepConfig, mac_train, postprocess
+from .baselines import CgConfig, SgdConfig, alt_opt_rbf_train, cg_train, sgd_train
+from .selection import SelectionConfig, aic_cost
 
 __version__ = "0.1.0"

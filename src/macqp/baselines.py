@@ -144,7 +144,7 @@ def sgd_train(net, data, cfg, time_budget=None):
     t0 = time.perf_counter()
     net = net.copy()
     e1_0 = nested_objective(net, data)
-    eval_data = _eval_dataset(data)
+    eval_data = data.eval_split()
 
     def record(epoch, event):
         e1_train = nested_objective(net, data)
@@ -184,12 +184,6 @@ def sgd_train(net, data, cfg, time_budget=None):
     if last_recorded != epoch:
         record(epoch, "sgd_epoch")
     return net, trace
-
-
-def _eval_dataset(data):
-    if data.val_X is not None:
-        return Dataset(data.val_X, data.val_Y)
-    return data
 
 
 def _backtracking_search(f, x, fx, d, g, max_halvings=30):
@@ -281,7 +275,7 @@ def cg_train(net, data, cfg, time_budget=None):
 
     trace = TrainTrace()
     t0 = time.perf_counter()
-    eval_data = _eval_dataset(data)
+    eval_data = data.eval_split()
     template = net.copy()
 
     def value(w):
@@ -369,7 +363,7 @@ def alt_opt_rbf_train(net, data, iters, cg_steps=10, seed=0, time_budget=None):
     net = net.copy()
     trace = TrainTrace()
     t0 = time.perf_counter()
-    eval_data = _eval_dataset(data)
+    eval_data = data.eval_split()
 
     def record(event):
         e1 = nested_objective(net, data)

@@ -2,14 +2,12 @@
 
 Subcommands: ``train`` (run a configured experiment), ``bench-parallel``
 (same workload across worker counts), ``eval`` (score a checkpoint on a
-dataset), ``synth`` (generate a synthetic manifold dataset), and
-``bench-kernels`` (time the jitted vs pure-numpy kernel paths).
+dataset) and ``synth`` (generate a synthetic manifold dataset).
 """
 
 import argparse
 import csv
 import os
-import subprocess
 import sys
 
 from .model import MacqpError
@@ -68,47 +66,6 @@ def _cmd_synth(args):
     return 0
 
 
-_BENCH_SNIPPET = """
-import time
-import numpy as np
-from macqp import kernels
-
-rng = np.random.default_rng(0)
-X = rng.normal(size=({n}, {d}))
-C = rng.normal(size=({m}, {d}))
-T = rng.normal(size=({n}, {m}))
-
-kernels.rbf_design(X[:8], C[:8], 1.5)  # warm the JIT outside timing
-kernels.sigmoid(T[:8])
-
-t0 = time.perf_counter()
-for _ in range({reps}):
-    kernels.rbf_design(X, C, 1.5)
-t_rbf = (time.perf_counter() - t0) / {reps}
-
-t0 = time.perf_counter()
-for _ in range({reps}):
-    kernels.sigmoid(T)
-t_sig = (time.perf_counter() - t0) / {reps}
-
-print(f"{{kernels.backend_name()}},rbf_design,{{t_rbf:.6e}}")
-print(f"{{kernels.backend_name()}},sigmoid,{{t_sig:.6e}}")
-"""
-
-
-def _cmd_bench_kernels(args):
-    snippet = _BENCH_SNIPPET.format(n=args.n, m=args.m, d=args.d, reps=args.reps)
-    print("backend,kernel,seconds_per_call")
-    for disable in ("0", "1"):
-        env = dict(os.environ, MACQP_DISABLE_NUMBA=disable)
-        out = subprocess.run(
-            [sys.executable, "-c", snippet], env=env,
-            capture_output=True, text=True, check=True,
-        )
-        print(out.stdout.strip())
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="macqp")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -138,13 +95,6 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="f64bin", choices=["csv", "f64bin"])
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("bench-kernels", help="compare jitted and numpy kernel paths")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--m", type=int, default=500)
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--reps", type=int, default=20)
-    p.set_defaults(func=_cmd_bench_kernels)
 
     args = parser.parse_args(argv)
     try:

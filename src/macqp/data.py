@@ -48,12 +48,14 @@ def _load_csv(path):
         header = fh.readline().strip()
         if not header:
             raise MacqpError(f"{path}: missing header row")
-        cols = header.split(",")
+        cols = [c.strip() for c in header.split(",")]
         d = sum(1 for c in cols if c.startswith("x"))
-        dp = sum(1 for c in cols if c.startswith("y"))
-        if d == 0 or dp == 0 or d + dp != len(cols):
+        dp = len(cols) - d
+        expected = [f"x{i}" for i in range(d)] + [f"y{i}" for i in range(dp)]
+        if d == 0 or dp == 0 or cols != expected:
             raise MacqpError(
-                f"{path}: header must name input columns x* then target columns y*"
+                f"{path}: header must name input columns x0, x1, ... then target "
+                f"columns y0, y1, ..., got {header!r}"
             )
         rows = []
         for lineno, line in enumerate(fh, start=2):

@@ -8,6 +8,7 @@ requested reconstruction images into the output directory.
 """
 
 import json
+import math
 import os
 import time
 
@@ -26,7 +27,6 @@ from .mac import (
     postprocess,
 )
 from .model import (
-    Dataset,
     LayerKind,
     LayerSpec,
     MacqpError,
@@ -35,7 +35,7 @@ from .model import (
     init_weights,
     nested_objective,
 )
-from .parallel import resolve_workers
+from .parallel import resolve_workers, worker_count
 from .selection import SelectionConfig, mac_train_with_selection
 
 METHODS = ("mac", "mac_select", "sgd", "cg", "altopt")
@@ -55,7 +55,7 @@ _SCHEDULE_KEYS = {
 }
 _STEP_KEYS = {"w_gn_iters", "z_gn_iters", "backtrack_factor", "max_backtracks", "gn_damping"}
 _SELECTION_KEYS = {"candidates_per_block", "epsilon_sq", "cadence"}
-_PARALLEL_KEYS = {"workers", "shard_granularity"}
+_PARALLEL_KEYS = {"workers"}
 _SGD_KEYS = {"minibatch", "learning_rate", "epochs", "seed", "trace_every"}
 _CG_KEYS = {"max_iters", "restart_every", "line_search", "gtol", "trace_every"}
 _ALTOPT_KEYS = {"iters", "cg_steps"}
@@ -116,6 +116,8 @@ def validate_config(cfg):
     ):
         if key in cfg:
             _check_keys(cfg[key], allowed, key)
+    if "workers" in cfg.get("parallel", {}):
+        worker_count(cfg["parallel"]["workers"], "parallel.workers")
 
 
 def override_workers(cfg, workers):
@@ -170,6 +172,24 @@ def _initial_aux_state(net, X):
     return lift_to_feasible(net, X)
 
 
+def _check_recon_settings(cfg, n, out_dim):
+    """Reconstruction indices must name training rows and the image shape
+    must hold exactly one output vector; checked before training starts."""
+    for idx in cfg.get("recon_indices", []):
+        if type(idx) is not int or not 0 <= idx < n:
+            raise MacqpError(f"recon_indices entry {idx!r} is not a row index in 0..{n - 1}")
+    shape = cfg.get("recon_shape")
+    if shape is not None and not (
+        isinstance(shape, list) and len(shape) in (1, 2)
+        and all(type(s) is int and s > 0 for s in shape)
+        and math.prod(shape) == out_dim
+    ):
+        raise MacqpError(
+            f"recon_shape {shape!r} must be one or two positive integers "
+            f"whose product is the output width {out_dim}"
+        )
+
+
 def run_experiment(cfg):
     """Run one configured experiment; returns paths and final errors."""
     cfg = load_config(cfg)
@@ -177,6 +197,7 @@ def run_experiment(cfg):
     os.makedirs(out_dir, exist_ok=True)
     dataset = build_dataset(cfg)
     specs, placement = build_architecture(cfg)
+    _check_recon_settings(cfg, dataset.n, specs[-1].out_dim)
     workers = resolve_workers(cfg.get("parallel", {}).get("workers", 1))
     time_budget = cfg.get("time_budget")
 
@@ -209,7 +230,7 @@ def run_experiment(cfg):
         last_it = trace.rows[-1].iteration if trace.rows else 0
         last_s = trace.rows[-1].seconds if trace.rows else 0.0
         trace.add(last_it + 1, last_s + post_s, trace.rows[-1].mu if trace.rows else 0.0,
-                  e1, _val_error(net, dataset), e1, 0.0, "postprocess")
+                  e1, nested_objective(net, dataset.eval_split()), e1, 0.0, "postprocess")
     elif method == "sgd":
         net, trace = sgd_train(net, dataset, SgdConfig(**cfg.get("sgd", {})),
                                time_budget=time_budget)
@@ -242,16 +263,10 @@ def run_experiment(cfg):
         "trace_path": trace_path,
         "recon_paths": recon_paths,
         "e1_train": nested_objective(net, dataset),
-        "e1_val": _val_error(net, dataset),
+        "e1_val": nested_objective(net, dataset.eval_split()),
         "net": net,
         "trace": trace,
     }
-
-
-def _val_error(net, dataset):
-    if dataset.val_X is None:
-        return nested_objective(net, dataset)
-    return nested_objective(net, Dataset(dataset.val_X, dataset.val_Y))
 
 
 def eval_model(model_path, data_path, fmt):

@@ -30,7 +30,7 @@ from .model import (
     nested_objective,
     ridge_penalty,
 )
-from .parallel import chunk_slices, parallel_map
+from .parallel import parallel_map
 
 TRACE_HEADER = "iter,seconds,mu,e1_train,e1_val,eq,constraint_viol,event"
 
@@ -273,20 +273,15 @@ def _gn_sigmoid_unit(phi, target, w0, weight, lam, cfg):
 
 
 def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg, workers):
+    """One task per unit: each unit's fit is independent of the others."""
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
     W = layer.weights.matrix
-    n_units = W.shape[0]
-
-    def unit_task(rng):
-        lo, hi = rng
-        rows = np.empty((hi - lo, W.shape[1]))
-        for h in range(lo, hi):
-            rows[h - lo] = _gn_sigmoid_unit(phi, T[:, h], W[h], weight, lam, cfg)
-        return rows
-
-    chunks = chunk_slices(n_units, workers)
-    parts = parallel_map([lambda r=rng: unit_task(r) for rng in chunks], workers)
-    return Layer(layer.spec, LayerWeights(np.vstack(parts)))
+    rows = parallel_map(
+        [lambda h=h: _gn_sigmoid_unit(phi, T[:, h], W[h], weight, lam, cfg)
+         for h in range(W.shape[0])],
+        workers,
+    )
+    return Layer(layer.spec, LayerWeights(np.vstack(rows)))
 
 
 def _fit_linear_layer(layer, A_in, T, weight, lam):
@@ -295,16 +290,19 @@ def _fit_linear_layer(layer, A_in, T, weight, lam):
     return Layer(layer.spec, LayerWeights(W))
 
 
-def _block_objective(net, sl, A_in, T, weight, transient_reg):
-    out = block_apply(net, sl, A_in)
+def _block_objective(layers, A_in, T, weight, transient_reg):
+    """One block's part of E_Q: the weighted misfit of its layers' output
+    to T at inputs A_in, plus their ridge and transient weight penalties."""
+    out = A_in
+    for layer in layers:
+        out = layer_apply(layer, out)
     val = 0.5 * weight * float(np.sum((T - out) ** 2))
-    for i in range(sl[0], sl[1]):
-        spec = net.layers[i].spec
-        lam = spec.ridge
-        if spec.kind != LayerKind.GAUSSIAN_RBF:
+    for layer in layers:
+        lam = layer.spec.ridge
+        if layer.spec.kind != LayerKind.GAUSSIAN_RBF:
             lam += transient_reg
         if lam > 0:
-            val += lam * float(np.sum(net.layers[i].weights.matrix**2))
+            val += lam * float(np.sum(layer.weights.matrix**2))
     return val
 
 
@@ -345,10 +343,9 @@ def w_step(net, Z, data, mu, cfg, workers=1, transient_reg=0.0):
             net, sl, ins[j], targets[j], weight, cfg,
             workers=workers, transient_reg=transient_reg,
         )
-        cand = NestedNet(net.layers[: sl[0]] + fitted + net.layers[sl[1] :], net.placement)
-        before = _block_objective(net, sl, ins[j], targets[j], weight, transient_reg)
-        after = _block_objective(cand, sl, ins[j], targets[j], weight, transient_reg)
-        if after <= before:
+        args = (ins[j], targets[j], weight, transient_reg)
+        before = _block_objective(net.layers[sl[0] : sl[1]], *args)
+        if _block_objective(fitted, *args) <= before:
             new_layers[sl[0] : sl[1]] = fitted
     return NestedNet(new_layers, list(net.placement))
 
@@ -367,7 +364,7 @@ def _block_forward(net, sl, Z_in):
     cur = Z_in
     jac = None
     for i in range(sl[0], sl[1]):
-        j_layer, _ = layer_jacobians(net.layers[i], cur)
+        j_layer = layer_jacobians(net.layers[i], cur)
         jac = j_layer if jac is None else j_layer @ jac
         cur = layer_apply(net.layers[i], cur, index=i + 1)
     return cur, jac
@@ -574,14 +571,6 @@ def postprocess(net, Z, data, cfg=None, workers=1):
     return net.copy()
 
 
-def _eval_net(net, data):
-    if data.val_X is not None:
-        from .model import Dataset
-
-        return nested_objective(net, Dataset(data.val_X, data.val_Y))
-    return nested_objective(net, data)
-
-
 def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None,
               sel_cfg=None, iteration_callback=None):
     """Alternating W/Z optimization along the growing-penalty path.
@@ -612,6 +601,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     stop = False
 
     track_val = data.val_X is not None
+    val_data = data.eval_split()
 
     def record(event):
         e1_train = nested_objective(net, data)
@@ -620,7 +610,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
             time.perf_counter() - t0,
             mu,
             e1_train,
-            _eval_net(net, data) if track_val else e1_train,
+            nested_objective(net, val_data) if track_val else e1_train,
             qp_objective(net, Z, data, mu, transient),
             float(np.max(constraint_residuals(net, Z, data.X))),
             event,
@@ -636,7 +626,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         if row is not None:
             prev = stage_signal(row)
         elif track_val:
-            prev = _eval_net(net, data)
+            prev = nested_objective(net, val_data)
         else:
             prev = qp_objective(net, Z, data, mu, transient)
         if track_val:
@@ -656,10 +646,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
                 if iters_since_selection >= sel_cfg.cadence:
                     iters_since_selection = 0
                     before_total = row.eq + aic_cost(net, sel_cfg.epsilon_sq)
-                    net = selection_step(
-                        net, Z, data, mu, sel_cfg, step_cfg=cfg,
-                        workers=workers, transient_reg=transient,
-                    )
+                    net = selection_step(net, Z, data, mu, sel_cfg, transient_reg=transient)
                     it += 1
                     row = record("model_select")
                     trace.selection_events.append(

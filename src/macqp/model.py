@@ -9,7 +9,7 @@ values.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -180,6 +180,12 @@ class Dataset:
     def n(self):
         return self.X.shape[0]
 
+    def eval_split(self):
+        """The validation split as a Dataset, or this dataset if there is none."""
+        if self.val_X is None:
+            return self
+        return Dataset(self.val_X, self.val_Y)
+
 
 def add_bias_col(Z):
     return np.hstack([Z, np.ones((Z.shape[0], 1))])
@@ -253,13 +259,10 @@ def nested_objective(net, data):
 
 
 def layer_jacobians(layer, z_in):
-    """Exact first derivatives of one layer map at input z_in.
+    """Exact Jacobian of one layer map w.r.t. its input at z_in.
 
-    ``z_in`` is one input (in_dim,) or a batch (n, in_dim).  Returns
-    (J_input, weight_grads): J_input is the out_dim x in_dim Jacobian
-    w.r.t. the input; weight_grads[h] is the gradient of output unit h
-    w.r.t. its own weight row.  A batch puts a leading point axis on
-    both, giving shapes (n, out_dim, in_dim) and (n, out_dim, cols).
+    ``z_in`` is one input (in_dim,), giving an out_dim x in_dim matrix,
+    or a batch (n, in_dim), giving one per point, shape (n, out_dim, in_dim).
     """
     spec = layer.spec
     z_in = np.asarray(z_in, dtype=np.float64)
@@ -271,22 +274,16 @@ def layer_jacobians(layer, z_in):
         a = rbf_design(Z, W, spec.rbf_width)
         diff = Z[:, None, :] - W[None, :, :]
         coef = (2.0 / spec.rbf_width**2) * a
-        w_grads = coef[:, :, None] * diff
-        j_in = -w_grads
+        j_in = -(coef[:, :, None] * diff)
+    elif spec.kind == LayerKind.LINEAR_DENSE:
+        shape = (Z.shape[0], spec.out_dim, spec.in_dim)
+        j_in = np.broadcast_to(W[:, : spec.in_dim], shape).copy()
     else:
         Zt = add_bias_col(Z) if spec.bias else Z
-        shape = (Z.shape[0], spec.out_dim)
-        if spec.kind == LayerKind.LINEAR_DENSE:
-            j_in = np.broadcast_to(W[:, : spec.in_dim], shape + (spec.in_dim,)).copy()
-            w_grads = np.broadcast_to(Zt[:, None, :], shape + (Zt.shape[1],)).copy()
-        else:
-            a = sigmoid(Zt @ W.T)
-            s = a * (1.0 - a)
-            j_in = s[:, :, None] * W[None, :, : spec.in_dim]
-            w_grads = s[:, :, None] * Zt[:, None, :]
-    if z_in.ndim == 1:
-        return j_in[0], w_grads[0]
-    return j_in, w_grads
+        a = sigmoid(Zt @ W.T)
+        s = a * (1.0 - a)
+        j_in = s[:, :, None] * W[None, :, : spec.in_dim]
+    return j_in[0] if z_in.ndim == 1 else j_in
 
 
 def _backward_through_layer(layer, A_in, A_out, G):

@@ -11,7 +11,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 
 from .model import MacqpError
 
@@ -21,27 +20,19 @@ _POOLS = {}
 _POOLS_LOCK = threading.Lock()
 
 
-@dataclass
-class ParallelConfig:
-    workers: int = 1
-    shard_granularity: str = "auto"
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.shard_granularity not in ("auto", "per_unit", "per_point"):
-            raise ValueError(f"unknown shard granularity {self.shard_granularity!r}")
+def worker_count(value, name):
+    """``value`` if it is a positive integer, else a MacqpError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MacqpError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def resolve_workers(requested):
     """Worker count, honoring the MAC_WORKERS environment override."""
     env = os.environ.get("MAC_WORKERS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError("MAC_WORKERS must be >= 1")
-        return n
-    return max(1, int(requested))
+    if env is None:
+        return worker_count(requested, "parallel.workers")
+    return worker_count(int(env) if env.strip().isdecimal() else env, "MAC_WORKERS")
 
 
 def parallel_map(tasks, workers):
@@ -86,21 +77,6 @@ def _pool(workers):
         if pool is None:
             pool = _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
         return pool
-
-
-def chunk_slices(n, workers):
-    """Contiguous index ranges covering 0..n, at most ``workers`` of them."""
-    k = min(workers, n) if n > 0 else 0
-    if k == 0:
-        return []
-    base, extra = divmod(n, k)
-    slices = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        slices.append((start, start + size))
-        start += size
-    return slices
 
 
 def speedup_bench(config, worker_counts, base_output_dir=None):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import fit_rbf_linear_pair
-from .mac import _block_inputs, block_slices, mac_train
+from .mac import _block_inputs, _block_objective, block_slices, mac_train
 from .model import Layer, LayerKind, LayerWeights, MacqpError, NestedNet
 
 
@@ -51,24 +51,6 @@ def selectable_blocks(net):
     return out
 
 
-def _pair_objective(rbf_layer, lin_layer, A_in, T, weight, transient_reg):
-    from .kernels import rbf_design
-    from .model import add_bias_col
-
-    phi = rbf_design(A_in, rbf_layer.weights.matrix, rbf_layer.spec.rbf_width)
-    phi_full = add_bias_col(phi) if lin_layer.spec.bias else phi
-    out = phi_full @ lin_layer.weights.matrix.T
-    val = 0.5 * weight * float(np.sum((T - out) ** 2))
-    lam = lin_layer.spec.ridge + transient_reg
-    if lam > 0:
-        val += lam * float(np.sum(lin_layer.weights.matrix**2))
-    return val
-
-
-def _pair_param_count(rbf_layer, lin_layer):
-    return rbf_layer.weights.matrix.size + lin_layer.weights.matrix.size
-
-
 def _candidate_pair(rbf_spec, lin_spec, m):
     rbf_s = replace(rbf_spec, out_dim=m)
     lin_s = replace(lin_spec, in_dim=m)
@@ -78,8 +60,7 @@ def _candidate_pair(rbf_spec, lin_spec, m):
     )
 
 
-def selection_step(net, Z, data, mu, cfg, step_cfg=None, workers=1,
-                   transient_reg=0.0, kmeans_seed=0):
+def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, kmeans_seed=0):
     """Choose each selectable block's size by refit-and-score at fixed Z.
 
     Keeps the current block unless some candidate scores at least as
@@ -95,31 +76,30 @@ def selection_step(net, Z, data, mu, cfg, step_cfg=None, workers=1,
             f"{len(sel)} selectable blocks but "
             f"{len(cfg.candidates_per_block)} candidate lists"
         )
+
+    def score(pair, j, weight):
+        """The block's part of E_Q plus the pair's parameter cost."""
+        fit = _block_objective(pair, ins[j], targets[j], weight, transient_reg)
+        return fit + 2.0 * cfg.epsilon_sq * sum(l.weights.matrix.size for l in pair)
+
     new_layers = list(net.copy().layers)
     for cands, j in zip(cfg.candidates_per_block, sel):
         sl = slices[j]
         weight = 1.0 if j == len(slices) - 1 else mu
         rbf_cur, lin_cur = net.layers[sl[0]], net.layers[sl[0] + 1]
-        best_score = (
-            _pair_objective(rbf_cur, lin_cur, ins[j], targets[j], weight, transient_reg)
-            + 2.0 * cfg.epsilon_sq * _pair_param_count(rbf_cur, lin_cur)
-        )
+        best_score = score((rbf_cur, lin_cur), j, weight)
         best_pair = None
         for m in cands:
             try:
                 tmpl_rbf, tmpl_lin = _candidate_pair(rbf_cur.spec, lin_cur.spec, m)
-                fit_rbf, fit_lin = fit_rbf_linear_pair(
+                pair = fit_rbf_linear_pair(
                     tmpl_rbf, tmpl_lin, ins[j], targets[j], weight, seed=kmeans_seed
                 )
             except MacqpError:
                 continue
-            score = (
-                _pair_objective(fit_rbf, fit_lin, ins[j], targets[j], weight, transient_reg)
-                + 2.0 * cfg.epsilon_sq * _pair_param_count(fit_rbf, fit_lin)
-            )
-            if score < best_score:
-                best_score = score
-                best_pair = (fit_rbf, fit_lin)
+            pair_score = score(pair, j, weight)
+            if pair_score < best_score:
+                best_score, best_pair = pair_score, pair
         if best_pair is not None:
             new_layers[sl[0]] = best_pair[0]
             new_layers[sl[0] + 1] = best_pair[1]

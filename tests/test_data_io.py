@@ -63,6 +63,21 @@ class TestDatasetFormats:
         with pytest.raises(MacqpError, match=r"3.*column 2"):
             load_dataset(p, "csv")
 
+    @pytest.mark.parametrize("header", [
+        "x0,y0,x1,y1",  # interleaved: read by position it would swap columns
+        "x1,x0,y0",
+        "x0,x1,y1",
+        "x0,xa,y0",
+        "x0,x1,z0",
+        "x0,x1",
+    ])
+    def test_csv_header_must_list_inputs_then_targets_in_order(self, tmp_path, header):
+        p = tmp_path / "bad_header.csv"
+        cells = ",".join(["1.0"] * len(header.split(",")))
+        p.write_text(f"{header}\n{cells}\n")
+        with pytest.raises(MacqpError, match="bad_header.csv.*header"):
+            load_dataset(p, "csv")
+
     def test_fortran_ordered_weights_reproduce_e1_after_reload(self, rng, tmp_path):
         # matmul rounding depends on memory layout and a checkpoint reloads
         # C-ordered matrices, so weights are stored C-ordered from the start
@@ -226,6 +241,32 @@ class TestHarness:
         cfg["schedule"]["mu_final"] = 7
         with pytest.raises(MacqpError, match="mu_final"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+    def test_invalid_worker_count_rejected(self, tmp_path, workers):
+        with pytest.raises(MacqpError, match="parallel.workers"):
+            validate_config(_mac_config(tmp_path, workers=workers))
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("recon_indices", [0, 40], "recon_indices"),
+        ("recon_indices", [-1], "recon_indices"),
+        ("recon_indices", [1.0], "recon_indices"),
+        ("recon_shape", [3, 3], "recon_shape"),
+        ("recon_shape", [-2, -4], "recon_shape"),
+        ("recon_shape", [2, 2, 2], "recon_shape"),
+    ])
+    def test_bad_recon_settings_fail_before_training(self, tmp_path, monkeypatch,
+                                                     key, value, match):
+        import macqp.harness
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(macqp.harness, "mac_train", no_training)
+        cfg = _mac_config(tmp_path)
+        cfg[key] = value
+        with pytest.raises(MacqpError, match=match):
+            run_experiment(cfg)
 
     def test_mac_run_writes_artifacts_and_reduces_error(self, tmp_path):
         res = run_experiment(_mac_config(tmp_path))

@@ -1,10 +1,14 @@
-"""Agreement between the jitted and pure-numpy kernel implementations."""
+"""The kernels against scalar formulas; the package's import footprint."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import macqp
 from macqp import kernels
 
 
@@ -22,12 +26,6 @@ class TestSigmoid:
         assert out[0] == 0.0 and out[-1] == 1.0
         assert out[2] == 0.5
 
-    def test_backends_agree(self, rng):
-        t = rng.normal(scale=10.0, size=(31, 5))
-        np.testing.assert_allclose(
-            kernels._sigmoid_np(t), kernels.sigmoid(t), rtol=1e-15, atol=0
-        )
-
 
 class TestRbfDesign:
     def test_matches_scalar_formula(self, rng):
@@ -40,21 +38,22 @@ class TestRbfDesign:
                 want = math.exp(-float(np.sum((X[i] - C[j]) ** 2)) / width**2)
                 assert got[i, j] == pytest.approx(want, rel=1e-12)
 
-    def test_backends_agree(self, rng):
-        X = rng.normal(size=(16, 6))
-        C = rng.normal(size=(8, 6))
-        np.testing.assert_allclose(
-            kernels._rbf_design_np(X, C, 0.9),
-            kernels.rbf_design(X, C, 0.9),
-            rtol=1e-13,
-        )
-
     def test_center_at_point_gives_one(self, rng):
         X = rng.normal(size=(3, 5))
         out = kernels.rbf_design(X, X, 2.0)
         np.testing.assert_allclose(np.diag(out), np.ones(3), rtol=1e-14)
 
 
-def test_backend_name_is_consistent():
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert (kernels.backend_name() == "numba") == kernels.NUMBA_ENABLED
+def test_import_loads_no_third_party_module_but_numpy():
+    # scipy is a test-only dependency, and no compiled-kernel backend remains
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macqp.__file__)))
+    code = (
+        "import sys; before = set(sys.modules); import macqp; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "['macqp', 'numpy']"

@@ -9,7 +9,7 @@ import pytest
 from conftest import sigmoid_autoencoder
 from macqp.mac import AuxState, StepConfig, lift_to_feasible, w_step, z_step
 from macqp.model import Dataset, MacqpError
-from macqp.parallel import ParallelConfig, chunk_slices, parallel_map, resolve_workers
+from macqp.parallel import parallel_map, resolve_workers
 
 
 class TestParallelMap:
@@ -74,28 +74,18 @@ class TestParallelMap:
         assert len(names) <= workers
 
 
-class TestChunkSlices:
-    def test_covers_range_contiguously(self):
-        for n in (0, 1, 5, 17, 100):
-            for w in (1, 2, 3, 8, 200):
-                slices = chunk_slices(n, w)
-                assert len(slices) <= w
-                flat = [i for a, b in slices for i in range(a, b)]
-                assert flat == list(range(n))
-
-    def test_balanced(self):
-        sizes = [b - a for a, b in chunk_slices(10, 3)]
-        assert sizes == [4, 3, 3]
-
-
 class TestConfig:
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(workers=0)
+    def test_invalid_workers_rejected(self, monkeypatch):
+        monkeypatch.delenv("MAC_WORKERS", raising=False)
+        for bad in (0, -3, 1.5, "2", True, None):
+            with pytest.raises(MacqpError, match="parallel.workers"):
+                resolve_workers(bad)
 
-    def test_invalid_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(shard_granularity="per_galaxy")
+    def test_invalid_env_workers_rejected(self, monkeypatch):
+        for bad in ("0", "-1", "2.5", "four", ""):
+            monkeypatch.setenv("MAC_WORKERS", bad)
+            with pytest.raises(MacqpError, match="MAC_WORKERS"):
+                resolve_workers(2)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MAC_WORKERS", "6")

@@ -1,10 +1,13 @@
 """Parameter-count cost and per-block refit-and-score size selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import rbf_autoencoder
 from macqp.baselines import fit_rbf_linear_pair
+from macqp.data import synth_manifold_dataset
 from macqp.kernels import rbf_design
 from macqp.mac import (
     AuxState,
@@ -164,6 +167,26 @@ class TestSelectionStep:
             out = selection_step(net, Z, data, mu, cfg)
             after = qp_objective(out, Z, data, mu) + aic_cost(out, cfg.epsilon_sq)
             assert after <= before * (1 + 1e-10)
+
+    @pytest.mark.parametrize("mu", [1.0, 100.0])
+    def test_rbf_ridge_counts_in_the_score(self, mu):
+        # larger candidates fit better but carry more centres, whose ridge
+        # term E_Q includes; a score without it picks them and E_Q + C rises
+        data = synth_manifold_dataset(60, 6, 1, 0.01, seed=2)
+        net, Z, _ = mac_train(
+            rbf_autoencoder(6, 4, 2, 4, seed=1), data,
+            PenaltySchedule(max_stages=2, max_iters_per_stage=2), StepConfig(),
+        )
+        net = NestedNet(
+            [Layer(replace(l.spec, ridge=0.1), l.weights)
+             if l.spec.kind == LayerKind.GAUSSIAN_RBF else l for l in net.layers],
+            net.placement,
+        )
+        cfg = SelectionConfig([[4, 8, 16, 32]] * 2, epsilon_sq=1e-5)
+        before = qp_objective(net, Z, data, mu) + aic_cost(net, cfg.epsilon_sq)
+        out = selection_step(net, Z, data, mu, cfg)
+        after = qp_objective(out, Z, data, mu) + aic_cost(out, cfg.epsilon_sq)
+        assert after <= before
 
     def test_huge_epsilon_picks_smallest_candidates(self, rng):
         net, data, Z = self._setup(rng)
