@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from .data import ExactReader
 from .model import Layer, LayerKind, LayerSpec, LayerWeights, MacqpError, NestedNet
 
 MACN_MAGIC = b"MACN"
@@ -50,24 +51,30 @@ def save_model(net, path):
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != MACN_MAGIC:
-            raise MacqpError(f"{path}: not a model checkpoint")
-        version, n_layers = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise MacqpError(f"{path}: unsupported format version {version}")
-        layers = []
-        for _ in range(n_layers):
-            code, in_dim, out_dim, width, ridge, bias = struct.unpack(
-                "<BIIddd", fh.read(33)
-            )
+    reader = ExactReader(path)
+    if bytes(reader.take(4, "the magic")) != MACN_MAGIC:
+        raise MacqpError(f"{path}: not a model checkpoint")
+    version, n_layers = reader.unpack("<II", "the header")
+    if version != FORMAT_VERSION:
+        raise MacqpError(f"{path}: unsupported format version {version}")
+    layers = []
+    for k in range(1, n_layers + 1):
+        at = reader.pos
+        code, in_dim, out_dim, width, ridge, bias = reader.unpack(
+            "<BIIddd", f"layer {k}'s spec"
+        )
+        if code not in _CODE_KINDS:
+            raise MacqpError(f"{path}: unknown layer kind code {code} at byte offset {at}")
+        try:
             spec = LayerSpec(
                 _CODE_KINDS[code], in_dim, out_dim,
                 rbf_width=width, ridge=ridge, bias=bias != 0.0,
             )
-            count = spec.weight_shape[0] * spec.weight_shape[1]
-            mat = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(spec.weight_shape)
-            layers.append(Layer(spec, LayerWeights(mat.copy())))
-        (n_placed,) = struct.unpack("<I", fh.read(4))
-        placement = [struct.unpack("<I", fh.read(4))[0] for _ in range(n_placed)]
+        except (ValueError, MacqpError) as exc:
+            raise MacqpError(f"{path}: layer {k}'s spec at byte offset {at}: {exc}") from None
+        mat = reader.f64_matrix(spec.weight_shape, f"layer {k}'s weights")
+        layers.append(Layer(spec, LayerWeights(mat)))
+    (n_placed,) = reader.unpack("<I", "the placement count")
+    placement = list(reader.unpack(f"<{n_placed}I", "the placement"))
+    reader.finish()
     return NestedNet(layers, placement)

@@ -25,10 +25,10 @@ def _cmd_train(args):
 
 def _cmd_bench_parallel(args):
     from .harness import load_config
-    from .parallel import speedup_bench
+    from .parallel import parse_worker_count, speedup_bench
 
+    counts = [parse_worker_count(w, "--workers") for w in args.workers.split(",")]
     cfg = load_config(args.config)
-    counts = [int(w) for w in args.workers.split(",")]
     out_dir = cfg.get("output_dir", ".")
     rows = speedup_bench(cfg, counts, base_output_dir=out_dir)
     path = os.path.join(out_dir, "bench.csv")

@@ -3,6 +3,8 @@
 Two on-disk formats are supported: a CSV with a header naming input
 columns ``x0..`` and target columns ``y0..``, and a compact binary
 format ("MACD") holding both matrices as little-endian float64.
+``ExactReader`` reads binary files field by field, for MACD here and for
+MACN model checkpoints.
 """
 
 import struct
@@ -12,6 +14,47 @@ import numpy as np
 from .model import Dataset, DimensionMismatchError, MacqpError
 
 MACD_MAGIC = b"MACD"
+
+
+class ExactReader:
+    """A binary file read field by field, each field exactly as long as asked.
+
+    A file that ends inside a field, or holds bytes after the last one
+    (see ``finish``), raises MacqpError naming the path and byte offset.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.buf = memoryview(fh.read())
+        self.pos = 0
+
+    def take(self, size, what):
+        end = self.pos + size
+        if end > len(self.buf):
+            raise MacqpError(
+                f"{self.path}: truncated: {what} at byte offset {self.pos} needs "
+                f"{size} bytes, but the file ends at byte {len(self.buf)}"
+            )
+        field = self.buf[self.pos : end]
+        self.pos = end
+        return field
+
+    def unpack(self, fmt, what):
+        """Fields of a little-endian ``struct`` format (``fmt`` starts with "<")."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def f64_matrix(self, shape, what):
+        """A row-major little-endian float64 matrix, as a new array."""
+        raw = self.take(8 * shape[0] * shape[1], what)
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+    def finish(self):
+        if self.pos != len(self.buf):
+            raise MacqpError(
+                f"{self.path}: {len(self.buf) - self.pos} trailing bytes "
+                f"after the last field, at byte offset {self.pos}"
+            )
 
 
 def save_dataset_f64bin(data, path):
@@ -33,14 +76,15 @@ def save_dataset_csv(data, path):
 
 
 def _load_f64bin(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MACD_MAGIC:
-            raise MacqpError(f"{path}: bad magic {magic!r}, expected {MACD_MAGIC!r}")
-        n, d, dp = struct.unpack("<QII", fh.read(16))
-        X = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d)
-        Y = np.frombuffer(fh.read(8 * n * dp), dtype="<f8").reshape(n, dp)
-    return Dataset(X.copy(), Y.copy())
+    reader = ExactReader(path)
+    magic = bytes(reader.take(4, "the magic"))
+    if magic != MACD_MAGIC:
+        raise MacqpError(f"{path}: bad magic {magic!r}, expected {MACD_MAGIC!r}")
+    n, d, dp = reader.unpack("<QII", "the header")
+    X = reader.f64_matrix((n, d), "X")
+    Y = reader.f64_matrix((n, dp), "Y")
+    reader.finish()
+    return Dataset(X, Y)
 
 
 def _load_csv(path):

@@ -60,6 +60,16 @@ _SGD_KEYS = {"minibatch", "learning_rate", "epochs", "seed", "trace_every"}
 _CG_KEYS = {"max_iters", "restart_every", "line_search", "gtol", "trace_every"}
 _ALTOPT_KEYS = {"iters", "cg_steps"}
 
+# Sections built into these config types; a value a type rejects fails
+# the config at load time.
+_SECTION_TYPES = {
+    "schedule": PenaltySchedule,
+    "step": StepConfig,
+    "selection": SelectionConfig,
+    "sgd": SgdConfig,
+    "cg": CgConfig,
+}
+
 _KIND_NAMES = {
     "sigmoid_dense": LayerKind.SIGMOID_DENSE,
     "linear_dense": LayerKind.LINEAR_DENSE,
@@ -115,7 +125,15 @@ def validate_config(cfg):
         ("altopt", _ALTOPT_KEYS),
     ):
         if key in cfg:
+            if not isinstance(cfg[key], dict):
+                raise MacqpError(f"config section {key} must be an object")
             _check_keys(cfg[key], allowed, key)
+    for key, section_type in _SECTION_TYPES.items():
+        if key in cfg:
+            try:
+                section_type(**cfg[key])
+            except (TypeError, ValueError) as exc:
+                raise MacqpError(f"invalid {key} section: {exc}") from None
     if "workers" in cfg.get("parallel", {}):
         worker_count(cfg["parallel"]["workers"], "parallel.workers")
 

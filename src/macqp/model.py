@@ -258,11 +258,14 @@ def nested_objective(net, data):
     return val
 
 
-def layer_jacobians(layer, z_in):
+def layer_jacobians(layer, z_in, out=None):
     """Exact Jacobian of one layer map w.r.t. its input at z_in.
 
     ``z_in`` is one input (in_dim,), giving an out_dim x in_dim matrix,
     or a batch (n, in_dim), giving one per point, shape (n, out_dim, in_dim).
+    ``out``, the layer's output at z_in as ``layer_apply`` computes it,
+    saves computing the activations again; without it they are computed
+    here the same way.
     """
     spec = layer.spec
     z_in = np.asarray(z_in, dtype=np.float64)
@@ -270,19 +273,18 @@ def layer_jacobians(layer, z_in):
         raise DimensionMismatchError("layer_jacobians input width mismatch")
     Z = np.atleast_2d(z_in)
     W = layer.weights.matrix
-    if spec.kind == LayerKind.GAUSSIAN_RBF:
-        a = rbf_design(Z, W, spec.rbf_width)
-        diff = Z[:, None, :] - W[None, :, :]
-        coef = (2.0 / spec.rbf_width**2) * a
-        j_in = -(coef[:, :, None] * diff)
-    elif spec.kind == LayerKind.LINEAR_DENSE:
+    if spec.kind == LayerKind.LINEAR_DENSE:
         shape = (Z.shape[0], spec.out_dim, spec.in_dim)
         j_in = np.broadcast_to(W[:, : spec.in_dim], shape).copy()
     else:
-        Zt = add_bias_col(Z) if spec.bias else Z
-        a = sigmoid(Zt @ W.T)
-        s = a * (1.0 - a)
-        j_in = s[:, :, None] * W[None, :, : spec.in_dim]
+        a = layer_apply(layer, Z) if out is None else np.atleast_2d(out)
+        if spec.kind == LayerKind.GAUSSIAN_RBF:
+            diff = Z[:, None, :] - W[None, :, :]
+            coef = (2.0 / spec.rbf_width**2) * a
+            j_in = -(coef[:, :, None] * diff)
+        else:
+            s = a * (1.0 - a)
+            j_in = s[:, :, None] * W[None, :, : spec.in_dim]
     return j_in[0] if z_in.ndim == 1 else j_in
 
 

@@ -27,12 +27,18 @@ def worker_count(value, name):
     return value
 
 
+def parse_worker_count(text, name):
+    """A worker count written as text, checked as ``worker_count`` checks it."""
+    text = text.strip()
+    return worker_count(int(text) if text.isdecimal() else text, name)
+
+
 def resolve_workers(requested):
     """Worker count, honoring the MAC_WORKERS environment override."""
     env = os.environ.get("MAC_WORKERS")
     if env is None:
         return worker_count(requested, "parallel.workers")
-    return worker_count(int(env) if env.strip().isdecimal() else env, "MAC_WORKERS")
+    return parse_worker_count(env, "MAC_WORKERS")
 
 
 def parallel_map(tasks, workers):

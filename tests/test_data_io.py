@@ -197,6 +197,50 @@ class TestCheckpoint:
             load_model(p)
 
 
+class TestDamagedBinaryFiles:
+    """Every prefix of a saved file, and a file with bytes added, is rejected
+    with a MacqpError naming the path and where the file went wrong."""
+
+    def _saved(self, tmp_path, kind):
+        if kind == "model":
+            p = tmp_path / "m.macn"
+            save_model(rbf_autoencoder(2, 2, 1, 2), p)
+            return p, load_model
+        p = tmp_path / "d.macd"
+        X = np.arange(6.0).reshape(3, 2)
+        save_dataset_f64bin(Dataset(X, X[:, :1]), p)
+        return p, lambda path: load_dataset(path, "f64bin")
+
+    @pytest.mark.parametrize("kind", ["model", "dataset"])
+    def test_truncation_at_every_byte_offset(self, tmp_path, kind):
+        p, load = self._saved(tmp_path, kind)
+        raw = p.read_bytes()
+        cut_path = tmp_path / f"cut.{kind}"
+        for cut in range(len(raw)):
+            cut_path.write_bytes(raw[:cut])
+            with pytest.raises(MacqpError) as err:
+                load(cut_path)
+            msg = str(err.value)
+            assert str(cut_path) in msg and f"the file ends at byte {cut}" in msg
+
+    @pytest.mark.parametrize("kind", ["model", "dataset"])
+    def test_trailing_bytes_rejected(self, tmp_path, kind):
+        p, load = self._saved(tmp_path, kind)
+        size = len(p.read_bytes())
+        with open(p, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(MacqpError, match=f"1 trailing bytes .* byte offset {size}"):
+            load(p)
+
+    def test_unknown_layer_kind_code_rejected(self, tmp_path):
+        p, _ = self._saved(tmp_path, "model")
+        raw = bytearray(p.read_bytes())
+        raw[12] = 7  # the first layer's kind code follows the magic and header
+        p.write_bytes(bytes(raw))
+        with pytest.raises(MacqpError, match="unknown layer kind code 7 at byte offset 12"):
+            load_model(p)
+
+
 class TestPgm:
     def test_pixel_formula(self, tmp_path):
         img = np.array([[0.0, 0.5, 1.0], [-0.3, 2.0, 0.2]])
@@ -240,6 +284,24 @@ class TestHarness:
         cfg = _mac_config(tmp_path)
         cfg["schedule"]["mu_final"] = 7
         with pytest.raises(MacqpError, match="mu_final"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("section, values", [
+        ("schedule", {"growth": 0.5}),
+        ("schedule", {"growth": "ten"}),
+        ("schedule", {"max_iters_per_stage": 0}),
+        ("schedule", {"reg_drop_threshold": -1.0}),
+        ("schedule", {"reg_drop_threshold": float("nan")}),
+        ("step", {"max_backtracks": 0}),
+        ("step", {"z_gn_iters": 1.5}),
+        ("selection", {"epsilon_sq": 1e-3}),
+        ("sgd", {"minibatch": 0}),
+        ("cg", {"line_search": "exact"}),
+    ])
+    def test_invalid_section_values_rejected_at_load(self, tmp_path, section, values):
+        cfg = _mac_config(tmp_path)
+        cfg.setdefault(section, {}).update(values)
+        with pytest.raises(MacqpError, match=f"invalid {section} section"):
             validate_config(cfg)
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
@@ -357,6 +419,23 @@ class TestCli:
         lines = (tmp_path / "bench" / "bench.csv").read_text().splitlines()
         assert lines[0] == "workers,seconds,speedup"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("workers", ["1,a", "0", "2,-1", "1,"])
+    def test_bench_parallel_rejects_bad_worker_counts(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_mac_config(tmp_path / "bench")))
+        rc = cli_main(["bench-parallel", "--config", str(cfg_path), "--workers", workers])
+        assert rc == 1
+        assert "error: --workers must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    def test_train_rejects_bad_schedule_value(self, tmp_path, capsys):
+        cfg = _mac_config(tmp_path / "run")
+        cfg["schedule"]["growth"] = 0.5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert "error: invalid schedule section" in capsys.readouterr().err
 
     def test_train_error_exits_nonzero(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

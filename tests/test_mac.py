@@ -17,6 +17,7 @@ from macqp.mac import (
     AuxState,
     PenaltySchedule,
     StepConfig,
+    block_apply,
     block_slices,
     constraint_residual_vectors,
     constraint_residuals,
@@ -252,7 +253,8 @@ def _z_problem(rng, kind, n):
 class TestBatchedZStep:
     """The tiled block-tridiagonal Z-step against the point-by-point reference."""
 
-    @pytest.mark.parametrize("n", [1, Z_TILE - 3, 2 * Z_TILE + 5])
+    # one point, parts of one tile, a nearly full tile, two tiles and a short one
+    @pytest.mark.parametrize("n", [1, 13, 37, Z_TILE - 3, 2 * Z_TILE + 5])
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
     def test_matches_point_by_point_reference(self, rng, kind, n):
         net, data, Z = _z_problem(rng, kind, n)
@@ -355,17 +357,62 @@ class TestBatchedZStep:
         # system builds from its residuals, not from a second forward pass
         net, data, Z = _z_problem(rng, kind, Z_TILE + 5)
         slices = block_slices(net)
+        f1 = block_apply(net, slices[0], data.X)
         for mu in (0.0, 1.0, 1e3):
-            *_, f = macqp.mac._z_gn_system(net, slices, data.X, data.Y, Z.coords, mu)
-            want = macqp.mac._z_objective(net, slices, data.X, data.Y, Z.coords, mu)
+            *_, f = macqp.mac._z_gn_system(net, slices, f1, data.Y, Z.coords, mu)
+            want = macqp.mac._z_objective(net, slices, f1, data.Y, Z.coords, mu)
             np.testing.assert_array_equal(f, want)
+
+    def test_first_block_evaluated_once_per_z_step(self, rng, monkeypatch):
+        # the first block's output does not depend on the coordinates
+        net, data, Z = _z_problem(rng, "mixed", 2 * Z_TILE + 5)
+        first = block_slices(net)[0]
+        calls = []
+
+        def counting(net_, sl, Z_in):
+            calls.append(sl)
+            return block_apply(net_, sl, Z_in)
+
+        monkeypatch.setattr(macqp.mac, "block_apply", counting)
+        z_step(net, Z, data, 2.0, StepConfig(z_gn_iters=3))
+        assert calls.count(first) == 1
+        assert len(calls) > 1
+
+    def test_damped_solve_leaves_its_systems_unchanged(self, rng):
+        # the damping shift is added to copies, never to the systems as built
+        net = rbf_autoencoder(5, 8, 2, 8, width1=1.0, width3=1.0, seed=5)
+        X = rng.uniform(size=(7, 5))
+        code = lift_to_feasible(net, X).coords[0]
+        code[4] = [1e3, -1e3]
+        slices = block_slices(net)
+        f1 = block_apply(net, slices[0], X)
+        D, U, g, _ = macqp.mac._z_gn_system(net, slices, f1, X, [code], 0.0)
+        before = [a.copy() for a in D + U + g]
+        _, found = macqp.mac._damped_tridiag_solve(D, U, g, 1e-8)
+        assert not found[4] and found.sum() == 6
+        for a, b in zip(D + U + g, before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestStepConfig:
-    @pytest.mark.parametrize("bad", [{"gn_damping": -1e-8}, {"max_backtracks": 0}])
+    @pytest.mark.parametrize("bad", [
+        {"gn_damping": -1e-8}, {"max_backtracks": 0}, {"gn_damping": float("nan")},
+        {"z_gn_iters": 1.5}, {"w_gn_iters": True},
+    ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
             StepConfig(**bad)
+
+
+class TestPenaltySchedule:
+    @pytest.mark.parametrize("bad", [
+        {"max_iters_per_stage": 0}, {"max_iters_per_stage": 2.0},
+        {"reg_drop_threshold": -1.0}, {"reg_drop_threshold": float("nan")},
+        {"growth": 0.5}, {"mu0": float("nan")}, {"max_stages": -1},
+    ])
+    def test_invalid_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PenaltySchedule(**bad)
 
 
 class TestResidualsAndMultipliers:

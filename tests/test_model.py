@@ -24,6 +24,7 @@ from macqp.model import (
     forward,
     forward_all,
     init_weights,
+    layer_apply,
     layer_jacobians,
     nested_objective,
 )
@@ -175,6 +176,19 @@ class TestLayerJacobians:
             zm[k] -= h
             col = (slow_layer_map(layer, zp) - slow_layer_map(layer, zm)) / (2 * h)
             np.testing.assert_allclose(j_in[:, k], col, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", list(LayerKind))
+    def test_given_activations_give_the_same_jacobian(self, rng, kind):
+        # the Z-step passes the output layer_apply has just computed
+        spec = LayerSpec(
+            kind, 4, 3, rbf_width=1.3 if kind == LayerKind.GAUSSIAN_RBF else 0.0,
+        )
+        layer = Layer(spec, LayerWeights(rng.normal(size=spec.weight_shape)))
+        Zb = rng.normal(size=(6, 4))
+        np.testing.assert_array_equal(
+            layer_jacobians(layer, Zb, out=layer_apply(layer, Zb)),
+            layer_jacobians(layer, Zb),
+        )
 
     @pytest.mark.parametrize("kind", list(LayerKind))
     def test_batch_matches_finite_differences(self, rng, kind):
