@@ -93,7 +93,29 @@ def load_config(path_or_dict):
     return cfg
 
 
+def _check_int(value, key, least):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise MacqpError(f"{key} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(value, key, least):
+    """A finite number >= least (ints of any size are finite)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value)) or value < least):
+        raise MacqpError(f"{key} must be a finite number >= {least}, got {value!r}")
+
+
+def _check_section(value, key):
+    if not isinstance(value, dict):
+        raise MacqpError(f"config section {key} must be an object, got {value!r}")
+
+
 def validate_config(cfg):
+    """Raise MacqpError, naming the key, unless cfg describes a runnable
+    experiment: keys, value types and ranges, the layer specs, how they
+    chain and the placement are all checked here, before any data is
+    loaded or generated."""
+    _check_section(cfg, "config")
     _check_keys(cfg, _TOP_KEYS, "config")
     method = cfg.get("method")
     if method not in METHODS:
@@ -101,20 +123,16 @@ def validate_config(cfg):
     if "dataset" not in cfg or "architecture" not in cfg:
         raise MacqpError("config requires 'dataset' and 'architecture'")
     ds = cfg["dataset"]
+    _check_section(ds, "dataset")
     _check_keys(ds, _DATASET_KEYS, "dataset")
     if "synth" in ds:
-        _check_keys(ds["synth"], _SYNTH_KEYS, "dataset.synth")
+        _synth_args(ds["synth"])
     else:
         if "path" not in ds or "format" not in ds:
             raise MacqpError("dataset needs either 'synth' or 'path' + 'format'")
-        if not os.path.exists(ds["path"]):
-            raise MacqpError(f"dataset file not found: {ds['path']}")
-    arch = cfg["architecture"]
-    _check_keys(arch, _ARCH_KEYS, "architecture")
-    for i, layer in enumerate(arch.get("layers", [])):
-        _check_keys(layer, _LAYER_KEYS, f"architecture.layers[{i}]")
-        if layer.get("kind") not in _KIND_NAMES:
-            raise MacqpError(f"unknown layer kind {layer.get('kind')!r}")
+        if not isinstance(ds["path"], str) or not os.path.exists(ds["path"]):
+            raise MacqpError(f"dataset file not found: {ds['path']!r}")
+    build_architecture(cfg)
     for key, allowed in (
         ("schedule", _SCHEDULE_KEYS),
         ("step", _STEP_KEYS),
@@ -125,8 +143,7 @@ def validate_config(cfg):
         ("altopt", _ALTOPT_KEYS),
     ):
         if key in cfg:
-            if not isinstance(cfg[key], dict):
-                raise MacqpError(f"config section {key} must be an object")
+            _check_section(cfg[key], key)
             _check_keys(cfg[key], allowed, key)
     for key, section_type in _SECTION_TYPES.items():
         if key in cfg:
@@ -136,6 +153,20 @@ def validate_config(cfg):
                 raise MacqpError(f"invalid {key} section: {exc}") from None
     if "workers" in cfg.get("parallel", {}):
         worker_count(cfg["parallel"]["workers"], "parallel.workers")
+    for key in ("iters", "cg_steps"):
+        if key in cfg.get("altopt", {}):
+            _check_int(cfg["altopt"][key], f"altopt.{key}", 0)
+    if "seed" in cfg:
+        _check_int(cfg["seed"], "seed", 0)
+    if cfg.get("time_budget") is not None:
+        _check_real(cfg["time_budget"], "time_budget", 0)
+    if "warmup_step" in cfg:
+        _check_real(cfg["warmup_step"], "warmup_step", 0)
+    if not isinstance(cfg.get("output_dir", "."), str):
+        raise MacqpError(f"output_dir must be a string, got {cfg['output_dir']!r}")
+    # their entries are checked against the dataset once it is loaded
+    if not isinstance(cfg.get("recon_indices", []), list):
+        raise MacqpError(f"recon_indices must be a list, got {cfg['recon_indices']!r}")
 
 
 def override_workers(cfg, workers):
@@ -146,32 +177,86 @@ def override_workers(cfg, workers):
     return cfg
 
 
+def _synth_args(s):
+    """synth_manifold_dataset's keyword arguments from a dataset.synth section."""
+    _check_section(s, "dataset.synth")
+    _check_keys(s, _SYNTH_KEYS, "dataset.synth")
+    for key in ("n", "ambient_dim", "intrinsic_dim"):
+        if key not in s:
+            raise MacqpError(f"dataset.synth requires '{key}'")
+        _check_int(s[key], f"dataset.synth.{key}", 1)
+    if s["intrinsic_dim"] >= s["ambient_dim"]:
+        raise MacqpError("dataset.synth.intrinsic_dim must be below ambient_dim, got "
+                         f"{s['intrinsic_dim']} and {s['ambient_dim']}")
+    noise, seed, n_val = s.get("noise", 0.0), s.get("seed", 0), s.get("n_val", 0)
+    _check_real(noise, "dataset.synth.noise", 0)
+    _check_int(seed, "dataset.synth.seed", 0)
+    _check_int(n_val, "dataset.synth.n_val", 0)
+    return {"n": s["n"], "ambient_dim": s["ambient_dim"], "intrinsic_dim": s["intrinsic_dim"],
+            "noise": noise, "seed": seed, "n_val": n_val}
+
+
 def build_dataset(cfg):
     ds = cfg["dataset"]
     if "synth" in ds:
-        s = ds["synth"]
-        return data_mod.synth_manifold_dataset(
-            s["n"], s["ambient_dim"], s["intrinsic_dim"],
-            s.get("noise", 0.0), s.get("seed", 0), n_val=s.get("n_val", 0),
-        )
+        return data_mod.synth_manifold_dataset(**_synth_args(ds["synth"]))
     return data_mod.load_dataset(ds["path"], ds["format"])
 
 
-def build_architecture(cfg):
-    arch = cfg["architecture"]
-    specs = [
-        LayerSpec(
-            _KIND_NAMES[l["kind"]], l["in_dim"], l["out_dim"],
-            rbf_width=l.get("rbf_width", 0.0), ridge=l.get("ridge", 0.0),
-            bias=l.get("bias", True),
+def _layer_spec(layer, key):
+    """The LayerSpec of one architecture.layers entry."""
+    _check_section(layer, key)
+    _check_keys(layer, _LAYER_KEYS, key)
+    if layer.get("kind") not in _KIND_NAMES:
+        raise MacqpError(f"{key}: unknown layer kind {layer.get('kind')!r}")
+    for dim in ("in_dim", "out_dim"):
+        if dim not in layer:
+            raise MacqpError(f"{key} requires '{dim}'")
+        _check_int(layer[dim], f"{key}.{dim}", 1)
+    for name in ("rbf_width", "ridge"):
+        if name in layer:
+            _check_real(layer[name], f"{key}.{name}", 0)
+    if not isinstance(layer.get("bias", True), bool):
+        raise MacqpError(f"{key}.bias must be true or false, got {layer['bias']!r}")
+    try:
+        return LayerSpec(
+            _KIND_NAMES[layer["kind"]], layer["in_dim"], layer["out_dim"],
+            rbf_width=layer.get("rbf_width", 0.0), ridge=layer.get("ridge", 0.0),
+            bias=layer.get("bias", True),
         )
-        for l in arch["layers"]
-    ]
+    except ValueError as exc:
+        raise MacqpError(f"invalid {key}: {exc}") from None
+
+
+def build_architecture(cfg):
+    """Layer specs and placement of the architecture section; MacqpError
+    names the key of the first entry that is not valid."""
+    arch = cfg["architecture"]
+    _check_section(arch, "architecture")
+    _check_keys(arch, _ARCH_KEYS, "architecture")
+    layers = arch.get("layers")
+    if not isinstance(layers, list) or not layers:
+        raise MacqpError(f"architecture.layers must be a nonempty list, got {layers!r}")
+    specs = [_layer_spec(l, f"architecture.layers[{i}]") for i, l in enumerate(layers)]
+    for i, (a, b) in enumerate(zip(specs, specs[1:]), start=1):
+        if a.out_dim != b.in_dim:
+            raise MacqpError(f"architecture.layers[{i}].in_dim is {b.in_dim}, but the "
+                             f"layer before it has out_dim {a.out_dim}")
     placement = arch.get("placement", "all")
     if placement == "all":
         placement = list(range(1, len(specs)))
-    elif placement == "coding":
+    elif placement == "coding" and len(specs) > 1:
         placement = [_coding_boundary(specs)]
+    elif not (
+        isinstance(placement, list)
+        and all(type(p) is int and 1 <= p < len(specs) for p in placement)
+        and all(a < b for a, b in zip(placement, placement[1:]))
+    ):
+        raise MacqpError(
+            "architecture.placement must be 'all', 'coding' (with two or more "
+            "layers) or increasing layer boundaries in 1.."
+            f"{len(specs) - 1}, got {placement!r}"
+        )
     return specs, list(placement)
 
 
@@ -242,7 +327,7 @@ def run_experiment(cfg):
                 time_budget=time_budget, z_init=z0,
             )
         t0 = time.perf_counter()
-        net = postprocess(net, Z, dataset, cfg=step_cfg, workers=workers)
+        net = postprocess(net, Z, dataset, cfg=step_cfg)
         post_s = time.perf_counter() - t0
         e1 = nested_objective(net, dataset)
         last_it = trace.rows[-1].iteration if trace.rows else 0

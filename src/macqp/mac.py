@@ -235,64 +235,119 @@ def _damping_levels(base_damping):
             damp = 1e-8
 
 
+# Elements of the (units, inputs, N) temporary from which one group of a
+# sigmoid layer's Gauss-Newton matrices is built: the W-step builds them
+# in groups of at most this many elements, so its peak memory stays
+# bounded on wide layers.  Each unit's matrix is one matrix product of its
+# own, so results do not depend on the grouping.
+W_GROUP_ELEMS = 1 << 18
+
+
+def _stacked_solve(A, B):
+    """np.linalg.solve over a stack of systems A X = B, B of shape (n, m, k).
+
+    One singular matrix fails a stacked solve as a whole, so then the
+    systems are solved one at a time and a singular one gets NaN.
+    """
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        X = np.full_like(B, np.nan)
+        for i in range(B.shape[0]):
+            try:
+                X[i] = np.linalg.solve(A[i], B[i])
+            except np.linalg.LinAlgError:
+                pass
+        return X
+
+
 def _damped_solve(H, g, base_damping):
-    """Solve H d = -g, escalating Levenberg damping until it is a descent step."""
-    m = H.shape[0]
-    scale = 1.0 + np.trace(H) / m
+    """Solve each stacked system H[i] d = -g[i], escalating its own
+    Levenberg damping until its step is finite and a descent direction.
+
+    Returns the steps and a mask of the systems that found one.
+    """
+    n, m = g.shape
+    scale = 1.0 + np.trace(H, axis1=1, axis2=2) / m
+    diag = np.arange(m)
+    steps = np.zeros_like(g)
+    found = np.zeros(n, dtype=bool)
     for damp in _damping_levels(base_damping):
-        try:
-            d = np.linalg.solve(H + damp * scale * np.eye(m), -g)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is not None and np.all(np.isfinite(d)) and float(np.dot(g, d)) < 0:
-            return d
-    return None
-
-
-def _gn_sigmoid_unit(phi, target, w0, weight, lam, cfg):
-    """Damped Gauss-Newton on one sigmoid unit's least-squares subproblem."""
-
-    def obj(w):
-        r = target - sigmoid(phi @ w)
-        return 0.5 * weight * float(np.dot(r, r)) + lam * float(np.dot(w, w))
-
-    w = w0.copy()
-    f_cur = obj(w)
-    for _ in range(cfg.w_gn_iters):
-        p = sigmoid(phi @ w)
-        r = target - p
-        s = p * (1.0 - p)
-        jac = s[:, None] * phi
-        g = -weight * (jac.T @ r) + 2.0 * lam * w
-        H = weight * (jac.T @ jac) + 2.0 * lam * np.eye(w.shape[0])
-        d = _damped_solve(H, g, cfg.gn_damping)
-        if d is None:
+        idx = np.flatnonzero(~found)
+        if idx.size == 0:
             break
-        step = 1.0
-        accepted = False
-        for _ in range(cfg.max_backtracks):
-            w_new = w + step * d
-            f_new = obj(w_new)
-            if f_new < f_cur:
-                w, f_cur = w_new, f_new
-                accepted = True
-                break
-            step *= cfg.backtrack_factor
-        if not accepted:
-            break
-    return w
+        H_l = H[idx]  # a copy: the shift goes in in place
+        if damp != 0.0:
+            H_l[:, diag, diag] += (damp * scale[idx])[:, None]
+        g_l = g[idx]
+        d = _stacked_solve(H_l, -g_l[:, :, None])[:, :, 0]
+        ok = np.all(np.isfinite(d), axis=1) & (np.einsum("ij,ij->i", g_l, d) < 0)
+        steps[idx[ok]] = d[ok]
+        found[idx[ok]] = True
+    return steps, found
 
 
-def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg, workers):
-    """One task per unit: each unit's fit is independent of the others."""
+def _sigmoid_gn_matrices(phi, S, weight, lam):
+    """Each unit's Gauss-Newton matrix weight * J^T J + 2 lam I, where the
+    rows of unit u's Jacobian J are S[u, n] * phi[n]; shape (units, m, m)."""
+    units, (N, m) = S.shape[0], phi.shape
+    H = np.empty((units, m, m))
+    Sw = weight * (S * S)
+    group = max(1, W_GROUP_ELEMS // (m * N))
+    for lo in range(0, units, group):
+        np.matmul(phi.T[None] * Sw[lo : lo + group, None, :], phi, out=H[lo : lo + group])
+    diag = np.arange(m)
+    H[:, diag, diag] += 2.0 * lam
+    return H
+
+
+def _sigmoid_unit_objectives(R, W, weight, lam):
+    """Each unit's 0.5 * weight * |residual|^2 + lam * |weights|^2."""
+    return 0.5 * weight * np.einsum("ij,ij->i", R, R) + lam * np.einsum("ij,ij->i", W, W)
+
+
+def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
+    """Damped Gauss-Newton on every unit's least-squares subproblem at once.
+
+    The units' problems are independent.  They are solved as one stack,
+    but every unit follows its own damping, step length and stopping, as
+    if solved alone: a unit that finds no descent direction or no
+    decreasing step keeps its weights and leaves the iteration.
+    """
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
-    W = layer.weights.matrix
-    rows = parallel_map(
-        [lambda h=h: _gn_sigmoid_unit(phi, T[:, h], W[h], weight, lam, cfg)
-         for h in range(W.shape[0])],
-        workers,
-    )
-    return Layer(layer.spec, LayerWeights(np.vstack(rows)))
+    W = layer.weights.matrix.copy()
+    Tt = T.T
+    P = sigmoid(W @ phi.T)  # (units, N); kept at the current weights
+    f_cur = _sigmoid_unit_objectives(Tt - P, W, weight, lam)
+    live = np.arange(W.shape[0])
+    for _ in range(cfg.w_gn_iters):
+        if live.size == 0:
+            break
+        P_l = P[live]
+        R = Tt[live] - P_l
+        S = P_l * (1.0 - P_l)
+        g = -weight * ((S * R) @ phi) + 2.0 * lam * W[live]
+        d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g,
+                                 cfg.gn_damping)
+        step = np.ones(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        pending = np.flatnonzero(found)
+        for _ in range(cfg.max_backtracks):
+            if pending.size == 0:
+                break
+            rows = live[pending]
+            cand = W[rows] + step[pending, None] * d[pending]
+            P_c = sigmoid(cand @ phi.T)
+            f_new = _sigmoid_unit_objectives(Tt[rows] - P_c, cand, weight, lam)
+            better = f_new < f_cur[rows]
+            W[rows[better]] = cand[better]
+            P[rows[better]] = P_c[better]
+            f_cur[rows[better]] = f_new[better]
+            accepted[pending[better]] = True
+            pending = pending[~better]
+            step[pending] *= cfg.backtrack_factor
+        live = live[accepted]
+    return Layer(layer.spec, LayerWeights(W))
 
 
 def _fit_linear_layer(layer, A_in, T, weight, lam):
@@ -317,8 +372,7 @@ def _block_objective(layers, A_in, T, weight, transient_reg):
     return val
 
 
-def fit_block(net, sl, A_in, T, weight, cfg, workers=1, transient_reg=0.0,
-              kmeans_seed=0):
+def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, kmeans_seed=0):
     """Refit one inter-boundary block to targets T at fixed inputs.
 
     Returns replacement layers; the caller is responsible for rejecting a
@@ -329,7 +383,7 @@ def fit_block(net, sl, A_in, T, weight, cfg, workers=1, transient_reg=0.0,
     kinds = [l.spec.kind for l in layers]
     if kinds == [LayerKind.SIGMOID_DENSE]:
         lam = layers[0].spec.ridge + transient_reg
-        return [_fit_sigmoid_layer(layers[0], A_in, T, weight, lam, cfg, workers)]
+        return [_fit_sigmoid_layer(layers[0], A_in, T, weight, lam, cfg)]
     if kinds == [LayerKind.LINEAR_DENSE]:
         lam = layers[0].spec.ridge + transient_reg
         return [_fit_linear_layer(layers[0], A_in, T, weight, lam)]
@@ -342,7 +396,7 @@ def fit_block(net, sl, A_in, T, weight, cfg, workers=1, transient_reg=0.0,
     )
 
 
-def w_step(net, Z, data, mu, cfg, workers=1, transient_reg=0.0):
+def w_step(net, Z, data, mu, cfg, transient_reg=0.0):
     """Independent refit of every block at fixed coordinates; never increases E_Q."""
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
@@ -350,10 +404,8 @@ def w_step(net, Z, data, mu, cfg, workers=1, transient_reg=0.0):
     new_layers = list(net.layers)
     for j, sl in enumerate(slices):
         weight = 1.0 if j == len(slices) - 1 else mu
-        fitted = fit_block(
-            net, sl, ins[j], targets[j], weight, cfg,
-            workers=workers, transient_reg=transient_reg,
-        )
+        fitted = fit_block(net, sl, ins[j], targets[j], weight, cfg,
+                           transient_reg=transient_reg)
         args = (ins[j], targets[j], weight, transient_reg)
         before = _block_objective(net.layers[sl[0] : sl[1]], *args)
         if _block_objective(fitted, *args) <= before:
@@ -445,38 +497,26 @@ def _block_thomas(D, U, b):
     D[j] (n, w_j, w_j) are the diagonal blocks, U[j] (n, w_j, w_{j+1}) the
     super-diagonal ones (the sub-diagonal blocks are their transposes),
     b[j] (n, w_j) the right-hand sides.  A point whose elimination meets an
-    exactly singular block gets a NaN solution; the others are unaffected.
+    exactly singular block gets a NaN solution, which the NaN carries
+    through the rest of its elimination; the others are unaffected.
     """
-    singular = np.zeros(b[0].shape[0], dtype=bool)
-
-    def solve(A, B):
-        try:
-            return np.linalg.solve(A, B)
-        except np.linalg.LinAlgError:
-            # one singular matrix fails the whole stack: set those aside
-            sing = np.linalg.slogdet(A)[0] == 0
-            singular[sing] = True
-            return np.linalg.solve(np.where(sing[:, None, None], np.eye(A.shape[1]), A), B)
-
     Dp, bp = D[0], b[0]
     elim = []
     for j in range(1, len(D)):
-        sol = solve(Dp, np.concatenate([U[j - 1], bp[:, :, None]], axis=2))
+        sol = _stacked_solve(Dp, np.concatenate([U[j - 1], bp[:, :, None]], axis=2))
         DiU, Dib = sol[:, :, :-1], sol[:, :, -1]
         elim.append((DiU, Dib))
         L = U[j - 1].transpose(0, 2, 1)
         Dp = D[j] - L @ DiU
         bp = b[j] - (L @ Dib[:, :, None])[:, :, 0]
-    x = [solve(Dp, bp[:, :, None])[:, :, 0]]
+    x = [_stacked_solve(Dp, bp[:, :, None])[:, :, 0]]
     for DiU, Dib in reversed(elim):
         x.insert(0, Dib - (DiU @ x[0][:, :, None])[:, :, 0])
-    for xj in x:
-        xj[singular] = np.nan
     return x
 
 
 def _damped_tridiag_solve(D, U, g, base_damping):
-    """Per-point _damped_solve of the stacked systems H d = -g.
+    """_damped_solve for stacked block-tridiagonal systems H d = -g.
 
     Each point escalates its own Levenberg damping until its step is
     finite and a descent direction.  Returns the steps and a mask of the
@@ -578,7 +618,7 @@ def z_step(net, Z, data, mu, cfg, workers=1):
 # Driver
 
 
-def postprocess(net, Z, data, cfg=None, workers=1):
+def postprocess(net, Z, data, cfg=None):
     """Forward-substitute the coordinates and refit the last block.
 
     Keeps every block but the last; the refit is rejected if a solver
@@ -591,7 +631,7 @@ def postprocess(net, Z, data, cfg=None, workers=1):
         feats = block_apply(net, sl, feats)
     e1_before = nested_objective(net, data)
     try:
-        fitted = fit_block(net, slices[-1], feats, data.Y, 1.0, cfg, workers=workers)
+        fitted = fit_block(net, slices[-1], feats, data.Y, 1.0, cfg)
     except MacqpError:
         return net.copy()
     cand = net.copy()
@@ -662,7 +702,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         if track_val:
             best = (net.copy(), Z.copy(), prev)
         for _ in range(schedule.max_iters_per_stage):
-            net = w_step(net, Z, data, mu, cfg, workers=workers, transient_reg=transient)
+            net = w_step(net, Z, data, mu, cfg, transient_reg=transient)
             it += 1
             record("wstep")
             Z = z_step(net, Z, data, mu, cfg, workers=workers)

@@ -102,6 +102,72 @@ def _slow_damped_solve(H, g, base_damping):
     return None
 
 
+def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
+    """A sigmoid layer's W-step fit solved unit by unit: damped Gauss-Newton
+    on each unit's weighted least-squares problem plus lam * |w|^2, with
+    backtracking.  Returns the new weight matrix."""
+    phi = np.hstack([A_in, np.ones((A_in.shape[0], 1))]) if layer.spec.bias else A_in
+
+    def sig(t):
+        return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+    def obj(t, w):
+        r = t - sig(phi @ w)
+        return 0.5 * weight * float(np.dot(r, r)) + lam * float(np.dot(w, w))
+
+    rows = []
+    for t, w in zip(T.T, layer.weights.matrix):
+        f_cur = obj(t, w)
+        for _ in range(cfg.w_gn_iters):
+            p = sig(phi @ w)
+            jac = (p * (1.0 - p))[:, None] * phi
+            g = -weight * (jac.T @ (t - p)) + 2.0 * lam * w
+            H = weight * (jac.T @ jac) + 2.0 * lam * np.eye(w.shape[0])
+            d = _slow_damped_solve(H, g, cfg.gn_damping)
+            if d is None:
+                break
+            step = 1.0
+            accepted = False
+            for _ in range(cfg.max_backtracks):
+                cand = w + step * d
+                f_new = obj(t, cand)
+                if f_new < f_cur:
+                    w, f_cur, accepted = cand, f_new, True
+                    break
+                step *= cfg.backtrack_factor
+            if not accepted:
+                break
+        rows.append(w)
+    return np.vstack(rows)
+
+
+def slow_w_step(net, Z, data, mu, cfg, transient_reg=0.0):
+    """W-step with every sigmoid layer fitted unit by unit; the other block
+    kinds and the acceptance test are the package's own.  Returns the new
+    weight matrices, one per layer."""
+    from macqp.mac import _block_objective, fit_block
+    from macqp.model import Layer, LayerWeights
+
+    bounds = [0] + list(net.placement) + [len(net.layers)]
+    ins = [data.X] + list(Z.coords)
+    targets = list(Z.coords) + [data.Y]
+    out = [l.weights.matrix for l in net.layers]
+    for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        weight = 1.0 if b == len(net.layers) else mu
+        layers = net.layers[a:b]
+        if [l.spec.kind for l in layers] == [LayerKind.SIGMOID_DENSE]:
+            lam = layers[0].spec.ridge + transient_reg
+            W = slow_fit_sigmoid_layer(layers[0], ins[j], targets[j], weight, lam, cfg)
+            fitted = [Layer(layers[0].spec, LayerWeights(W))]
+        else:
+            fitted = fit_block(net, (a, b), ins[j], targets[j], weight, cfg,
+                               transient_reg=transient_reg)
+        args = (ins[j], targets[j], weight, transient_reg)
+        if _block_objective(fitted, *args) <= _block_objective(layers, *args):
+            out[a:b] = [l.weights.matrix for l in fitted]
+    return out
+
+
 def slow_z_step(net, Z, data, mu, cfg):
     """Z-step solved point by point: damped Gauss-Newton on a dense stacked
     residual (output rows, then sqrt(mu)-weighted constraint rows) and its

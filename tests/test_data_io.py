@@ -437,6 +437,33 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 1
         assert "error: invalid schedule section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["architecture"]["layers"][0].update(in_dim="a"),
+         "architecture.layers[0].in_dim must be an integer >= 1, got 'a'"),
+        (lambda c: c["architecture"]["layers"].__setitem__(
+            0, {"kind": "gaussian_rbf", "in_dim": 8, "out_dim": 5}),
+         "invalid architecture.layers[0]: rbf_width must be positive"),
+        (lambda c: c["dataset"]["synth"].update(n="x"),
+         "dataset.synth.n must be an integer >= 1, got 'x'"),
+        (lambda c: c.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
+        (lambda c: c.update(time_budget="x"),
+         "time_budget must be a finite number >= 0, got 'x'"),
+    ])
+    def test_train_rejects_bad_values_before_training(self, tmp_path, capsys, monkeypatch,
+                                                      edit, message):
+        import macqp.harness
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(macqp.harness, "mac_train", no_training)
+        cfg = _mac_config(tmp_path / "run")
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_train_error_exits_nonzero(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"method": "warp"}))

@@ -9,7 +9,9 @@ from conftest import (
     random_dataset,
     random_mixed_net,
     sigmoid_autoencoder,
+    slow_fit_sigmoid_layer,
     slow_forward,
+    slow_w_step,
     slow_z_step,
 )
 from macqp.mac import (
@@ -392,6 +394,160 @@ class TestBatchedZStep:
         assert not found[4] and found.sum() == 6
         for a, b in zip(D + U + g, before):
             np.testing.assert_array_equal(a, b)
+
+
+def _sigmoid_layer_problem(rng, n, d_in, units):
+    """A sigmoid layer, inputs in [0, 1] and targets in (0, 1) from a noisy
+    sigmoid teacher."""
+    layer = init_weights([LayerSpec(LayerKind.SIGMOID_DENSE, d_in, units)], 3).layers[0]
+    A = rng.uniform(size=(n, d_in))
+    teacher = rng.normal(size=(d_in, units)) / np.sqrt(d_in)
+    T = 1.0 / (1.0 + np.exp(-(A @ teacher + 0.3 * rng.normal(size=(n, units)))))
+    return layer, A, T
+
+
+def _unit_objectives(layer, W, A, T, weight, lam):
+    """Each unit's part of a sigmoid layer's W-step objective at weights W."""
+    phi = add_bias_col(A) if layer.spec.bias else A
+    R = T - 1.0 / (1.0 + np.exp(-(phi @ W.T)))
+    return 0.5 * weight * np.sum(R**2, axis=0) + lam * np.sum(W**2, axis=1)
+
+
+def _without_unit(layer, T, k):
+    """The layer and targets with unit k left out."""
+    spec = LayerSpec(LayerKind.SIGMOID_DENSE, layer.spec.in_dim, layer.spec.out_dim - 1,
+                     bias=layer.spec.bias)
+    W = np.delete(layer.weights.matrix, k, axis=0)
+    return Layer(spec, LayerWeights(W)), np.delete(T, k, axis=1)
+
+
+class TestBatchedWStep:
+    """The stacked sigmoid-layer fit against the unit-by-unit reference."""
+
+    # the path (N = 120) and desk (N = 500) sigmoid layer shapes
+    @pytest.mark.parametrize("n, d_in, units", [
+        (120, 4, 24), (120, 2, 24), (120, 24, 2),
+        (500, 64, 32), (500, 32, 8), (500, 8, 32),
+    ])
+    @pytest.mark.parametrize("weight", [1.0, 1e2, 1e4])
+    def test_matches_unit_by_unit_reference(self, rng, n, d_in, units, weight):
+        layer, A, T = _sigmoid_layer_problem(rng, n, d_in, units)
+        for lam in (1e-4, 1e-2):
+            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
+            ref = slow_fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
+            assert np.max(np.abs(got.weights.matrix - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("widths", [(4, 24, 2, 24, 4), (64, 32, 8, 32, 64)])
+    def test_w_step_matches_reference(self, rng, widths):
+        net = sigmoid_autoencoder(widths, seed=4, ridge=1e-4)
+        X = rng.uniform(size=(150, widths[0]))
+        data = Dataset(X, X)
+        Z = AuxState(
+            [c + 0.05 * rng.normal(size=c.shape) for c in lift_to_feasible(net, X).coords]
+        )
+        ins = [X] + Z.coords
+        targets = Z.coords + [X]
+        for mu in (1.0, 1e2, 1e4):
+            got = w_step(net, Z, data, mu, StepConfig(), transient_reg=1e-4)
+            ref = slow_w_step(net, Z, data, mu, StepConfig(), transient_reg=1e-4)
+            for j, (layer, W) in enumerate(zip(got.layers, ref)):
+                diff = np.max(np.abs(layer.weights.matrix - W), axis=1)
+                if layer.spec.kind != LayerKind.SIGMOID_DENSE:
+                    assert np.all(diff <= 1e-10)
+                    continue
+                # A unit that has converged may stand before a last step
+                # of rounding size, which one run accepts and the other
+                # rejects: there both runs reach the same objective.
+                weight = 1.0 if j == len(ref) - 1 else mu
+                f = [_unit_objectives(layer, w, ins[j], targets[j], weight, 2e-4)
+                     for w in (layer.weights.matrix, W)]
+                tie = (diff <= 1e-6) & (np.abs(f[0] - f[1]) <= 1e-13 * f[1])
+                assert np.all((diff <= 1e-10) | tie)
+
+    def _check_odd_unit(self, layer, A, T, weight, lam, cfg, k):
+        """Unit k may not move; no unit's objective rises; the other units
+        end exactly where a batch without unit k leaves them."""
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam, cfg).weights.matrix
+        W0 = layer.weights.matrix
+        before = _unit_objectives(layer, W0, A, T, weight, lam)
+        after = _unit_objectives(layer, got, A, T, weight, lam)
+        assert np.all(after <= before)
+        rest_layer, rest_T = _without_unit(layer, T, k)
+        rest = macqp.mac._fit_sigmoid_layer(rest_layer, A, rest_T, weight, lam, cfg)
+        np.testing.assert_array_equal(np.delete(got, k, axis=0), rest.weights.matrix)
+        return got
+
+    def test_realizable_unit_takes_no_step(self, rng):
+        # Dyadic inputs and weights make unit 2's pre-activations exact, so
+        # its targets are exactly its outputs: zero residual and, without a
+        # ridge, zero gradient, so no damping level gives a descent step.
+        layer, _, T = _sigmoid_layer_problem(rng, 40, 3, 5)
+        A = rng.integers(-4, 5, size=(40, 3)) / 4.0
+        W = layer.weights.matrix.copy()
+        W[2] = [0.5, -0.25, 1.125, -0.375]
+        layer = Layer(layer.spec, LayerWeights(W))
+        T[:, 2] = macqp.mac.sigmoid(add_bias_col(A) @ W[2])
+        got = self._check_odd_unit(layer, A, T, 1e2, 0.0, StepConfig(), 2)
+        np.testing.assert_array_equal(got[2], W[2])
+        assert np.all(np.any(np.delete(got, 2, axis=0) != np.delete(W, 2, axis=0), axis=1))
+
+    def test_saturated_unit_never_accepts_a_step(self, rng):
+        # Unit 1's pre-activations are 20 to 27: its outputs are within 2e-9
+        # of 1 at targets of 1/2.  Its Gauss-Newton step is so long that
+        # every backtracked step still saturates the other way, and none of
+        # them lowers the objective, so the unit stops where it started.
+        layer, A, T = _sigmoid_layer_problem(rng, 60, 4, 4)
+        W = layer.weights.matrix.copy()
+        W[1] = [1.0, 1.0, 1.0, 1.0, 20.0]
+        layer = Layer(layer.spec, LayerWeights(W))
+        T[:, 1] = 0.5
+        got = self._check_odd_unit(layer, A, T, 1.0, 0.0, StepConfig(), 1)
+        np.testing.assert_array_equal(got[1], W[1])
+
+    def test_singular_unit_leaves_the_others_unaffected(self, rng):
+        # Input columns 0 and 1 agree on the first half of the points, and
+        # unit 3 saturates to exactly 1 on the second half (column 2 is 1
+        # there).  Its undamped Gauss-Newton matrix therefore has two equal
+        # rows: the stacked solve fails, the units are solved one by one,
+        # and damping finds unit 3 a step while the others take theirs.
+        n = 50
+        A = rng.uniform(size=(n, 3))
+        A[: n // 2, 1] = A[: n // 2, 0]
+        A[: n // 2, 2] = 0.0
+        A[n // 2 :, 2] = 1.0
+        layer, _, T = _sigmoid_layer_problem(rng, n, 3, 6)
+        W = layer.weights.matrix.copy()
+        W[3] = [0.5, -0.5, 100.0, 0.25]
+        layer = Layer(layer.spec, LayerWeights(W))
+        S = macqp.mac.sigmoid(W @ add_bias_col(A).T)
+        S *= 1.0 - S
+        H = macqp.mac._sigmoid_gn_matrices(add_bias_col(A), S, 1.0, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H[3], np.ones(4))
+        for i in (0, 1, 2, 4, 5):
+            np.linalg.solve(H[i], np.ones(4))
+        got = self._check_odd_unit(layer, A, T, 1.0, 0.0, StepConfig(), 3)
+        assert np.all(np.any(got != W, axis=1))
+
+    def test_one_point(self, rng):
+        # N = 1: each unit's Gauss-Newton matrix is rank one plus the ridge
+        layer, A, T = _sigmoid_layer_problem(rng, 1, 4, 6)
+        for weight, lam in ((1.0, 1e-4), (1e4, 1e-2)):
+            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
+            W0 = layer.weights.matrix
+            before = _unit_objectives(layer, W0, A, T, weight, lam)
+            after = _unit_objectives(layer, got.weights.matrix, A, T, weight, lam)
+            assert np.all(after < before)
+            ref = slow_fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
+            assert np.max(np.abs(got.weights.matrix - ref)) <= 1e-10
+
+    def test_unit_groups_do_not_change_the_result(self, rng, monkeypatch):
+        layer, A, T = _sigmoid_layer_problem(rng, 500, 64, 32)
+        whole = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4, StepConfig())
+        for group_elems in (1, 5 * 65 * 500):
+            monkeypatch.setattr(macqp.mac, "W_GROUP_ELEMS", group_elems)
+            grouped = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4, StepConfig())
+            np.testing.assert_array_equal(grouped.weights.matrix, whole.weights.matrix)
 
 
 class TestStepConfig:

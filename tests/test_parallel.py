@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import macqp.mac
 from conftest import sigmoid_autoencoder
 from macqp.mac import Z_TILE, AuxState, StepConfig, lift_to_feasible, w_step, z_step
 from macqp.model import Dataset, MacqpError
@@ -106,12 +107,18 @@ class TestStepDeterminism:
         )
         return net, data, Z
 
-    def test_w_step_bit_identical_across_workers(self, rng):
+    def test_w_step_bit_identical_across_unit_groups(self, rng, monkeypatch):
+        # the W-step runs no tasks; its one batching choice, the size of
+        # the unit groups its Gauss-Newton matrices are built in, must not
+        # change its rounding: one unit per group, groups of three units
+        # (the last one short) and every unit in one group
         net, data, Z = self._problem(rng)
-        serial = w_step(net, Z, data, 2.0, StepConfig(), workers=1)
-        for w in (2, 4, 7):
-            par = w_step(net, Z, data, 2.0, StepConfig(), workers=w)
-            for a, b in zip(serial.layers, par.layers):
+        whole = w_step(net, Z, data, 2.0, StepConfig())
+        elems = 9 * data.n  # one 8 -> 5 unit: 8 inputs and a bias, N points
+        for group_elems in (1, 3 * elems):
+            monkeypatch.setattr(macqp.mac, "W_GROUP_ELEMS", group_elems)
+            grouped = w_step(net, Z, data, 2.0, StepConfig())
+            for a, b in zip(whole.layers, grouped.layers):
                 np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
 
     def test_z_step_bit_identical_across_workers(self, rng):
