@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import rbf_design, sq_dist
+from .kernels import rbf_design, row_sq_norms, sq_dist
 from .model import (
     Dataset,
     Layer,
@@ -20,6 +20,8 @@ from .model import (
     LayerWeights,
     MacqpError,
     NestedNet,
+    _check_counts,
+    _check_reals,
     add_bias_col,
     backprop_gradient,
     flatten_weights,
@@ -39,8 +41,9 @@ class SgdConfig:
     trace_every: int = 20
 
     def __post_init__(self):
-        if self.minibatch < 1 or self.epochs < 1 or self.learning_rate < 0:
-            raise ValueError("invalid SGD configuration")
+        _check_counts(self, 1, "minibatch", "epochs", "trace_every")
+        _check_counts(self, 0, "seed")
+        _check_reals(self, 0, "learning_rate")
 
 
 @dataclass
@@ -52,10 +55,11 @@ class CgConfig:
     trace_every: int = 10
 
     def __post_init__(self):
-        if self.restart_every < 1 or self.max_iters < 1:
-            raise ValueError("invalid CG configuration")
+        _check_counts(self, 1, "max_iters", "restart_every", "trace_every")
+        _check_reals(self, 0, "gtol")
         if self.line_search not in ("backtracking", "cubic"):
-            raise ValueError(f"unknown line search {self.line_search!r}")
+            raise ValueError("line_search must be 'backtracking' or 'cubic', "
+                             f"got {self.line_search!r}")
 
 
 def kmeans(points, k, seed=0, iters=20):
@@ -75,8 +79,9 @@ def kmeans(points, k, seed=0, iters=20):
     centers = points[rng.choice(m, size=k, replace=False)].copy()
     flat = points.ravel()
     cols = np.arange(d)
+    x_sq = row_sq_norms(points)
     for _ in range(iters):
-        d2 = sq_dist(points, centers)
+        d2 = sq_dist(points, centers, x_sq)
         assign = np.argmin(d2, axis=1)
         closest = d2[np.arange(m), assign]
         counts = np.bincount(assign, minlength=k)
@@ -331,21 +336,31 @@ def _check_rbf_autoencoder(net):
         raise MacqpError("RBF autoencoder must place coordinates at the coding layer")
 
 
-def fit_rbf_linear_pair(rbf_layer, lin_layer, A_in, T, weight, seed=0):
+def fit_rbf_linear_pair(rbf_layer, lin_layer, A_in, T, weight, seed=0, transient_reg=0.0,
+                        centers_by_size=None):
     """Two-stage fit of a Gaussian-RBF layer plus its linear readout.
 
     Centers come from k-means on the inputs (the inputs themselves when
-    the center count matches), the readout from ridge least squares.
-    ``weight`` scales the squared-error term relative to the ridge.
+    the center count matches), the readout from ridge least squares:
+    it minimizes weight/2 * |T - readout|^2 + (ridge + transient_reg) *
+    |readout weights|^2.  ``centers_by_size`` is an optional
+    {center count: centers} table of earlier k-means results on these
+    same inputs with this seed; a size found there skips k-means, and a
+    size computed here is added to it.
     """
     m = rbf_layer.spec.out_dim
-    centers = A_in.copy() if m == A_in.shape[0] else kmeans(A_in, m, seed=seed)
+    centers = None if centers_by_size is None else centers_by_size.get(m)
+    if centers is None:
+        centers = A_in.copy() if m == A_in.shape[0] else kmeans(A_in, m, seed=seed)
+        if centers_by_size is not None:
+            centers_by_size[m] = centers
     phi = rbf_design(A_in, centers, rbf_layer.spec.rbf_width)
     phi_full = add_bias_col(phi) if lin_layer.spec.bias else phi
-    lam = 2.0 * lin_layer.spec.ridge / weight if weight > 0 else 0.0
+    lam = 2.0 * (lin_layer.spec.ridge + transient_reg) / weight if weight > 0 else 0.0
     W_lin = ridge_lsq(phi_full, T, lam).T
     return (
-        Layer(rbf_layer.spec, LayerWeights(centers)),
+        # a copy, so that no layer shares its matrix with a table entry
+        Layer(rbf_layer.spec, LayerWeights(centers.copy())),
         Layer(lin_layer.spec, LayerWeights(W_lin)),
     )
 

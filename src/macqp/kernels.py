@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["sigmoid", "rbf_design", "sq_dist"]
+__all__ = ["sigmoid", "rbf_design", "row_sq_norms", "sq_dist"]
 
 
 def sigmoid(t):
@@ -16,17 +16,24 @@ def sigmoid(t):
     return out
 
 
-def sq_dist(X, C):
+def row_sq_norms(X):
+    """Each row's squared norm |x_n|^2 as a column, shape (N, 1)."""
+    return np.sum(X * X, axis=1)[:, None]
+
+
+def sq_dist(X, C, x_sq=None):
     """Squared distances ||x_n - c_m||^2, shape (N, M).
 
-    Expanded as |x|^2 - 2 x.c + |c|^2, so entries may round slightly
-    below zero; callers that need them nonnegative clamp.
+    Expanded as (|x|^2 - 2 x.c) + |c|^2, so entries may round slightly
+    below zero; callers that need them nonnegative clamp.  ``x_sq`` is
+    row_sq_norms(X), for a caller that measures many C against one X.
     """
-    return (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * (X @ C.T)
-        + np.sum(C * C, axis=1)[None, :]
-    )
+    # in place, in the order of the expansion: a + (-2 b) rounds as a - 2 b
+    d2 = X @ C.T
+    d2 *= -2.0
+    d2 += row_sq_norms(X) if x_sq is None else x_sq
+    d2 += np.sum(C * C, axis=1)[None, :]
+    return d2
 
 
 def rbf_design(X, C, width):

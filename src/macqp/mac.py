@@ -9,7 +9,6 @@ updates.
 """
 
 import csv
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +23,8 @@ from .model import (
     MacqpError,
     NestedNet,
     NonFiniteError,
+    _check_counts,
+    _check_reals,
     add_bias_col,
     forward_all,
     layer_apply,
@@ -56,14 +57,6 @@ class AuxState:
         return self.coords[0].shape[0] if self.coords else 0
 
 
-def _check_counts(cfg, least, *names):
-    """ValueError unless each named field of cfg is an integer >= least."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass
 class PenaltySchedule:
     mu0: float = 1.0
@@ -75,6 +68,7 @@ class PenaltySchedule:
     max_iters_per_stage: int = 50
 
     def __post_init__(self):
+        _check_reals(self, 0, "mu0", "growth", "stage_tolerance", "transient_reg")
         # written so that NaN fails every test
         if not (self.mu0 > 0 and self.stage_tolerance > 0):
             raise ValueError("mu0 and stage_tolerance must be positive")
@@ -180,17 +174,28 @@ def transient_penalty(net, transient_reg):
     )
 
 
-def qp_objective(net, Z, data, mu, transient_reg=0.0):
-    """Penalized objective: last-block loss + (mu/2) constraint violations."""
+def block_outputs(net, Z, X):
+    """Every block's output at its inputs: X for the first block, then the
+    coordinates.  qp_objective and constraint_residuals take this list to
+    share one evaluation of the blocks."""
+    return [block_apply(net, sl, a)
+            for sl, a in zip(block_slices(net), _block_inputs(net, Z, X))]
+
+
+def qp_objective(net, Z, data, mu, transient_reg=0.0, outs=None):
+    """Penalized objective: last-block loss + (mu/2) constraint violations.
+
+    ``outs`` is block_outputs(net, Z, data.X), computed here if not given.
+    """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    slices = block_slices(net)
-    if len(Z.coords) != len(slices) - 1:
+    if len(Z.coords) != len(block_slices(net)) - 1:
         raise MacqpError("auxiliary state does not match net placement")
-    ins = _block_inputs(net, Z, data.X)
-    total = 0.5 * float(np.sum((data.Y - block_apply(net, slices[-1], ins[-1])) ** 2))
-    for j in range(len(slices) - 1):
-        diff = Z.coords[j] - block_apply(net, slices[j], ins[j])
+    if outs is None:
+        outs = block_outputs(net, Z, data.X)
+    total = 0.5 * float(np.sum((data.Y - outs[-1]) ** 2))
+    for z, out in zip(Z.coords, outs):
+        diff = z - out
         total += 0.5 * mu * float(np.sum(diff**2))
     total += ridge_penalty(net) + transient_penalty(net, transient_reg)
     if not np.isfinite(total):
@@ -198,22 +203,21 @@ def qp_objective(net, Z, data, mu, transient_reg=0.0):
     return total
 
 
-def constraint_residual_vectors(net, Z, X):
-    """Per-point stacked constraint residuals z_j - g_j(z_{j-1}), shape (N, sum widths)."""
-    slices = block_slices(net)
-    ins = _block_inputs(net, Z, X)
-    parts = [
-        Z.coords[j] - block_apply(net, slices[j], ins[j])
-        for j in range(len(slices) - 1)
-    ]
-    if not parts:
+def constraint_residual_vectors(net, Z, X, outs=None):
+    """Per-point stacked constraint residuals z_j - g_j(z_{j-1}), shape (N, sum widths).
+
+    ``outs`` is block_outputs(net, Z, X), computed here if not given.
+    """
+    if not Z.coords:
         return np.zeros((np.atleast_2d(X).shape[0], 0))
-    return np.hstack(parts)
+    if outs is None:
+        outs = block_outputs(net, Z, X)
+    return np.hstack([z - out for z, out in zip(Z.coords, outs)])
 
 
-def constraint_residuals(net, Z, X):
+def constraint_residuals(net, Z, X, outs=None):
     """Euclidean norm of each point's stacked constraint residual."""
-    return np.linalg.norm(constraint_residual_vectors(net, Z, X), axis=1)
+    return np.linalg.norm(constraint_residual_vectors(net, Z, X, outs), axis=1)
 
 
 def multiplier_estimates(net, Z, X, mu):
@@ -372,12 +376,13 @@ def _block_objective(layers, A_in, T, weight, transient_reg):
     return val
 
 
-def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, kmeans_seed=0):
+def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=None):
     """Refit one inter-boundary block to targets T at fixed inputs.
 
     Returns replacement layers; the caller is responsible for rejecting a
     refit that increases its part of the objective (possible only for the
-    k-means-based RBF path).
+    k-means-based RBF path).  ``centers_by_size`` is the {size: centers}
+    table of an RBF block whose inputs are A_in (see fit_rbf_linear_pair).
     """
     layers = net.layers[sl[0] : sl[1]]
     kinds = [l.spec.kind for l in layers]
@@ -389,15 +394,23 @@ def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, kmeans_seed=0):
         return [_fit_linear_layer(layers[0], A_in, T, weight, lam)]
     if kinds == [LayerKind.GAUSSIAN_RBF, LayerKind.LINEAR_DENSE]:
         return list(
-            fit_rbf_linear_pair(layers[0], layers[1], A_in, T, weight, seed=kmeans_seed)
+            fit_rbf_linear_pair(layers[0], layers[1], A_in, T, weight,
+                                transient_reg=transient_reg, centers_by_size=centers_by_size)
         )
     raise MacqpError(
         f"no block solver for layer structure {[k.value for k in kinds]}"
     )
 
 
-def w_step(net, Z, data, mu, cfg, transient_reg=0.0):
-    """Independent refit of every block at fixed coordinates; never increases E_Q."""
+def w_step(net, Z, data, mu, cfg, transient_reg=0.0, block0_centers=None):
+    """Independent refit of every block at fixed coordinates; never increases E_Q.
+
+    ``block0_centers`` is an optional {size: centers} table of k-means
+    results on data.X, the first block's inputs, which no step changes.
+    A first-block RBF fit at a size in it reuses those centers, and one
+    at a new size adds its own.  The other blocks' inputs are coordinates
+    and are clustered afresh each time.
+    """
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
     targets = list(Z.coords) + [data.Y]
@@ -405,7 +418,8 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0):
     for j, sl in enumerate(slices):
         weight = 1.0 if j == len(slices) - 1 else mu
         fitted = fit_block(net, sl, ins[j], targets[j], weight, cfg,
-                           transient_reg=transient_reg)
+                           transient_reg=transient_reg,
+                           centers_by_size=block0_centers if j == 0 else None)
         args = (ins[j], targets[j], weight, transient_reg)
         before = _block_objective(net.layers[sl[0] : sl[1]], *args)
         if _block_objective(fitted, *args) <= before:
@@ -653,6 +667,10 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     is enforced, so it is not used as an exit signal.  With ``sel_cfg``
     given, a per-block architecture-selection step runs every
     ``sel_cfg.cadence`` iterations.
+
+    The first block's k-means centers depend only on data.X, the size and
+    the seed (always 0), so the W- and selection steps of this call share
+    one {size: centers} table for that block.
     """
     net = net.copy()
     Z = z_init.copy() if z_init is not None else lift_to_feasible(net, data.X)
@@ -669,20 +687,22 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     it = 0
     iters_since_selection = 0
     stop = False
+    block0_centers = {}
 
     track_val = data.val_X is not None
     val_data = data.eval_split()
 
     def record(event):
         e1_train = nested_objective(net, data)
+        outs = block_outputs(net, Z, data.X)
         trace.add(
             it,
             time.perf_counter() - t0,
             mu,
             e1_train,
             nested_objective(net, val_data) if track_val else e1_train,
-            qp_objective(net, Z, data, mu, transient),
-            float(np.max(constraint_residuals(net, Z, data.X))),
+            qp_objective(net, Z, data, mu, transient, outs=outs),
+            float(np.max(constraint_residuals(net, Z, data.X, outs=outs))),
             event,
         )
         return trace.rows[-1]
@@ -702,7 +722,8 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         if track_val:
             best = (net.copy(), Z.copy(), prev)
         for _ in range(schedule.max_iters_per_stage):
-            net = w_step(net, Z, data, mu, cfg, transient_reg=transient)
+            net = w_step(net, Z, data, mu, cfg, transient_reg=transient,
+                         block0_centers=block0_centers)
             it += 1
             record("wstep")
             Z = z_step(net, Z, data, mu, cfg, workers=workers)
@@ -716,7 +737,8 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
                 if iters_since_selection >= sel_cfg.cadence:
                     iters_since_selection = 0
                     before_total = row.eq + aic_cost(net, sel_cfg.epsilon_sq)
-                    net = selection_step(net, Z, data, mu, sel_cfg, transient_reg=transient)
+                    net = selection_step(net, Z, data, mu, sel_cfg, transient_reg=transient,
+                                         block0_centers=block0_centers)
                     it += 1
                     row = record("model_select")
                     trace.selection_events.append(

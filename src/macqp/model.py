@@ -9,6 +9,7 @@ values.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -19,6 +20,23 @@ from .kernels import rbf_design, sigmoid
 
 class MacqpError(Exception):
     """Base class for errors raised by this package."""
+
+
+def _check_counts(cfg, least, *names):
+    """ValueError unless each named field of cfg is an integer >= least."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_reals(cfg, least, *names):
+    """ValueError unless each named field of cfg is a finite number >= least."""
+    for name in names:
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value) or value < least):
+            raise ValueError(f"{name} must be a finite number >= {least}, got {value!r}")
 
 
 class DimensionMismatchError(MacqpError):

@@ -6,13 +6,22 @@ fixed coordinates, each block's size can be chosen independently by
 refitting it at every candidate size and scoring fit + cost.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import fit_rbf_linear_pair
 from .mac import _block_inputs, _block_objective, block_slices, mac_train
-from .model import Layer, LayerKind, LayerWeights, MacqpError, NestedNet
+from .model import (
+    Layer,
+    LayerKind,
+    LayerWeights,
+    MacqpError,
+    NestedNet,
+    _check_counts,
+    _check_reals,
+)
 
 
 @dataclass
@@ -22,13 +31,21 @@ class SelectionConfig:
     cadence: int = 10
 
     def __post_init__(self):
-        if self.epsilon_sq <= 0:
+        _check_reals(self, 0, "epsilon_sq")
+        if self.epsilon_sq == 0:
             raise ValueError("epsilon_sq must be positive")
-        if self.cadence < 1:
-            raise ValueError("cadence must be positive")
-        for cands in self.candidates_per_block:
-            if not cands or list(cands) != sorted(cands):
-                raise ValueError("candidate lists must be nonempty and ascending")
+        _check_counts(self, 1, "cadence")
+        cands = self.candidates_per_block
+        if not (
+            isinstance(cands, (list, tuple))
+            and all(isinstance(c, (list, tuple)) and c for c in cands)
+            and all(isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1
+                    for c in cands for m in c)
+        ):
+            raise ValueError("candidates_per_block must be a list of nonempty lists of "
+                             f"integers >= 1, got {cands!r}")
+        if any(list(c) != sorted(c) for c in cands):
+            raise ValueError(f"candidates_per_block lists must be ascending, got {cands!r}")
 
 
 def aic_cost(net, epsilon_sq):
@@ -60,12 +77,13 @@ def _candidate_pair(rbf_spec, lin_spec, m):
     )
 
 
-def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, kmeans_seed=0):
+def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, block0_centers=None):
     """Choose each selectable block's size by refit-and-score at fixed Z.
 
     Keeps the current block unless some candidate scores at least as
     well; candidate fits that fail are skipped.  The combined fit + cost
-    objective never increases.
+    objective never increases.  ``block0_centers`` is the first block's
+    {size: centers} table, as in w_step.
     """
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
@@ -93,7 +111,9 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, kmeans_seed=0):
             try:
                 tmpl_rbf, tmpl_lin = _candidate_pair(rbf_cur.spec, lin_cur.spec, m)
                 pair = fit_rbf_linear_pair(
-                    tmpl_rbf, tmpl_lin, ins[j], targets[j], weight, seed=kmeans_seed
+                    tmpl_rbf, tmpl_lin, ins[j], targets[j], weight,
+                    transient_reg=transient_reg,
+                    centers_by_size=block0_centers if j == 0 else None,
                 )
             except MacqpError:
                 continue

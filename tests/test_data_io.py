@@ -275,6 +275,10 @@ def _mac_config(out_dir, workers=1):
     }
 
 
+# a valid selection section, into which the selection cases put one bad value
+_GOOD_SELECTION = {"candidates_per_block": [[5]], "epsilon_sq": 1e-3}
+
+
 class TestHarness:
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = _mac_config(tmp_path)
@@ -297,12 +301,34 @@ class TestHarness:
         ("selection", {"epsilon_sq": 1e-3}),
         ("sgd", {"minibatch": 0}),
         ("cg", {"line_search": "exact"}),
+        *[("selection", dict(_GOOD_SELECTION, candidates_per_block=c))
+          for c in ("abc", [[0, 5]], [[-3, 5]], [[2.5, 5]], [[]], [[5, 2]], [[True]])],
+        ("selection", dict(_GOOD_SELECTION, epsilon_sq=float("nan"))),
+        ("selection", dict(_GOOD_SELECTION, cadence=1.5)),
+        ("sgd", {"minibatch": 2.5}),
+        ("sgd", {"epochs": 1.5}),
+        ("sgd", {"seed": "x"}),
+        ("sgd", {"seed": -1}),
+        ("sgd", {"trace_every": 0}),
+        ("sgd", {"trace_every": 2.5}),
+        ("sgd", {"learning_rate": float("nan")}),
+        ("cg", {"max_iters": 0}),
+        ("cg", {"max_iters": 2.5}),
+        ("cg", {"restart_every": 0}),
+        ("cg", {"trace_every": 0}),
+        ("cg", {"gtol": float("nan")}),
+        ("cg", {"gtol": float("inf")}),
+        ("cg", {"gtol": -1.0}),
     ])
     def test_invalid_section_values_rejected_at_load(self, tmp_path, section, values):
         cfg = _mac_config(tmp_path)
         cfg.setdefault(section, {}).update(values)
-        with pytest.raises(MacqpError, match=f"invalid {section} section"):
+        with pytest.raises(MacqpError, match=f"invalid {section} section") as exc:
             validate_config(cfg)
+        # the message names each key given a bad value
+        for key, value in values.items():
+            if not (section == "selection" and _GOOD_SELECTION.get(key) == value):
+                assert key in str(exc.value)
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
     def test_invalid_worker_count_rejected(self, tmp_path, workers):

@@ -19,7 +19,9 @@ from macqp.mac import (
     AuxState,
     PenaltySchedule,
     StepConfig,
+    _block_objective,
     block_apply,
+    block_outputs,
     block_slices,
     constraint_residual_vectors,
     constraint_residuals,
@@ -31,6 +33,8 @@ from macqp.mac import (
     w_step,
     z_step,
 )
+from macqp.baselines import kmeans, ridge_lsq
+from macqp.kernels import rbf_design
 from macqp.model import (
     Dataset,
     Layer,
@@ -165,6 +169,34 @@ class TestWStep:
         Z = AuxState([])
         out = w_step(net, Z, data, 1.0, StepConfig())
         np.testing.assert_array_equal(out.layers[0].weights.matrix, data.X)
+
+    def test_rbf_readout_refit_includes_transient_term(self, rng):
+        # with the centres unchanged, the refit's readout must be the exact
+        # minimiser of the objective the acceptance test scores, which
+        # charges transient_reg on the linear layer
+        net = rbf_autoencoder(3, 6, 2, 5, ridge=1e-3, seed=4)
+        data = Dataset(rng.uniform(size=(40, 3)), rng.uniform(size=(40, 3)))
+        Z = AuxState([rng.normal(size=(40, 2))])
+        mu, transient = 2.0, 0.05
+        rbf, lin = net.layers[0], net.layers[1]
+        centers = kmeans(data.X, 6)
+        phi = rbf_design(data.X, centers, rbf.spec.rbf_width)
+
+        def readout(lam):
+            return ridge_lsq(phi, Z.coords[0], lam).T
+
+        # start from the readout that leaves the transient term out
+        net.layers[0] = Layer(rbf.spec, LayerWeights(centers))
+        net.layers[1] = Layer(lin.spec, LayerWeights(readout(2.0 * 1e-3 / mu)))
+        out = w_step(net, Z, data, mu, StepConfig(), transient_reg=transient)
+
+        np.testing.assert_array_equal(out.layers[0].weights.matrix, centers)
+        want = readout(2.0 * (1e-3 + transient) / mu)
+        np.testing.assert_allclose(out.layers[1].weights.matrix, want, rtol=1e-12)
+        assert not np.allclose(want, net.layers[1].weights.matrix, rtol=1e-6)
+        args = (data.X, Z.coords[0], mu, transient)
+        assert (_block_objective(out.layers[:2], *args)
+                < _block_objective(net.layers[:2], *args))
 
     def test_never_increases_qp(self, rng):
         for _ in range(5):
@@ -601,6 +633,26 @@ class TestResidualsAndMultipliers:
                 acc += float(np.sum((Z.coords[j][n] - out) ** 2))
                 cur = Z.coords[j][n]
             np.testing.assert_allclose(got[n], np.sqrt(acc), rtol=1e-11)
+
+    def test_shared_block_outputs_match_separate_calls_bitwise(self, rng):
+        net = random_mixed_net(rng, ridge=1e-3)
+        data = random_dataset(rng, net, n=9)
+        Z = AuxState(
+            [c + rng.normal(size=c.shape)
+             for c in lift_to_feasible(net, data.X).coords]
+        )
+        outs = block_outputs(net, Z, data.X)
+        for mu in (0.0, 3.0):
+            assert (qp_objective(net, Z, data, mu, 1e-4, outs=outs)
+                    == qp_objective(net, Z, data, mu, 1e-4))
+        np.testing.assert_array_equal(constraint_residuals(net, Z, data.X, outs=outs),
+                                      constraint_residuals(net, Z, data.X))
+        # and both equal the per-block evaluation, block by block
+        ins = [data.X] + Z.coords
+        parts = [Z.coords[j] - block_apply(net, sl, ins[j])
+                 for j, sl in enumerate(block_slices(net)[:-1])]
+        np.testing.assert_array_equal(constraint_residuals(net, Z, data.X, outs=outs),
+                                      np.linalg.norm(np.hstack(parts), axis=1))
 
     def test_multiplier_identity_and_linearity(self, rng):
         net = random_mixed_net(rng)

@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import macqp.baselines
+import macqp.mac
+import macqp.selection
 from conftest import rbf_autoencoder
-from macqp.baselines import fit_rbf_linear_pair
-from macqp.data import synth_manifold_dataset
+from macqp.baselines import fit_rbf_linear_pair, kmeans, ridge_lsq
+from macqp.data import pca_embed, synth_manifold_dataset
 from macqp.kernels import rbf_design
 from macqp.mac import (
     AuxState,
@@ -203,6 +206,24 @@ class TestSelectionStep:
             l.spec.out_dim for l in net.layers
         ]
 
+    def test_candidate_readout_includes_transient_term(self, rng):
+        net = rbf_autoencoder(5, 6, 2, 7, ridge=1e-3, seed=3)
+        X = rng.uniform(size=(30, 5))
+        data = Dataset(X, X)
+        Z = AuxState([rng.normal(size=(30, 2))])
+        mu, transient = 2.0, 0.05
+        cfg = SelectionConfig([[4], [5]], epsilon_sq=1e-12)
+        out = selection_step(net, Z, data, mu, cfg, transient_reg=transient)
+        assert [out.layers[0].spec.out_dim, out.layers[2].spec.out_dim] == [4, 5]
+        for first, A_in, T, weight, m in ((0, X, Z.coords[0], mu, 4),
+                                          (2, Z.coords[0], X, 1.0, 5)):
+            centers = kmeans(A_in, m)
+            phi = rbf_design(A_in, centers, net.layers[first].spec.rbf_width)
+            want = ridge_lsq(phi, T, 2.0 * (1e-3 + transient) / weight).T
+            np.testing.assert_array_equal(out.layers[first].weights.matrix, centers)
+            np.testing.assert_allclose(out.layers[first + 1].weights.matrix, want,
+                                       rtol=1e-12)
+
     def test_candidate_list_count_must_match(self, rng):
         net, data, Z = self._setup(rng)
         from macqp.model import MacqpError
@@ -241,3 +262,54 @@ class TestMacTrainWithSelection:
         assert trace.selection_events
         for ev in trace.selection_events:
             assert ev["after"] <= ev["before"] * (1 + 1e-10)
+
+
+class TestFirstBlockCenterTable:
+    """mac_train clusters the first block's inputs, data.X, once per size."""
+
+    def _run(self, monkeypatch, recompute):
+        data = synth_manifold_dataset(120, 16, 1, 0.01, seed=7)
+        specs = [
+            LayerSpec(LayerKind.GAUSSIAN_RBF, 16, 40, rbf_width=2.0),
+            LayerSpec(LayerKind.LINEAR_DENSE, 40, 2, ridge=1e-6, bias=False),
+            LayerSpec(LayerKind.GAUSSIAN_RBF, 2, 40, rbf_width=2.0),
+            LayerSpec(LayerKind.LINEAR_DENSE, 40, 16, ridge=1e-6, bias=False),
+        ]
+        net = init_weights(specs, 3, placement=[2])
+        sel_cfg = SelectionConfig([[10, 20, 30, 40, 50]] * 2, epsilon_sq=1e-4, cadence=2)
+        schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=4,
+                                   stage_tolerance=1e-8)
+        on_x = []
+        kmeans_fn = macqp.baselines.kmeans
+
+        def counted(points, k, *args, **kwargs):
+            if points is data.X:
+                on_x.append(k)
+            return kmeans_fn(points, k, *args, **kwargs)
+
+        monkeypatch.setattr(macqp.baselines, "kmeans", counted)
+        if recompute:
+            pair_fn = macqp.baselines.fit_rbf_linear_pair
+
+            def without_table(*args, **kwargs):
+                return pair_fn(*args, **dict(kwargs, centers_by_size=None))
+
+            monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", without_table)
+            monkeypatch.setattr(macqp.selection, "fit_rbf_linear_pair", without_table)
+        out, Z, trace = mac_train(net, data, schedule, StepConfig(), sel_cfg=sel_cfg,
+                                  z_init=AuxState([pca_embed(data.X, 2)]))
+        monkeypatch.undo()
+        return out, Z, trace, on_x
+
+    def test_equals_recomputing_the_centers(self, monkeypatch):
+        out, Z, trace, on_x = self._run(monkeypatch, recompute=False)
+        ref, ref_Z, ref_trace, ref_on_x = self._run(monkeypatch, recompute=True)
+        assert sorted(on_x) == [10, 20, 30, 40, 50]
+        assert len(ref_on_x) > 2 * len(on_x)
+        for a, b in zip(out.layers, ref.layers):
+            assert a.spec == b.spec
+            np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
+        np.testing.assert_array_equal(Z.coords[0], ref_Z.coords[0])
+        assert len(trace.rows) == len(ref_trace.rows)
+        for a, b in zip(trace.rows, ref_trace.rows):
+            assert replace(a, seconds=0.0) == replace(b, seconds=0.0)
