@@ -20,6 +20,7 @@ from .model import (
     LayerWeights,
     MacqpError,
     NestedNet,
+    NonFiniteError,
     _check_counts,
     _check_reals,
     add_bias_col,
@@ -344,17 +345,24 @@ def fit_rbf_linear_pair(rbf_layer, lin_layer, A_in, T, weight, seed=0, transient
     the center count matches), the readout from ridge least squares:
     it minimizes weight/2 * |T - readout|^2 + (ridge + transient_reg) *
     |readout weights|^2.  ``centers_by_size`` is an optional
-    {center count: centers} table of earlier k-means results on these
-    same inputs with this seed; a size found there skips k-means, and a
-    size computed here is added to it.
+    {center count: (centers, design matrix)} table of earlier fits on
+    these same inputs with this seed and width; a size found there skips
+    k-means and the design matrix, and a size computed here is added to
+    it.  The design matrix is the RBF layer's output at A_in and gets
+    layer_apply's checks when it is made, so an entry can stand in for it.
     """
     m = rbf_layer.spec.out_dim
-    centers = None if centers_by_size is None else centers_by_size.get(m)
-    if centers is None:
+    entry = None if centers_by_size is None else centers_by_size.get(m)
+    if entry is None:
         centers = A_in.copy() if m == A_in.shape[0] else kmeans(A_in, m, seed=seed)
+        Layer(rbf_layer.spec, LayerWeights(centers))  # raises unless A_in has the layer's width
+        phi = rbf_design(A_in, centers, rbf_layer.spec.rbf_width)
+        if not np.all(np.isfinite(phi)):
+            raise NonFiniteError("non-finite RBF design matrix")
+        entry = (centers, phi)
         if centers_by_size is not None:
-            centers_by_size[m] = centers
-    phi = rbf_design(A_in, centers, rbf_layer.spec.rbf_width)
+            centers_by_size[m] = entry
+    centers, phi = entry
     phi_full = add_bias_col(phi) if lin_layer.spec.bias else phi
     lam = 2.0 * (lin_layer.spec.ridge + transient_reg) / weight if weight > 0 else 0.0
     W_lin = ridge_lsq(phi_full, T, lam).T

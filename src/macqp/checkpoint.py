@@ -57,6 +57,8 @@ def load_model(path):
     version, n_layers = reader.unpack("<II", "the header")
     if version != FORMAT_VERSION:
         raise MacqpError(f"{path}: unsupported format version {version}")
+    if n_layers == 0:
+        raise MacqpError(f"{path}: the header gives 0 layers; a model needs at least one")
     layers = []
     for k in range(1, n_layers + 1):
         at = reader.pos
@@ -72,9 +74,16 @@ def load_model(path):
             )
         except (ValueError, MacqpError) as exc:
             raise MacqpError(f"{path}: layer {k}'s spec at byte offset {at}: {exc}") from None
+        at = reader.pos
         mat = reader.f64_matrix(spec.weight_shape, f"layer {k}'s weights")
-        layers.append(Layer(spec, LayerWeights(mat)))
+        try:
+            layers.append(Layer(spec, LayerWeights(mat)))
+        except MacqpError as exc:
+            raise MacqpError(f"{path}: layer {k}'s weights at byte offset {at}: {exc}") from None
     (n_placed,) = reader.unpack("<I", "the placement count")
     placement = list(reader.unpack(f"<{n_placed}I", "the placement"))
     reader.finish()
-    return NestedNet(layers, placement)
+    try:
+        return NestedNet(layers, placement)
+    except MacqpError as exc:
+        raise MacqpError(f"{path}: {exc}") from None

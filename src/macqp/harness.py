@@ -329,11 +329,6 @@ def run_experiment(cfg):
         t0 = time.perf_counter()
         net = postprocess(net, Z, dataset, cfg=step_cfg)
         post_s = time.perf_counter() - t0
-        e1 = nested_objective(net, dataset)
-        last_it = trace.rows[-1].iteration if trace.rows else 0
-        last_s = trace.rows[-1].seconds if trace.rows else 0.0
-        trace.add(last_it + 1, last_s + post_s, trace.rows[-1].mu if trace.rows else 0.0,
-                  e1, nested_objective(net, dataset.eval_split()), e1, 0.0, "postprocess")
     elif method == "sgd":
         net, trace = sgd_train(net, dataset, SgdConfig(**cfg.get("sgd", {})),
                                time_budget=time_budget)
@@ -346,6 +341,14 @@ def run_experiment(cfg):
             net, dataset, alt.get("iters", 10), cg_steps=alt.get("cg_steps", 10),
             seed=cfg.get("seed", 0), time_budget=time_budget,
         )
+
+    e1_train = nested_objective(net, dataset)
+    e1_val = e1_train if dataset.val_X is None else nested_objective(net, dataset.eval_split())
+    if method in ("mac", "mac_select"):
+        last_it = trace.rows[-1].iteration if trace.rows else 0
+        last_s = trace.rows[-1].seconds if trace.rows else 0.0
+        trace.add(last_it + 1, last_s + post_s, trace.rows[-1].mu if trace.rows else 0.0,
+                  e1_train, e1_val, e1_train, 0.0, "postprocess")
 
     trace_path = os.path.join(out_dir, "trace.csv")
     model_path = os.path.join(out_dir, "model.macn")
@@ -365,8 +368,8 @@ def run_experiment(cfg):
         "model_path": model_path,
         "trace_path": trace_path,
         "recon_paths": recon_paths,
-        "e1_train": nested_objective(net, dataset),
-        "e1_val": nested_objective(net, dataset.eval_split()),
+        "e1_train": e1_train,
+        "e1_val": e1_val,
         "net": net,
         "trace": trace,
     }

@@ -176,10 +176,30 @@ def transient_penalty(net, transient_reg):
 
 def block_outputs(net, Z, X):
     """Every block's output at its inputs: X for the first block, then the
-    coordinates.  qp_objective and constraint_residuals take this list to
-    share one evaluation of the blocks."""
+    coordinates.  qp_objective, constraint_residuals, w_step and
+    selection_step take this list, and z_step its first entry, to share
+    one evaluation of the blocks."""
     return [block_apply(net, sl, a)
             for sl, a in zip(block_slices(net), _block_inputs(net, Z, X))]
+
+
+def _block_output(layers, A_in, table=None):
+    """The output of a block's layers at inputs A_in.
+
+    ``table`` is the block's {size: (centers, design matrix)} table of RBF
+    fits at A_in (see fit_rbf_linear_pair).  If the first layer is an RBF
+    layer whose centers are its size's entry there, that entry's design
+    matrix is its output.
+    """
+    out, rest = A_in, layers
+    first = layers[0]
+    if table and first.spec.kind == LayerKind.GAUSSIAN_RBF:
+        entry = table.get(first.spec.out_dim)
+        if entry is not None and np.array_equal(entry[0], first.weights.matrix):
+            out, rest = entry[1], layers[1:]
+    for layer in rest:
+        out = layer_apply(layer, out)
+    return out
 
 
 def qp_objective(net, Z, data, mu, transient_reg=0.0, outs=None):
@@ -360,12 +380,14 @@ def _fit_linear_layer(layer, A_in, T, weight, lam):
     return Layer(layer.spec, LayerWeights(W))
 
 
-def _block_objective(layers, A_in, T, weight, transient_reg):
+def _block_objective(layers, A_in, T, weight, transient_reg, out=None):
     """One block's part of E_Q: the weighted misfit of its layers' output
-    to T at inputs A_in, plus their ridge and transient weight penalties."""
-    out = A_in
-    for layer in layers:
-        out = layer_apply(layer, out)
+    to T at inputs A_in, plus their ridge and transient weight penalties.
+
+    ``out`` is the layers' output at A_in, computed here if not given.
+    """
+    if out is None:
+        out = _block_output(layers, A_in)
     val = 0.5 * weight * float(np.sum((T - out) ** 2))
     for layer in layers:
         lam = layer.spec.ridge
@@ -381,8 +403,9 @@ def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=
 
     Returns replacement layers; the caller is responsible for rejecting a
     refit that increases its part of the objective (possible only for the
-    k-means-based RBF path).  ``centers_by_size`` is the {size: centers}
-    table of an RBF block whose inputs are A_in (see fit_rbf_linear_pair).
+    k-means-based RBF path).  ``centers_by_size`` is the {size: (centers,
+    design matrix)} table of an RBF block whose inputs are A_in (see
+    fit_rbf_linear_pair).
     """
     layers = net.layers[sl[0] : sl[1]]
     kinds = [l.spec.kind for l in layers]
@@ -402,14 +425,16 @@ def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=
     )
 
 
-def w_step(net, Z, data, mu, cfg, transient_reg=0.0, block0_centers=None):
+def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     """Independent refit of every block at fixed coordinates; never increases E_Q.
 
-    ``block0_centers`` is an optional {size: centers} table of k-means
-    results on data.X, the first block's inputs, which no step changes.
-    A first-block RBF fit at a size in it reuses those centers, and one
-    at a new size adds its own.  The other blocks' inputs are coordinates
-    and are clustered afresh each time.
+    ``outs``, if given, is block_outputs(net, Z, data.X): the current
+    blocks are scored from it, and each accepted refit's output replaces
+    its block's entry in place.  ``tables``, if given, holds one {size:
+    (centers, design matrix)} table per block of RBF fits at the block's
+    current inputs (see fit_rbf_linear_pair).  A fit or output at a size
+    in its block's table reuses that entry, and a fit at a new size adds
+    one.
     """
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
@@ -417,13 +442,17 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, block0_centers=None):
     new_layers = list(net.layers)
     for j, sl in enumerate(slices):
         weight = 1.0 if j == len(slices) - 1 else mu
+        table = None if tables is None else tables[j]
         fitted = fit_block(net, sl, ins[j], targets[j], weight, cfg,
-                           transient_reg=transient_reg,
-                           centers_by_size=block0_centers if j == 0 else None)
+                           transient_reg=transient_reg, centers_by_size=table)
         args = (ins[j], targets[j], weight, transient_reg)
-        before = _block_objective(net.layers[sl[0] : sl[1]], *args)
-        if _block_objective(fitted, *args) <= before:
+        before = _block_objective(net.layers[sl[0] : sl[1]], *args,
+                                  out=None if outs is None else outs[j])
+        out = _block_output(fitted, ins[j], table)
+        if _block_objective(fitted, *args, out=out) <= before:
             new_layers[sl[0] : sl[1]] = fitted
+            if outs is not None:
+                outs[j] = out
     return NestedNet(new_layers, list(net.placement))
 
 
@@ -605,18 +634,18 @@ def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
     return zs
 
 
-def z_step(net, Z, data, mu, cfg, workers=1):
+def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
     """Per-point coordinate update by damped Gauss-Newton; never increases E_Q.
 
     The points are solved in fixed tiles of Z_TILE, each tile as one
     batched block-tridiagonal system; workers take whole tiles.  The
     first block's output depends on the weights and inputs only, so it
-    is computed once for all points.
+    is computed once for all points, unless given as ``f1``.
     """
     slices = block_slices(net)
     if len(slices) < 2:
         return Z.copy()
-    F1 = block_apply(net, slices[0], data.X)
+    F1 = block_apply(net, slices[0], data.X) if f1 is None else f1
     Y = data.Y
 
     def tile_task(lo, hi):
@@ -643,14 +672,17 @@ def postprocess(net, Z, data, cfg=None):
     feats = data.X
     for sl in slices[:-1]:
         feats = block_apply(net, sl, feats)
-    e1_before = nested_objective(net, data)
+    # the layers before the last block are kept, so both nets' forward
+    # passes continue from feats
+    prefix = (slices[-1][0], feats)
+    e1_before = nested_objective(net, data, prefix=prefix)
     try:
         fitted = fit_block(net, slices[-1], feats, data.Y, 1.0, cfg)
     except MacqpError:
         return net.copy()
     cand = net.copy()
     cand.layers[slices[-1][0] : slices[-1][1]] = fitted
-    if nested_objective(cand, data) <= e1_before:
+    if nested_objective(cand, data, prefix=prefix) <= e1_before:
         return cand
     return net.copy()
 
@@ -668,9 +700,19 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     given, a per-block architecture-selection step runs every
     ``sel_cfg.cadence`` iterations.
 
-    The first block's k-means centers depend only on data.X, the size and
-    the seed (always 0), so the W- and selection steps of this call share
-    one {size: centers} table for that block.
+    Each block is evaluated once per change.  The call keeps every
+    block's current output (block_outputs) and refreshes only the blocks
+    a step changed: the accepted refits of a W-step, the blocks fed by
+    coordinates after a Z-step, the resized blocks of a selection step,
+    and every block when the best iterate is restored.  The trace rows,
+    the Z-step (the first block's output) and the W- and selection steps
+    (the current blocks' objective) read these outputs.  Each block also
+    has a {size: (centers, design matrix)} table of RBF fits at its
+    inputs, shared by the W- and selection steps: k-means always runs
+    with seed 0, so a fit depends only on the inputs and the size.  The
+    first block's inputs are data.X, so its table lasts the whole call;
+    the table of a block fed by coordinates is emptied whenever a Z-step
+    or a restore changes them.
     """
     net = net.copy()
     Z = z_init.copy() if z_init is not None else lift_to_feasible(net, data.X)
@@ -687,14 +729,30 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     it = 0
     iters_since_selection = 0
     stop = False
-    block0_centers = {}
+    slices = block_slices(net)
+    outs = block_outputs(net, Z, data.X)
+    tables = [{} for _ in slices]
 
     track_val = data.val_X is not None
     val_data = data.eval_split()
 
+    def moved_since(before):
+        """The blocks fed by coordinates that differ from ``before``'s; their
+        tables are emptied."""
+        moved = [j for j in range(1, len(slices))
+                 if not np.array_equal(Z.coords[j - 1], before.coords[j - 1])]
+        for j in moved:
+            tables[j].clear()
+        return moved
+
+    def refresh(blocks):
+        """Recompute the outputs of ``blocks`` at the current net and Z."""
+        ins = _block_inputs(net, Z, data.X)
+        for j in blocks:
+            outs[j] = _block_output(net.layers[slices[j][0] : slices[j][1]], ins[j], tables[j])
+
     def record(event):
-        e1_train = nested_objective(net, data)
-        outs = block_outputs(net, Z, data.X)
+        e1_train = nested_objective(net, data, prefix=(slices[0][1], outs[0]))
         trace.add(
             it,
             time.perf_counter() - t0,
@@ -718,15 +776,17 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         elif track_val:
             prev = nested_objective(net, val_data)
         else:
-            prev = qp_objective(net, Z, data, mu, transient)
+            prev = qp_objective(net, Z, data, mu, transient, outs=outs)
         if track_val:
             best = (net.copy(), Z.copy(), prev)
         for _ in range(schedule.max_iters_per_stage):
             net = w_step(net, Z, data, mu, cfg, transient_reg=transient,
-                         block0_centers=block0_centers)
+                         outs=outs, tables=tables)
             it += 1
             record("wstep")
-            Z = z_step(net, Z, data, mu, cfg, workers=workers)
+            Z_before = Z
+            Z = z_step(net, Z, data, mu, cfg, workers=workers, f1=outs[0])
+            refresh(moved_since(Z_before))
             it += 1
             row = record("zstep")
             if iteration_callback is not None:
@@ -738,7 +798,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
                     iters_since_selection = 0
                     before_total = row.eq + aic_cost(net, sel_cfg.epsilon_sq)
                     net = selection_step(net, Z, data, mu, sel_cfg, transient_reg=transient,
-                                         block0_centers=block0_centers)
+                                         outs=outs, tables=tables)
                     it += 1
                     row = record("model_select")
                     trace.selection_events.append(
@@ -763,7 +823,10 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
                 break
             prev = cur
         if track_val:
+            Z_before = Z
             net, Z = best[0], best[1]
+            moved_since(Z_before)
+            refresh(range(len(slices)))
         if stop or stage == schedule.max_stages - 1:
             break
         mu *= schedule.growth

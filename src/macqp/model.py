@@ -259,16 +259,21 @@ def ridge_penalty(net):
     )
 
 
-def nested_objective(net, data):
+def nested_objective(net, data, prefix=None):
     """Squared-error loss over the dataset plus the quadratic weight penalties.
 
     Per-point contributions are combined with an exactly rounded sum, so
-    the value is invariant to row permutations bit for bit.
+    the value is invariant to row permutations bit for bit.  ``prefix`` is
+    an optional pair (k, A), where A is the output of the net's first k
+    layers on data.X as forward_all computes it; the forward pass then
+    continues from A.
     """
     X, Y = data.X, data.Y
     if Y.shape[1] != net.out_dim:
         raise DimensionMismatchError("target width does not match net output")
-    F = forward_all(net, X)[-1]
+    k, F = (0, np.atleast_2d(X)) if prefix is None else prefix
+    for i in range(k, len(net.layers)):
+        F = layer_apply(net.layers[i], F, index=i + 1)
     per_point = np.sum((Y - F) ** 2, axis=1)
     val = 0.5 * math.fsum(per_point) + ridge_penalty(net)
     if not np.isfinite(val):

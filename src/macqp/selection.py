@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import fit_rbf_linear_pair
-from .mac import _block_inputs, _block_objective, block_slices, mac_train
+from .mac import _block_inputs, _block_objective, _block_output, block_slices, mac_train
 from .model import (
     Layer,
     LayerKind,
@@ -77,13 +77,14 @@ def _candidate_pair(rbf_spec, lin_spec, m):
     )
 
 
-def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, block0_centers=None):
+def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     """Choose each selectable block's size by refit-and-score at fixed Z.
 
     Keeps the current block unless some candidate scores at least as
     well; candidate fits that fail are skipped.  The combined fit + cost
-    objective never increases.  ``block0_centers`` is the first block's
-    {size: centers} table, as in w_step.
+    objective never increases.  ``outs`` and ``tables`` are as in w_step:
+    the current blocks are scored from ``outs``, a resized block's output
+    replaces its entry, and candidates fit and score from the tables.
     """
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
@@ -95,34 +96,37 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, block0_centers=None
             f"{len(cfg.candidates_per_block)} candidate lists"
         )
 
-    def score(pair, j, weight):
+    def score(pair, j, weight, out):
         """The block's part of E_Q plus the pair's parameter cost."""
-        fit = _block_objective(pair, ins[j], targets[j], weight, transient_reg)
+        fit = _block_objective(pair, ins[j], targets[j], weight, transient_reg, out=out)
         return fit + 2.0 * cfg.epsilon_sq * sum(l.weights.matrix.size for l in pair)
 
     new_layers = list(net.copy().layers)
     for cands, j in zip(cfg.candidates_per_block, sel):
         sl = slices[j]
         weight = 1.0 if j == len(slices) - 1 else mu
+        table = None if tables is None else tables[j]
         rbf_cur, lin_cur = net.layers[sl[0]], net.layers[sl[0] + 1]
-        best_score = score((rbf_cur, lin_cur), j, weight)
+        best_score = score((rbf_cur, lin_cur), j, weight, None if outs is None else outs[j])
         best_pair = None
         for m in cands:
             try:
                 tmpl_rbf, tmpl_lin = _candidate_pair(rbf_cur.spec, lin_cur.spec, m)
                 pair = fit_rbf_linear_pair(
                     tmpl_rbf, tmpl_lin, ins[j], targets[j], weight,
-                    transient_reg=transient_reg,
-                    centers_by_size=block0_centers if j == 0 else None,
+                    transient_reg=transient_reg, centers_by_size=table,
                 )
             except MacqpError:
                 continue
-            pair_score = score(pair, j, weight)
+            out = _block_output(pair, ins[j], table)
+            pair_score = score(pair, j, weight, out)
             if pair_score < best_score:
-                best_score, best_pair = pair_score, pair
+                best_score, best_pair, best_out = pair_score, pair, out
         if best_pair is not None:
             new_layers[sl[0]] = best_pair[0]
             new_layers[sl[0] + 1] = best_pair[1]
+            if outs is not None:
+                outs[j] = best_out
     return NestedNet(new_layers, list(net.placement))
 
 

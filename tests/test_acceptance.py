@@ -323,6 +323,7 @@ def test_criterion_7_selection(capsys):
             assert ev["after"] <= ev["before"] * (1.0 + 1e-12)
 
 
+@pytest.mark.slow
 def test_criterion_8_budget_comparison(capsys, desk_net, desk_data):
     budget = 60.0
     schedule = PenaltySchedule(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -239,6 +240,52 @@ class TestDamagedBinaryFiles:
         p.write_bytes(bytes(raw))
         with pytest.raises(MacqpError, match="unknown layer kind code 7 at byte offset 12"):
             load_model(p)
+
+
+class TestInvalidModelFiles:
+    """Well-formed MACN files that describe no valid net are rejected at load
+    with a MacqpError naming the path, and ``macqp eval`` reports it."""
+
+    @staticmethod
+    def _write(path, layers, placement):
+        """A MACN file of linear layers given as (in_dim, out_dim, weights)."""
+        with open(path, "wb") as fh:
+            fh.write(b"MACN" + struct.pack("<II", 1, len(layers)))
+            for in_dim, out_dim, weights in layers:
+                fh.write(struct.pack("<BIIddd", 1, in_dim, out_dim, 0.0, 0.0, 0.0))
+                fh.write(np.asarray(weights, dtype="<f8").tobytes())
+            fh.write(struct.pack(f"<I{len(placement)}I", len(placement), *placement))
+        return path
+
+    def _rejected(self, tmp_path, capsys, p, match):
+        with pytest.raises(MacqpError, match=match) as err:
+            load_model(p)
+        assert str(err.value).startswith(f"{p}: ")
+        data = tmp_path / "d.macd"
+        save_dataset_f64bin(Dataset(np.ones((3, 2)), np.ones((3, 2))), data)
+        assert cli_main(["eval", "--model", str(p), "--data", str(data)]) == 1
+        assert str(p) in capsys.readouterr().err
+
+    def test_zero_layers(self, tmp_path, capsys):
+        p = self._write(tmp_path / "empty.macn", [], [])
+        self._rejected(tmp_path, capsys, p, "0 layers")
+
+    def test_widths_that_do_not_chain(self, tmp_path, capsys):
+        p = self._write(tmp_path / "chain.macn",
+                        [(2, 3, np.ones((3, 2))), (4, 2, np.ones((2, 4)))], [])
+        self._rejected(tmp_path, capsys, p, "widths do not chain: 3 -> 4")
+
+    def test_placement_out_of_range(self, tmp_path, capsys):
+        p = self._write(tmp_path / "placed.macn",
+                        [(2, 3, np.ones((3, 2))), (3, 2, np.ones((2, 3)))], [2])
+        self._rejected(tmp_path, capsys, p, "placement index 2 outside 1..1")
+
+    def test_non_finite_weights(self, tmp_path, capsys):
+        p = self._write(tmp_path / "nan.macn",
+                        [(2, 3, np.ones((3, 2))), (3, 2, [[1, 1, np.nan]] * 2)], [1])
+        # the second layer's weights follow the header, one spec and 6 weights
+        self._rejected(tmp_path, capsys, p,
+                       "layer 2's weights at byte offset 126: .*non-finite")
 
 
 class TestPgm:

@@ -7,8 +7,9 @@ import pytest
 
 import macqp.baselines
 import macqp.mac
+import macqp.model
 import macqp.selection
-from conftest import rbf_autoencoder
+from conftest import rbf_autoencoder, sigmoid_autoencoder
 from macqp.baselines import fit_rbf_linear_pair, kmeans, ridge_lsq
 from macqp.data import pca_embed, synth_manifold_dataset
 from macqp.kernels import rbf_design
@@ -313,3 +314,132 @@ class TestFirstBlockCenterTable:
         assert len(trace.rows) == len(ref_trace.rows)
         for a, b in zip(trace.rows, ref_trace.rows):
             assert replace(a, seconds=0.0) == replace(b, seconds=0.0)
+
+
+def _rbf_select_problem():
+    """An rbf_select-shaped problem: RBF autoencoder, coding placement,
+    selection over five sizes per block every two iterations."""
+    data = synth_manifold_dataset(120, 16, 1, 0.01, seed=7)
+    specs = [
+        LayerSpec(LayerKind.GAUSSIAN_RBF, 16, 40, rbf_width=2.0),
+        LayerSpec(LayerKind.LINEAR_DENSE, 40, 2, ridge=1e-6, bias=False),
+        LayerSpec(LayerKind.GAUSSIAN_RBF, 2, 40, rbf_width=2.0),
+        LayerSpec(LayerKind.LINEAR_DENSE, 40, 16, ridge=1e-6, bias=False),
+    ]
+    net = init_weights(specs, 3, placement=[2])
+    sel_cfg = SelectionConfig([[10, 20, 30, 40, 50]] * 2, epsilon_sq=1e-4, cadence=2)
+    schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=4, stage_tolerance=1e-8)
+    kwargs = dict(sel_cfg=sel_cfg, z_init=AuxState([pca_embed(data.X, 2)]))
+    return net, data, schedule, kwargs
+
+
+def _without(fn, *names):
+    """fn with the keyword arguments ``names`` dropped from every call."""
+    def call(*args, **kwargs):
+        return fn(*args, **{k: v for k, v in kwargs.items() if k not in names})
+    return call
+
+
+class TestSharedBlockEvaluations:
+    """mac_train shares each block's output and RBF design matrices between
+    steps; the results equal evaluating every block afresh, bit for bit."""
+
+    def _run(self, monkeypatch, net, data, schedule, recompute, **kwargs):
+        if recompute:
+            for module, name, dropped in (
+                (macqp.mac, "w_step", ("outs", "tables")),
+                (macqp.mac, "z_step", ("f1",)),
+                (macqp.selection, "selection_step", ("outs", "tables")),
+                (macqp.mac, "nested_objective", ("prefix",)),
+                (macqp.mac, "qp_objective", ("outs",)),
+                (macqp.mac, "constraint_residuals", ("outs",)),
+            ):
+                monkeypatch.setattr(module, name, _without(getattr(module, name), *dropped))
+        out = mac_train(net, data, schedule, StepConfig(), **kwargs)
+        monkeypatch.undo()
+        return out
+
+    def _assert_same_runs(self, monkeypatch, net, data, schedule, **kwargs):
+        out, Z, trace = self._run(monkeypatch, net, data, schedule, False, **kwargs)
+        ref, ref_Z, ref_trace = self._run(monkeypatch, net, data, schedule, True, **kwargs)
+        for a, b in zip(out.layers, ref.layers, strict=True):
+            assert a.spec == b.spec
+            np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
+        for a, b in zip(Z.coords, ref_Z.coords, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert [replace(r, seconds=0.0) for r in trace.rows] == [
+            replace(r, seconds=0.0) for r in ref_trace.rows]
+        assert trace.selection_events == ref_trace.selection_events
+        return trace
+
+    def test_rbf_select_net(self, monkeypatch):
+        net, data, schedule, kwargs = _rbf_select_problem()
+        trace = self._assert_same_runs(monkeypatch, net, data, schedule, **kwargs)
+        assert trace.selection_events
+
+    def test_sigmoid_net_with_validation_split(self, monkeypatch):
+        data = synth_manifold_dataset(60, 8, 1, 0.05, seed=4, n_val=30)
+        net = sigmoid_autoencoder((8, 5, 2, 5, 8), seed=6)
+        schedule = PenaltySchedule(max_stages=4, max_iters_per_stage=5,
+                                   stage_tolerance=1e-6)
+        trace = self._assert_same_runs(monkeypatch, net, data, schedule)
+        # some stage restored an iterate other than its last one: the row
+        # after the restore has a lower validation error than the row before
+        rows = trace.rows
+        assert any(cur.event == "mu_increase" and cur.e1_val < prev.e1_val
+                   for prev, cur in zip(rows, rows[1:]))
+
+    def test_path_shaped_net(self, monkeypatch):
+        data = synth_manifold_dataset(40, 4, 1, 0.0, seed=3)
+        net = sigmoid_autoencoder((4, 24, 2, 24, 4), seed=5)
+        schedule = PenaltySchedule(max_stages=5, max_iters_per_stage=3,
+                                   stage_tolerance=1e-13)
+        trace = self._assert_same_runs(monkeypatch, net, data, schedule)
+        assert {r.mu for r in trace.rows} == {1.0, 10.0, 100.0, 1000.0, 1e4}
+
+    def test_each_first_block_design_made_once(self, monkeypatch):
+        # the first block's inputs are data.X for the whole run, so its
+        # output at given centers is computed once: for the initial centers,
+        # then once per size that k-means places
+        net, data, schedule, kwargs = _rbf_select_problem()
+        centers_on_x = []
+        for module in (macqp.model, macqp.baselines):
+            design = getattr(module, "rbf_design")
+
+            def counted(X, C, *args, _design=design, **kw):
+                if X is data.X:
+                    centers_on_x.append(np.asarray(C).tobytes())
+                return _design(X, C, *args, **kw)
+
+            monkeypatch.setattr(module, "rbf_design", counted)
+        mac_train(net, data, schedule, StepConfig(), **kwargs)
+        assert len(centers_on_x) == 1 + 5
+        assert len(set(centers_on_x)) == len(centers_on_x)
+
+    def test_w_step_after_selection_reuses_its_k_means(self, monkeypatch):
+        net, data, schedule, kwargs = _rbf_select_problem()
+        calls = []  # (step, number of k-means runs on coordinates inside it)
+        kmeans_fn = macqp.baselines.kmeans
+
+        def counted(points, k, *args, **kw):
+            if points is not data.X:
+                calls[-1][1] += 1
+            return kmeans_fn(points, k, *args, **kw)
+
+        def step(name, fn):
+            def call(*args, **kw):
+                calls.append([name, 0])
+                return fn(*args, **kw)
+            return call
+
+        monkeypatch.setattr(macqp.baselines, "kmeans", counted)
+        monkeypatch.setattr(macqp.mac, "w_step", step("w", macqp.mac.w_step))
+        monkeypatch.setattr(macqp.selection, "selection_step",
+                            step("select", macqp.selection.selection_step))
+        mac_train(net, data, schedule, StepConfig(), **kwargs)
+        after_selection = [c for p, c in zip(calls, calls[1:])
+                           if p[0] == "select" and c[0] == "w"]
+        after_z_step = [c for p, c in zip(calls, calls[1:]) if p[0] == "w" and c[0] == "w"]
+        assert after_selection and all(n == 0 for _, n in after_selection)
+        # a W-step that follows a Z-step clusters the moved coordinates afresh
+        assert after_z_step and all(n == 1 for _, n in after_z_step)
