@@ -81,26 +81,32 @@ def kmeans(points, k, seed=0, iters=20):
     flat = points.ravel()
     cols = np.arange(d)
     x_sq = row_sq_norms(points)
+    prev_assign = None
     for _ in range(iters):
         d2 = sq_dist(points, centers, x_sq)
         assign = np.argmin(d2, axis=1)
-        closest = d2[np.arange(m), assign]
         counts = np.bincount(assign, minlength=k)
+        full = counts > 0
+        # the assignment that gave the centers, with no cluster empty: its
+        # means are the centers again
+        if full.all() and np.array_equal(assign, prev_assign):
+            break
         # bincount adds each cluster's rows in point order, as an axis-0
         # mean over a (c, d >= 2) block does, so the centers match it bit for bit
         sums = np.bincount(
             (assign[:, None] * d + cols).ravel(), weights=flat, minlength=k * d
         ).reshape(k, d)
-        full = counts > 0
         new_centers = np.empty_like(centers)
         new_centers[full] = sums[full] / counts[full, None]
-        for j in np.flatnonzero(~full):
-            far = int(np.argmax(closest))
-            new_centers[j] = points[far]
-            closest[far] = 0.0
+        if not full.all():
+            closest = d2[np.arange(m), assign]
+            for j in np.flatnonzero(~full):
+                far = int(np.argmax(closest))
+                new_centers[j] = points[far]
+                closest[far] = 0.0
         if np.array_equal(new_centers, centers):
             break
-        centers = new_centers
+        centers, prev_assign = new_centers, assign
     return centers
 
 
@@ -108,15 +114,19 @@ def kmeans_objective(points, centers):
     return float(np.sum(np.min(sq_dist(points, centers), axis=1)))
 
 
-def ridge_lsq(features, targets, lam):
-    """Solve (Phi^T Phi + lam I) W = Phi^T T by Cholesky factorization."""
+def ridge_lsq(features, targets, lam, gram=None):
+    """Solve (Phi^T Phi + lam I) W = Phi^T T by Cholesky factorization.
+
+    ``gram``, if given, is Phi^T Phi, which is then not formed again; it
+    is left unchanged.
+    """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
     squeeze = targets.ndim == 1
     targets = np.atleast_2d(targets.T).T if squeeze else targets
     if lam < 0:
         raise ValueError("ridge lambda must be nonnegative")
-    A = features.T @ features
+    A = features.T @ features if gram is None else gram.copy()
     rhs = features.T @ targets
     m = A.shape[0]
     A[np.diag_indices(m)] += lam
@@ -345,13 +355,16 @@ def fit_rbf_linear_pair(rbf_layer, lin_layer, A_in, T, weight, seed=0, transient
     the center count matches), the readout from ridge least squares:
     it minimizes weight/2 * |T - readout|^2 + (ridge + transient_reg) *
     |readout weights|^2.  ``centers_by_size`` is an optional
-    {center count: (centers, design matrix)} table of earlier fits on
-    these same inputs with this seed and width; a size found there skips
-    k-means and the design matrix, and a size computed here is added to
+    {center count: (centers, design matrix, Gram matrix)} table of
+    earlier fits on these same inputs with this seed, width and readout
+    bias; a size found there skips k-means, the design matrix and the
+    Gram matrix of the readout's features (the design matrix, with a bias
+    column if the readout has one), and a size computed here is added to
     it.  The design matrix is the RBF layer's output at A_in and gets
     layer_apply's checks when it is made, so an entry can stand in for it.
     """
     m = rbf_layer.spec.out_dim
+    bias = lin_layer.spec.bias
     entry = None if centers_by_size is None else centers_by_size.get(m)
     if entry is None:
         centers = A_in.copy() if m == A_in.shape[0] else kmeans(A_in, m, seed=seed)
@@ -359,13 +372,15 @@ def fit_rbf_linear_pair(rbf_layer, lin_layer, A_in, T, weight, seed=0, transient
         phi = rbf_design(A_in, centers, rbf_layer.spec.rbf_width)
         if not np.all(np.isfinite(phi)):
             raise NonFiniteError("non-finite RBF design matrix")
-        entry = (centers, phi)
+        phi_full = add_bias_col(phi) if bias else phi
+        entry = (centers, phi, phi_full.T @ phi_full)
         if centers_by_size is not None:
             centers_by_size[m] = entry
-    centers, phi = entry
-    phi_full = add_bias_col(phi) if lin_layer.spec.bias else phi
+    else:
+        phi_full = add_bias_col(entry[1]) if bias else entry[1]
+    centers, _, gram = entry
     lam = 2.0 * (lin_layer.spec.ridge + transient_reg) / weight if weight > 0 else 0.0
-    W_lin = ridge_lsq(phi_full, T, lam).T
+    W_lin = ridge_lsq(phi_full, T, lam, gram=gram).T
     return (
         # a copy, so that no layer shares its matrix with a table entry
         Layer(rbf_layer.spec, LayerWeights(centers.copy())),

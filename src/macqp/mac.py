@@ -186,10 +186,10 @@ def block_outputs(net, Z, X):
 def _block_output(layers, A_in, table=None):
     """The output of a block's layers at inputs A_in.
 
-    ``table`` is the block's {size: (centers, design matrix)} table of RBF
-    fits at A_in (see fit_rbf_linear_pair).  If the first layer is an RBF
-    layer whose centers are its size's entry there, that entry's design
-    matrix is its output.
+    ``table`` is the block's {size: (centers, design matrix, Gram
+    matrix)} table of RBF fits at A_in (see fit_rbf_linear_pair).  If
+    the first layer is an RBF layer whose centers are its size's entry
+    there, that entry's design matrix is its output.
     """
     out, rest = A_in, layers
     first = layers[0]
@@ -404,8 +404,8 @@ def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=
     Returns replacement layers; the caller is responsible for rejecting a
     refit that increases its part of the objective (possible only for the
     k-means-based RBF path).  ``centers_by_size`` is the {size: (centers,
-    design matrix)} table of an RBF block whose inputs are A_in (see
-    fit_rbf_linear_pair).
+    design matrix, Gram matrix)} table of an RBF block whose inputs are
+    A_in (see fit_rbf_linear_pair).
     """
     layers = net.layers[sl[0] : sl[1]]
     kinds = [l.spec.kind for l in layers]
@@ -431,10 +431,10 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     ``outs``, if given, is block_outputs(net, Z, data.X): the current
     blocks are scored from it, and each accepted refit's output replaces
     its block's entry in place.  ``tables``, if given, holds one {size:
-    (centers, design matrix)} table per block of RBF fits at the block's
-    current inputs (see fit_rbf_linear_pair).  A fit or output at a size
-    in its block's table reuses that entry, and a fit at a new size adds
-    one.
+    (centers, design matrix, Gram matrix)} table per block of RBF fits at
+    the block's current inputs (see fit_rbf_linear_pair).  A fit or
+    output at a size in its block's table reuses that entry, and a fit at
+    a new size adds one.
     """
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
@@ -459,11 +459,30 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
 # ---------------------------------------------------------------------------
 # Z-step
 
-# Points per Z-step tile.  The tiles, not the worker count, fix which
-# points are batched together, so results are the same for any number of
-# workers.  Larger tiles pay numpy's per-call overhead over more points but
-# hold larger stacked Jacobians; 64 was measured against 16, 32 and 128.
+# The fewest points per Z-step tile.  The tiles, not the worker count, fix
+# which points are batched together, so results are the same for any number
+# of workers.  Larger tiles pay numpy's per-call overhead over more points
+# but hold larger stacked Jacobians; 64 was measured against 16, 32 and 128.
 Z_TILE = 64
+
+# Elements of stacked Jacobians and Gauss-Newton diagonal blocks a Z-step
+# tile may hold: a net with narrow coordinate blocks, whose points cost
+# little each, gets tiles of more than Z_TILE points (see _z_tile).
+Z_TILE_ELEMS = 1 << 16
+
+
+def _z_tile(net):
+    """Points per Z-step tile for this net; it depends on the net only.
+
+    One point holds, for each block fed by coordinates, the input Jacobian
+    of each of its layers (out_dim x the block's input width), and one
+    Gauss-Newton diagonal block per coordinate block (width^2).
+    """
+    per_point = 0
+    for a, b in block_slices(net)[1:]:
+        width = net.layers[a].spec.in_dim
+        per_point += width * (width + sum(net.layers[i].spec.out_dim for i in range(a, b)))
+    return max(Z_TILE, Z_TILE_ELEMS // per_point)
 
 
 def _block_forward(net, sl, Z_in):
@@ -637,8 +656,8 @@ def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
 def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
     """Per-point coordinate update by damped Gauss-Newton; never increases E_Q.
 
-    The points are solved in fixed tiles of Z_TILE, each tile as one
-    batched block-tridiagonal system; workers take whole tiles.  The
+    The points are solved in fixed tiles of _z_tile(net) points, each tile
+    as one batched block-tridiagonal system; workers take whole tiles.  The
     first block's output depends on the weights and inputs only, so it
     is computed once for all points, unless given as ``f1``.
     """
@@ -652,7 +671,8 @@ def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
         zs = [c[lo:hi] for c in Z.coords]
         return _z_tile_update(net, slices, F1[lo:hi], Y[lo:hi], zs, mu, cfg)
 
-    tiles = [(lo, min(lo + Z_TILE, data.n)) for lo in range(0, data.n, Z_TILE)]
+    tile = _z_tile(net)
+    tiles = [(lo, min(lo + tile, data.n)) for lo in range(0, data.n, tile)]
     parts = parallel_map([lambda t=t: tile_task(*t) for t in tiles], workers)
     return AuxState([np.vstack([p[j] for p in parts]) for j in range(len(Z.coords))])
 
@@ -706,13 +726,15 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     coordinates after a Z-step, the resized blocks of a selection step,
     and every block when the best iterate is restored.  The trace rows,
     the Z-step (the first block's output) and the W- and selection steps
-    (the current blocks' objective) read these outputs.  Each block also
-    has a {size: (centers, design matrix)} table of RBF fits at its
-    inputs, shared by the W- and selection steps: k-means always runs
-    with seed 0, so a fit depends only on the inputs and the size.  The
-    first block's inputs are data.X, so its table lasts the whole call;
-    the table of a block fed by coordinates is emptied whenever a Z-step
-    or a restore changes them.
+    (the current blocks' objective) read these outputs.  A row computes
+    E1 only after the weights changed (a W-step, a selection step or a
+    restore); a zstep or mu_increase row repeats the last values.  Each
+    block also has a {size: (centers, design matrix, Gram matrix)} table
+    of RBF fits at its inputs, shared by the W- and selection steps:
+    k-means always runs with seed 0, so a fit depends only on the inputs
+    and the size.  The first block's inputs are data.X, so its table
+    lasts the whole call; the table of a block fed by coordinates is
+    emptied whenever a Z-step or a restore changes them.
     """
     net = net.copy()
     Z = z_init.copy() if z_init is not None else lift_to_feasible(net, data.X)
@@ -751,14 +773,20 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         for j in blocks:
             outs[j] = _block_output(net.layers[slices[j][0] : slices[j][1]], ins[j], tables[j])
 
+    # (e1_train, e1_val) at the current weights; None once a W-step, a
+    # selection step or a restore changes them, until the next row
+    e1 = None
+
     def record(event):
-        e1_train = nested_objective(net, data, prefix=(slices[0][1], outs[0]))
+        nonlocal e1
+        if e1 is None:
+            e1_train = nested_objective(net, data, prefix=(slices[0][1], outs[0]))
+            e1 = (e1_train, nested_objective(net, val_data) if track_val else e1_train)
         trace.add(
             it,
             time.perf_counter() - t0,
             mu,
-            e1_train,
-            nested_objective(net, val_data) if track_val else e1_train,
+            *e1,
             qp_objective(net, Z, data, mu, transient, outs=outs),
             float(np.max(constraint_residuals(net, Z, data.X, outs=outs))),
             event,
@@ -782,6 +810,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         for _ in range(schedule.max_iters_per_stage):
             net = w_step(net, Z, data, mu, cfg, transient_reg=transient,
                          outs=outs, tables=tables)
+            e1 = None
             it += 1
             record("wstep")
             Z_before = Z
@@ -799,6 +828,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
                     before_total = row.eq + aic_cost(net, sel_cfg.epsilon_sq)
                     net = selection_step(net, Z, data, mu, sel_cfg, transient_reg=transient,
                                          outs=outs, tables=tables)
+                    e1 = None
                     it += 1
                     row = record("model_select")
                     trace.selection_events.append(
@@ -825,6 +855,7 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         if track_val:
             Z_before = Z
             net, Z = best[0], best[1]
+            e1 = None
             moved_since(Z_before)
             refresh(range(len(slices)))
         if stop or stage == schedule.max_stages - 1:

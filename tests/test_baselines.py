@@ -191,7 +191,7 @@ class TestKmeans:
         for m, k in ((40, 1), (40, 3), (97, 8), (200, 25)):
             pts = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0)
             for seed in (0, 1, 7):
-                for iters in (0, 1, 20):
+                for iters in (0, 1, 2, 20):
                     np.testing.assert_array_equal(
                         kmeans(pts, k, seed=seed, iters=iters),
                         slow_kmeans(pts, k, seed=seed, iters=iters),
@@ -202,7 +202,7 @@ class TestKmeans:
         for m, k in ((40, 1), (40, 3), (97, 8), (200, 25)):
             pts = rng.normal(size=(m, 1))
             for seed in (0, 1, 7):
-                for iters in (0, 1, 20):
+                for iters in (0, 1, 2, 20):
                     np.testing.assert_allclose(
                         kmeans(pts, k, seed=seed, iters=iters),
                         slow_kmeans(pts, k, seed=seed, iters=iters),
@@ -224,6 +224,22 @@ class TestKmeans:
                     slow_kmeans(pts, 9, seed=seed, iters=iters),
                 )
         assert empty_seen
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_matches_per_cluster_loop_in_first_iterations(self, rng, d, order):
+        # one and two Lloyd steps, on points with and without duplicates:
+        # with six distinct points and nine clusters, three or more
+        # clusters are empty in every iteration
+        for pts in (rng.normal(size=(30, d)), np.repeat(rng.normal(size=(6, d)), 5, axis=0)):
+            pts = np.asarray(pts, order=order)
+            for k in (3, 9):
+                for seed in range(6):
+                    for iters in (1, 2):
+                        np.testing.assert_array_equal(
+                            kmeans(pts, k, seed=seed, iters=iters),
+                            slow_kmeans(pts, k, seed=seed, iters=iters),
+                        )
 
     def test_empty_clusters_reseeded_farthest_first_in_order(self):
         pts = np.zeros((40, 2))
@@ -273,6 +289,20 @@ class TestRidgeLsq:
         np.testing.assert_allclose(ridge_lsq(phi, T, lam), want, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(ridge_lsq(phi, T[:, 0], lam), want[:, 0], rtol=1e-10,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_given_gram_matrix_is_used_and_kept(self, rng, lam):
+        phi = rng.normal(size=(40, 7))
+        T = rng.normal(size=(40, 3))
+        gram = phi.T @ phi
+        kept = gram.copy()
+        np.testing.assert_array_equal(ridge_lsq(phi, T, lam, gram=gram),
+                                      ridge_lsq(phi, T, lam))
+        np.testing.assert_array_equal(gram, kept)
+        # the solve reads the Gram matrix it is given, not the features
+        want = np.linalg.solve(2.0 * gram + lam * np.eye(7), phi.T @ T)
+        np.testing.assert_allclose(ridge_lsq(phi, T, lam, gram=2.0 * gram), want,
+                                   rtol=1e-10, atol=1e-12)
 
     def test_singular_systems_raise(self):
         # entries 2^42 and a rank-one Gram matrix: adding 1e-6 or 1e-12 to

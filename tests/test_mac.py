@@ -34,6 +34,7 @@ from macqp.mac import (
     z_step,
 )
 from macqp.baselines import kmeans, ridge_lsq
+from macqp.data import synth_manifold_dataset
 from macqp.kernels import rbf_design
 from macqp.model import (
     Dataset,
@@ -287,11 +288,14 @@ def _z_problem(rng, kind, n):
 class TestBatchedZStep:
     """The tiled block-tridiagonal Z-step against the point-by-point reference."""
 
-    # one point, parts of one tile, a nearly full tile, two tiles and a short one
+    # one point, parts of one tile, a nearly full tile, two tiles and a short
+    # one, at tiles of Z_TILE points: these nets would fit in one tile
     @pytest.mark.parametrize("n", [1, 13, 37, Z_TILE - 3, 2 * Z_TILE + 5])
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
-    def test_matches_point_by_point_reference(self, rng, kind, n):
+    def test_matches_point_by_point_reference(self, rng, monkeypatch, kind, n):
+        monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
         net, data, Z = _z_problem(rng, kind, n)
+        assert macqp.mac._z_tile(net) == Z_TILE
         cfg = StepConfig(z_gn_iters=2)
         for mu in (0.5, 50.0):
             got = z_step(net, Z, data, mu, cfg).coords
@@ -399,7 +403,8 @@ class TestBatchedZStep:
 
     def test_first_block_evaluated_once_per_z_step(self, rng, monkeypatch):
         # the first block's output does not depend on the coordinates
-        net, data, Z = _z_problem(rng, "mixed", 2 * Z_TILE + 5)
+        tile = macqp.mac._z_tile(_z_problem(rng, "mixed", 1)[0])
+        net, data, Z = _z_problem(rng, "mixed", 2 * tile + 5)  # three tiles
         first = block_slices(net)[0]
         calls = []
 
@@ -426,6 +431,40 @@ class TestBatchedZStep:
         assert not found[4] and found.sum() == 6
         for a, b in zip(D + U + g, before):
             np.testing.assert_array_equal(a, b)
+
+
+class TestZTile:
+    """The Z-step tile: Z_TILE points, or more for nets whose points hold
+    few Jacobian and Gauss-Newton elements."""
+
+    @pytest.mark.parametrize("widths", [(4, 24, 2, 24, 4), (64, 32, 8, 32, 64)])
+    def test_path_and_desk_nets_keep_z_tile(self, widths):
+        assert macqp.mac._z_tile(sigmoid_autoencoder(widths)) == Z_TILE
+
+    def test_rbf_select_net_solves_its_points_in_one_tile(self):
+        # 2-wide codes: each point holds 2 x (40 + 16) Jacobian and 2 x 2
+        # Gauss-Newton elements
+        net = rbf_autoencoder(16, 40, 2, 40)
+        assert macqp.mac._z_tile(net) == macqp.mac.Z_TILE_ELEMS // 116 >= 500
+
+    def test_tile_counts_every_layer_of_a_block(self):
+        # block 1 is the sigmoid 6 -> 3 and the RBF 3 -> 7 fed by 6-wide
+        # coordinates, block 2 the linear 7 -> 5 fed by 7-wide ones
+        net, _, _ = _z_problem(np.random.default_rng(0), "mixed", 1)
+        per_point = 6 * (3 + 7) + 7 * 5 + 6**2 + 7**2
+        assert macqp.mac._z_tile(net) == macqp.mac.Z_TILE_ELEMS // per_point
+
+    @pytest.mark.parametrize("kind", ["rbf", "mixed"])
+    def test_tiles_of_z_tile_points_agree_with_one_tile(self, rng, monkeypatch, kind):
+        net, data, Z = _z_problem(rng, kind, 300)
+        assert macqp.mac._z_tile(net) >= data.n
+        cfg = StepConfig(z_gn_iters=2)
+        for mu in (0.5, 50.0):
+            whole = z_step(net, Z, data, mu, cfg).coords
+            monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
+            tiled = z_step(net, Z, data, mu, cfg).coords
+            monkeypatch.undo()
+            assert max(np.max(np.abs(a - b)) for a, b in zip(whole, tiled)) <= 1e-12
 
 
 def _sigmoid_layer_problem(rng, n, d_in, units):
@@ -708,9 +747,10 @@ class TestMacTrain:
             if cur.event in ("wstep", "zstep") and prev.mu == cur.mu:
                 assert cur.eq <= prev.eq * (1 + 1e-10)
 
-    def test_each_trace_value_computed_once_per_row(self, rng, monkeypatch):
-        calls = {"nested_objective": 0, "qp_objective": 0}
-        for name in calls:
+    @staticmethod
+    def _count_calls(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             fn = getattr(macqp.mac, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -718,17 +758,49 @@ class TestMacTrain:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(macqp.mac, name, counted)
+        return calls
+
+    def test_each_trace_value_computed_once_per_row(self, rng, monkeypatch):
+        calls = self._count_calls(monkeypatch, "nested_objective", "qp_objective")
         net = sigmoid_autoencoder((5, 3, 5), seed=1)
         X = rng.uniform(size=(12, 5))
         schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=2)
         _, _, trace = mac_train(net, Dataset(X, X), schedule, StepConfig())
-        # E1 once per row; E_Q once per row plus once for the first stage
-        assert calls["nested_objective"] == len(trace.rows)
+        # E1 once per weight change, here once per W-step: a zstep or
+        # mu_increase row repeats the row before's E1; E_Q once per row
+        # plus once for the first stage
+        events = [r.event for r in trace.rows]
+        assert calls["nested_objective"] == events.count("wstep") < len(events)
         assert calls["qp_objective"] == len(trace.rows) + 1
+        for prev, cur in zip(trace.rows, trace.rows[1:]):
+            if cur.event != "wstep":
+                assert (cur.e1_train, cur.e1_val) == (prev.e1_train, prev.e1_val)
+
+    def test_e1_computed_once_per_weight_change_with_validation_split(
+            self, rng, monkeypatch):
+        calls = self._count_calls(monkeypatch, "nested_objective")
+        data = synth_manifold_dataset(40, 6, 1, 0.05, seed=4, n_val=20)
+        net = sigmoid_autoencoder((6, 4, 2, 4, 6), seed=6)
+        schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=3,
+                                   stage_tolerance=1e-6)
+        fresh = []
+
+        def callback(net_, Z_):
+            fresh.append((nested_objective(net_, data),
+                          nested_objective(net_, data.eval_split())))
+
+        _, _, trace = mac_train(net, data, schedule, StepConfig(),
+                                iteration_callback=callback)
+        # training and validation E1 after every W-step and every restore
+        # (each mu_increase row follows one), and the first stage's start
+        events = [r.event for r in trace.rows]
+        changes = events.count("wstep") + events.count("mu_increase")
+        assert calls["nested_objective"] == 2 * changes + 1
+        # a zstep row's repeated E1 is that of its weights, bit for bit
+        zrows = [r for r in trace.rows if r.event == "zstep"]
+        assert [(r.e1_train, r.e1_val) for r in zrows] == fresh
 
     def test_reduces_nested_error(self, rng):
-        from macqp.data import synth_manifold_dataset
-
         net = sigmoid_autoencoder((8, 5, 2, 5, 8), seed=6)
         data = synth_manifold_dataset(50, 8, 1, 0.01, seed=4)
         out, Z, trace = mac_train(

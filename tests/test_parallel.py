@@ -8,7 +8,7 @@ import pytest
 
 import macqp.mac
 from conftest import sigmoid_autoencoder
-from macqp.mac import Z_TILE, AuxState, StepConfig, lift_to_feasible, w_step, z_step
+from macqp.mac import AuxState, StepConfig, _z_tile, lift_to_feasible, w_step, z_step
 from macqp.model import Dataset, MacqpError
 from macqp.parallel import parallel_map, resolve_workers
 
@@ -98,8 +98,8 @@ class TestConfig:
 class TestStepDeterminism:
     def _problem(self, rng):
         net = sigmoid_autoencoder((8, 5, 3, 5, 8), seed=13)
-        # three tiles, the last one short
-        X = rng.uniform(size=(2 * Z_TILE + 5, 8))
+        # three Z-step tiles, the last one short
+        X = rng.uniform(size=(2 * _z_tile(net) + 5, 8))
         data = Dataset(X, X)
         Z = AuxState(
             [c + 0.1 * rng.normal(size=c.shape)

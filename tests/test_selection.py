@@ -316,6 +316,24 @@ class TestFirstBlockCenterTable:
             assert replace(a, seconds=0.0) == replace(b, seconds=0.0)
 
 
+@pytest.mark.parametrize("bias", [False, True])
+def test_table_entry_reproduces_the_fit_bitwise(rng, bias):
+    # the entry's design and Gram matrices, the latter with the readout's
+    # bias column, stand in for computing them afresh
+    rbf = Layer(LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5),
+                LayerWeights(np.zeros((8, 3))))
+    lin_spec = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=bias)
+    lin = Layer(lin_spec, LayerWeights(np.zeros(lin_spec.weight_shape)))
+    A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
+    table = {}
+    fits = [fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4,
+                                centers_by_size=t) for t in (None, table, table)]
+    assert list(table) == [8]
+    for fit in fits[1:]:
+        for a, b in zip(fits[0], fit):
+            np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
+
+
 def _rbf_select_problem():
     """An rbf_select-shaped problem: RBF autoencoder, coding placement,
     selection over five sizes per block every two iterations."""
@@ -415,6 +433,25 @@ class TestSharedBlockEvaluations:
         mac_train(net, data, schedule, StepConfig(), **kwargs)
         assert len(centers_on_x) == 1 + 5
         assert len(set(centers_on_x)) == len(centers_on_x)
+
+    def test_each_first_block_gram_made_once(self, monkeypatch):
+        # the first block's readout solves at one size share one Gram matrix
+        net, data, schedule, kwargs = _rbf_select_problem()
+        grams = []  # (size, Gram matrix) of each first-block readout solve
+        ridge = macqp.baselines.ridge_lsq
+
+        def counted(features, targets, lam, gram=None):
+            if targets.shape[1] == 2:  # fitted to the 2-wide codes: block 0
+                grams.append((features.shape[1], gram))
+            return ridge(features, targets, lam, gram=gram)
+
+        monkeypatch.setattr(macqp.baselines, "ridge_lsq", counted)
+        mac_train(net, data, schedule, StepConfig(), **kwargs)
+        sizes = {m for m, _ in grams}
+        assert sizes == {10, 20, 30, 40, 50}
+        assert len(grams) > 2 * len(sizes)
+        assert all(g is not None for _, g in grams)
+        assert len({id(g) for _, g in grams}) == len(sizes)
 
     def test_w_step_after_selection_reuses_its_k_means(self, monkeypatch):
         net, data, schedule, kwargs = _rbf_select_problem()
