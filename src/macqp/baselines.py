@@ -78,29 +78,31 @@ def kmeans(points, k, seed=0, iters=20):
         return points.copy()
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(m, size=k, replace=False)].copy()
-    flat = points.ravel()
-    cols = np.arange(d)
+    # each dimension's values in point order, contiguous for bincount
+    cols = points.T.copy()
     x_sq = row_sq_norms(points)
     prev_assign = None
     for _ in range(iters):
         d2 = sq_dist(points, centers, x_sq)
         assign = np.argmin(d2, axis=1)
         counts = np.bincount(assign, minlength=k)
-        full = counts > 0
+        full = counts.all()
         # the assignment that gave the centers, with no cluster empty: its
         # means are the centers again
-        if full.all() and np.array_equal(assign, prev_assign):
+        if full and np.array_equal(assign, prev_assign):
             break
         # bincount adds each cluster's rows in point order, as an axis-0
         # mean over a (c, d >= 2) block does, so the centers match it bit for bit
-        sums = np.bincount(
-            (assign[:, None] * d + cols).ravel(), weights=flat, minlength=k * d
-        ).reshape(k, d)
         new_centers = np.empty_like(centers)
-        new_centers[full] = sums[full] / counts[full, None]
-        if not full.all():
+        for j in range(d):
+            new_centers[:, j] = np.bincount(assign, weights=cols[j], minlength=k)
+        if full:
+            new_centers /= counts[:, None]
+        else:
+            filled = counts > 0
+            new_centers[filled] /= counts[filled, None]
             closest = d2[np.arange(m), assign]
-            for j in np.flatnonzero(~full):
+            for j in np.flatnonzero(~filled):
                 far = int(np.argmax(closest))
                 new_centers[j] = points[far]
                 closest[far] = 0.0

@@ -54,10 +54,13 @@ def _cmd_eval(args):
 
 def _cmd_synth(args):
     from .data import save_dataset_csv, save_dataset_f64bin, synth_manifold_dataset
+    from .harness import _synth_args
 
-    ds = synth_manifold_dataset(
-        args.n, args.ambient_dim, args.intrinsic_dim, args.noise, args.seed
-    )
+    # the checks a config's dataset.synth section gets, before any file is written
+    ds = synth_manifold_dataset(**_synth_args({
+        "n": args.n, "ambient_dim": args.ambient_dim, "intrinsic_dim": args.intrinsic_dim,
+        "noise": args.noise, "seed": args.seed,
+    }))
     if args.format == "csv":
         save_dataset_csv(ds, args.out)
     else:

@@ -6,13 +6,19 @@ __all__ = ["sigmoid", "rbf_design", "row_sq_norms", "sq_dist"]
 
 
 def sigmoid(t):
-    """Logistic sigmoid, evaluated with the overflow-safe branch for t<0."""
+    """Logistic sigmoid, overflow-safe: 1/(1+e^-t) for t >= 0, e^t/(1+e^t) below.
+
+    Both branches share e = exp(-|t|), so no element is gathered or
+    scattered by a mask; each rounds exactly as its formula does.  -|t| is
+    taken as min(t, -t), which passes a NaN on with its sign, as exp(t) did.
+    """
     t = np.ascontiguousarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
+    e = np.negative(t)
+    np.minimum(t, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -28,9 +34,10 @@ def sq_dist(X, C, x_sq=None):
     below zero; callers that need them nonnegative clamp.  ``x_sq`` is
     row_sq_norms(X), for a caller that measures many C against one X.
     """
-    # in place, in the order of the expansion: a + (-2 b) rounds as a - 2 b
-    d2 = X @ C.T
-    d2 *= -2.0
+    # in place, in the order of the expansion: a + (-2 b) rounds as a - 2 b;
+    # scaling C by -2 scales every product and partial sum exactly, so
+    # X (-2 C)^T is -2 (X C^T) bit for bit outside the subnormal range
+    d2 = X @ (-2.0 * C).T
     d2 += row_sq_norms(X) if x_sq is None else x_sq
     d2 += np.sum(C * C, axis=1)[None, :]
     return d2
@@ -41,6 +48,8 @@ def rbf_design(X, C, width):
     X = np.ascontiguousarray(X, dtype=np.float64)
     C = np.ascontiguousarray(C, dtype=np.float64)
     width = float(width)
-    sq = sq_dist(X, C)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (width * width))
+    out = sq_dist(X, C)
+    np.maximum(out, 0.0, out=out)
+    np.negative(out, out=out)
+    out /= width * width
+    return np.exp(out, out=out)

@@ -240,6 +240,18 @@ def slow_z_step(net, Z, data, mu, cfg):
     return coords
 
 
+def slow_sigmoid(t):
+    """Logistic sigmoid with one masked gather and scatter per branch:
+    1/(1+exp(-t)) where t >= 0, exp(t)/(1+exp(t)) elsewhere (NaN included)."""
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
 def slow_kmeans(points, k, seed=0, iters=20):
     """Lloyd's algorithm recomputing one center at a time with a masked mean.
 

@@ -14,6 +14,7 @@ from macqp.baselines import (
     ridge_lsq,
     sgd_train,
 )
+from macqp.kernels import sq_dist
 from macqp.mac import AuxState, StepConfig, w_step
 from macqp.model import (
     Dataset,
@@ -240,6 +241,42 @@ class TestKmeans:
                             kmeans(pts, k, seed=seed, iters=iters),
                             slow_kmeans(pts, k, seed=seed, iters=iters),
                         )
+
+    @staticmethod
+    def _codes_on_a_curve(rng, m):
+        s = np.sort(rng.uniform(0.0, 1.0, m))
+        return np.column_stack([np.cos(3.0 * s), np.sin(5.0 * s)])
+
+    @pytest.mark.parametrize("k", [10, 20, 30, 40, 50])
+    def test_matches_per_cluster_loop_on_codes_on_a_curve(self, rng, k):
+        # 500 2-D codes, clustered as selection clusters them: no iteration
+        # leaves a cluster empty, so every step divides without a mask
+        pts = self._codes_on_a_curve(rng, 500) + rng.normal(scale=0.01, size=(500, 2))
+        for seed in (0, 1, 2):
+            for iters in range(20):
+                centers = kmeans(pts, k, seed=seed, iters=iters)
+                assign = np.argmin(sq_dist(pts, centers), axis=1)
+                assert np.bincount(assign, minlength=k).all()
+            np.testing.assert_array_equal(
+                kmeans(pts, k, seed=seed, iters=20),
+                slow_kmeans(pts, k, seed=seed, iters=20),
+            )
+            assert not np.array_equal(
+                kmeans(pts, k, seed=seed, iters=20), kmeans(pts, k, seed=seed, iters=1)
+            )
+
+    @pytest.mark.parametrize("k", [20, 40, 50])
+    def test_matches_per_cluster_loop_on_duplicated_codes(self, rng, k):
+        # 500 codes at 30 distinct points: k = 40 and 50 leave clusters
+        # empty in every iteration, so each one re-seeds
+        distinct = self._codes_on_a_curve(rng, 30)
+        pts = distinct[rng.integers(0, 30, size=500)]
+        for seed in range(4):
+            for iters in (1, 2, 20):
+                np.testing.assert_array_equal(
+                    kmeans(pts, k, seed=seed, iters=iters),
+                    slow_kmeans(pts, k, seed=seed, iters=iters),
+                )
 
     def test_empty_clusters_reseeded_farthest_first_in_order(self):
         pts = np.zeros((40, 2))

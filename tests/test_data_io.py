@@ -480,6 +480,19 @@ class TestCli:
         assert rc == 0
         assert "E1 =" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "dataset.synth.n must be an integer >= 1, got 0"),
+        (["--n", "-3"], "dataset.synth.n must be an integer >= 1, got -3"),
+        (["--noise", "-1"], "dataset.synth.noise must be a finite number >= 0, got -1.0"),
+        (["--intrinsic-dim", "0"], "dataset.synth.intrinsic_dim must be an integer >= 1, got 0"),
+        (["--noise", "nan"], "dataset.synth.noise must be a finite number >= 0, got nan"),
+    ], ids=["n=0", "n=-3", "noise=-1", "intrinsic-dim=0", "noise=nan"])
+    def test_synth_rejects_bad_flags_before_writing(self, tmp_path, capsys, flags, message):
+        data_path = tmp_path / "ds.macd"
+        rc = cli_main(["synth", "--out", str(data_path), *flags])
+        assert rc == 1 and not data_path.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bench_parallel_writes_csv(self, tmp_path):
         cfg = _mac_config(tmp_path / "bench")
         cfg["schedule"] = {"max_stages": 2, "max_iters_per_stage": 2}
