@@ -56,11 +56,12 @@ def _cmd_synth(args):
     from .data import save_dataset_csv, save_dataset_f64bin, synth_manifold_dataset
     from .harness import _synth_args
 
-    # the checks a config's dataset.synth section gets, before any file is written
+    # the checks a config's dataset.synth section gets, before any file is
+    # written; an error names the key's flag: --n, --ambient-dim, ...
     ds = synth_manifold_dataset(**_synth_args({
         "n": args.n, "ambient_dim": args.ambient_dim, "intrinsic_dim": args.intrinsic_dim,
         "noise": args.noise, "seed": args.seed,
-    }))
+    }, name=lambda key: "--" + key.replace("_", "-")))
     if args.format == "csv":
         save_dataset_csv(ds, args.out)
     else:

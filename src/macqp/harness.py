@@ -177,21 +177,24 @@ def override_workers(cfg, workers):
     return cfg
 
 
-def _synth_args(s):
-    """synth_manifold_dataset's keyword arguments from a dataset.synth section."""
+def _synth_args(s, name="dataset.synth.{}".format):
+    """synth_manifold_dataset's keyword arguments from a dataset.synth section.
+
+    ``name`` gives the name an error uses for each key.
+    """
     _check_section(s, "dataset.synth")
     _check_keys(s, _SYNTH_KEYS, "dataset.synth")
     for key in ("n", "ambient_dim", "intrinsic_dim"):
         if key not in s:
             raise MacqpError(f"dataset.synth requires '{key}'")
-        _check_int(s[key], f"dataset.synth.{key}", 1)
+        _check_int(s[key], name(key), 1)
     if s["intrinsic_dim"] >= s["ambient_dim"]:
-        raise MacqpError("dataset.synth.intrinsic_dim must be below ambient_dim, got "
+        raise MacqpError(f"{name('intrinsic_dim')} must be below {name('ambient_dim')}, got "
                          f"{s['intrinsic_dim']} and {s['ambient_dim']}")
     noise, seed, n_val = s.get("noise", 0.0), s.get("seed", 0), s.get("n_val", 0)
-    _check_real(noise, "dataset.synth.noise", 0)
-    _check_int(seed, "dataset.synth.seed", 0)
-    _check_int(n_val, "dataset.synth.n_val", 0)
+    _check_real(noise, name("noise"), 0)
+    _check_int(seed, name("seed"), 0)
+    _check_int(n_val, name("n_val"), 0)
     return {"n": s["n"], "ambient_dim": s["ambient_dim"], "intrinsic_dim": s["intrinsic_dim"],
             "noise": noise, "seed": seed, "n_val": n_val}
 

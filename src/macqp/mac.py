@@ -246,7 +246,7 @@ def multiplier_estimates(net, Z, X, mu):
 
 
 # ---------------------------------------------------------------------------
-# W-step
+# Damped solves, shared by the W- and Z-steps
 
 
 def _damping_levels(base_damping):
@@ -257,14 +257,6 @@ def _damping_levels(base_damping):
         damp = base_damping if damp == 0.0 else damp * 10.0
         if damp == 0.0:
             damp = 1e-8
-
-
-# Elements of the (units, inputs, N) temporary from which one group of a
-# sigmoid layer's Gauss-Newton matrices is built: the W-step builds them
-# in groups of at most this many elements, so its peak memory stays
-# bounded on wide layers.  Each unit's matrix is one matrix product of its
-# own, so results do not depend on the grouping.
-W_GROUP_ELEMS = 1 << 18
 
 
 def _stacked_solve(A, B):
@@ -285,30 +277,83 @@ def _stacked_solve(A, B):
         return X
 
 
-def _damped_solve(H, g, base_damping):
-    """Solve each stacked system H[i] d = -g[i], escalating its own
-    Levenberg damping until its step is finite and a descent direction.
+def _block_thomas(D, U, b):
+    """Solve stacked symmetric block-tridiagonal systems by block elimination.
 
-    Returns the steps and a mask of the systems that found one.
+    D[j] (n, w_j, w_j) are the diagonal blocks, U[j] (n, w_j, w_{j+1}) the
+    super-diagonal ones (the sub-diagonal blocks are their transposes),
+    b[j] (n, w_j) the right-hand sides.  A point whose elimination meets an
+    exactly singular block gets a NaN solution, which the NaN carries
+    through the rest of its elimination; the others are unaffected.
     """
-    n, m = g.shape
-    scale = 1.0 + np.trace(H, axis1=1, axis2=2) / m
-    diag = np.arange(m)
-    steps = np.zeros_like(g)
+    Dp, bp = D[0], b[0]
+    elim = []
+    for j in range(1, len(D)):
+        sol = _stacked_solve(Dp, np.concatenate([U[j - 1], bp[:, :, None]], axis=2))
+        DiU, Dib = sol[:, :, :-1], sol[:, :, -1]
+        elim.append((DiU, Dib))
+        L = U[j - 1].transpose(0, 2, 1)
+        Dp = D[j] - L @ DiU
+        bp = b[j] - (L @ Dib[:, :, None])[:, :, 0]
+    x = [_stacked_solve(Dp, bp[:, :, None])[:, :, 0]]
+    for DiU, Dib in reversed(elim):
+        x.insert(0, Dib - (DiU @ x[0][:, :, None])[:, :, 0])
+    return x
+
+
+def _is_descent(g, d):
+    """Which stacked steps d (blocks (n, w_j)) are finite and descent
+    directions of the gradients g."""
+    finite = np.all([np.all(np.isfinite(dj), axis=1) for dj in d], axis=0)
+    gd = sum(np.einsum("ij,ij->i", gj, dj) for gj, dj in zip(g, d))
+    return finite & (gd < 0)
+
+
+def _damped_tridiag_solve(D, U, g, base_damping):
+    """Solve stacked symmetric block-tridiagonal systems H d = -g.
+
+    Each system escalates its own Levenberg damping until its step is
+    finite and a descent direction.  Returns the steps and a mask of the
+    systems that found one.  A system of one block (D = [H], U = []) is
+    solved by one stacked solve, as the sigmoid W-step's are.
+    """
+    n = g[0].shape[0]
+    m = sum(gj.shape[1] for gj in g)
+    scale = 1.0 + sum(np.trace(Dj, axis1=1, axis2=2) for Dj in D) / m
+    steps = [np.zeros_like(gj) for gj in g]
     found = np.zeros(n, dtype=bool)
     for damp in _damping_levels(base_damping):
         idx = np.flatnonzero(~found)
         if idx.size == 0:
             break
-        H_l = H[idx]  # a copy: the shift goes in in place
-        if damp != 0.0:
-            H_l[:, diag, diag] += (damp * scale[idx])[:, None]
-        g_l = g[idx]
-        d = _stacked_solve(H_l, -g_l[:, :, None])[:, :, 0]
-        ok = np.all(np.isfinite(d), axis=1) & (np.einsum("ij,ij->i", g_l, d) < 0)
-        steps[idx[ok]] = d[ok]
+        every = idx.size == n  # then the systems are used as built
+        if damp == 0.0 and every:
+            D_l = D
+        else:
+            D_l = [Dj[idx] for Dj in D]  # copies: the shift goes in in place
+            for Dj in D_l:
+                diag = np.arange(Dj.shape[1])
+                Dj[:, diag, diag] += (damp * scale[idx])[:, None]
+        U_l = U if every else [Uj[idx] for Uj in U]
+        g_l = g if every else [gj[idx] for gj in g]
+        d = _block_thomas(D_l, U_l, [-gj for gj in g_l])
+        ok = _is_descent(g_l, d)
+        for s, dj in zip(steps, d):
+            s[idx[ok]] = dj[ok]
         found[idx[ok]] = True
     return steps, found
+
+
+# ---------------------------------------------------------------------------
+# W-step
+
+
+# Elements of the (units, inputs, N) temporary from which one group of a
+# sigmoid layer's Gauss-Newton matrices is built: the W-step builds them
+# in groups of at most this many elements, so its peak memory stays
+# bounded on wide layers.  Each unit's matrix is one matrix product of its
+# own, so results do not depend on the grouping.
+W_GROUP_ELEMS = 1 << 18
 
 
 def _sigmoid_gn_matrices(phi, S, weight, lam):
@@ -351,8 +396,8 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
         R = Tt[live] - P_l
         S = P_l * (1.0 - P_l)
         g = -weight * ((S * R) @ phi) + 2.0 * lam * W[live]
-        d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g,
-                                 cfg.gn_damping)
+        (d,), found = _damped_tridiag_solve([_sigmoid_gn_matrices(phi, S, weight, lam)], [],
+                                            [g], cfg.gn_damping)
         step = np.ones(live.size)
         accepted = np.zeros(live.size, dtype=bool)
         pending = np.flatnonzero(found)
@@ -476,7 +521,8 @@ def _z_tile(net):
 
     One point holds, for each block fed by coordinates, the input Jacobian
     of each of its layers (out_dim x the block's input width), and one
-    Gauss-Newton diagonal block per coordinate block (width^2).
+    width^2 matrix per coordinate block (a Gauss-Newton diagonal block, or
+    the chain solve's covariance).
     """
     per_point = 0
     for a, b in block_slices(net)[1:]:
@@ -521,16 +567,13 @@ def _z_objective_from_residuals(res, mu):
 
 
 def _z_gn_system(net, slices, f1, y, zs, mu):
-    """Block-tridiagonal Gauss-Newton system of each point's subproblem.
+    """Each point's linearised subproblem, with a leading point axis.
 
-    With A_{j+1} the Jacobian of block j+1 w.r.t. coordinate block j, the
-    diagonal blocks are mu*I + mu*A_{j+1}^T A_{j+1} (the last one
-    mu*I + A_out^T A_out), the super-diagonal blocks -mu*A_{j+1}^T and the
-    sub-diagonal ones their transposes.  Returns the diagonal blocks, the
-    super-diagonal blocks and the gradient blocks, all with a leading
-    point axis (the dense Jacobian is never formed), and each point's
-    objective, equal to _z_objective at zs.  ``f1`` is the first block's
-    output at the points' inputs.
+    Returns the Jacobians, the residuals, the gradient blocks and each
+    point's objective, equal to _z_objective at zs.  jacs[j] is the
+    Jacobian of block j+1 w.r.t. coordinate block j at zs[j]; res[0..K-1]
+    are the constraint residuals and res[K] the output residual.  ``f1``
+    is the first block's output at the points' inputs.
     """
     K = len(zs)
     res = [zs[0] - f1]
@@ -539,7 +582,24 @@ def _z_gn_system(net, slices, f1, y, zs, mu):
         out, A = _block_forward(net, slices[j], zs[j - 1])
         res.append((zs[j] if j < K else y) - out)
         jacs.append(A)
-    D, U, g = [], [], []
+    g = []
+    for j, A in enumerate(jacs):
+        weight = mu if j + 1 < K else 1.0
+        g.append(mu * res[j] - weight * (A.transpose(0, 2, 1) @ res[j + 1][:, :, None])[:, :, 0])
+    return jacs, res, g, _z_objective_from_residuals(res, mu)
+
+
+def _z_gn_blocks(jacs, mu):
+    """Block-tridiagonal Gauss-Newton matrices of the points' subproblems.
+
+    With A_{j+1} = jacs[j], the diagonal blocks are mu*I + mu*A_{j+1}^T
+    A_{j+1} (the last one mu*I + A_out^T A_out), the super-diagonal blocks
+    -mu*A_{j+1}^T and the sub-diagonal ones their transposes.  Returns the
+    diagonal and the super-diagonal blocks; the dense Jacobian is never
+    formed.
+    """
+    K = len(jacs)
+    D, U = [], []
     for j, A in enumerate(jacs):
         weight = mu if j + 1 < K else 1.0
         At = A.transpose(0, 2, 1)
@@ -547,70 +607,80 @@ def _z_gn_system(net, slices, f1, y, zs, mu):
         diag = np.arange(Dj.shape[1])
         Dj[:, diag, diag] += mu
         D.append(Dj)
-        g.append(mu * res[j] - weight * (At @ res[j + 1][:, :, None])[:, :, 0])
         if j + 1 < K:
             U.append(-mu * At)
-    return D, U, g, _z_objective_from_residuals(res, mu)
+    return D, U
 
 
-def _block_thomas(D, U, b):
-    """Solve stacked symmetric block-tridiagonal systems by block elimination.
+def _z_chain_solve(jacs, res, mu):
+    """Each point's undamped Gauss-Newton step by one pass forward and one
+    back over its coordinate blocks; mu > 0.
 
-    D[j] (n, w_j, w_j) are the diagonal blocks, U[j] (n, w_j, w_{j+1}) the
-    super-diagonal ones (the sub-diagonal blocks are their transposes),
-    b[j] (n, w_j) the right-hand sides.  A point whose elimination meets an
-    exactly singular block gets a NaN solution, which the NaN carries
-    through the rest of its elimination; the others are unaffected.
+    ``jacs`` and ``res`` are as _z_gn_system returns them.  A point's
+    linearised subproblem is a linear-Gaussian chain observed only at its
+    end: block 0's step d_0 has prior mean -res[0] and covariance I/mu,
+    each d_j is jacs[j-1] d_{j-1} - res[j] plus noise of covariance I/mu,
+    and the output residual res[K] is jacs[K-1] d_{K-1} plus unit noise.
+    The Gauss-Newton step is the posterior mean of the d_j.  The forward
+    pass carries each block's prior mean m_j and covariance P_j.  The
+    observation then costs one solve of size min(out, w_K) per point, and
+    the backward pass spreads its correction c_j to every block as
+    d_j = m_j + P_j c_j, as in the Rauch-Tung-Striebel smoother.
     """
-    Dp, bp = D[0], b[0]
-    elim = []
-    for j in range(1, len(D)):
-        sol = _stacked_solve(Dp, np.concatenate([U[j - 1], bp[:, :, None]], axis=2))
-        DiU, Dib = sol[:, :, :-1], sol[:, :, -1]
-        elim.append((DiU, Dib))
-        L = U[j - 1].transpose(0, 2, 1)
-        Dp = D[j] - L @ DiU
-        bp = b[j] - (L @ Dib[:, :, None])[:, :, 0]
-    x = [_stacked_solve(Dp, bp[:, :, None])[:, :, 0]]
-    for DiU, Dib in reversed(elim):
-        x.insert(0, Dib - (DiU @ x[0][:, :, None])[:, :, 0])
-    return x
+    inv_mu = 1.0 / mu
+    m = [-res[0]]
+    P = [np.eye(res[0].shape[1]) * inv_mu]
+    for A, r in zip(jacs[:-1], res[1:-1]):
+        m.append((A @ m[-1][:, :, None])[:, :, 0] - r)
+        Pj = A @ P[-1] @ A.transpose(0, 2, 1)
+        diag = np.arange(Pj.shape[1])
+        Pj[:, diag, diag] += inv_mu
+        P.append(Pj)
+    B = jacs[-1]
+    Bt = B.transpose(0, 2, 1)
+    v = (res[-1] - (B @ m[-1][:, :, None])[:, :, 0])[:, :, None]
+    PBt = P[-1] @ Bt
+    out, width = B.shape[1:]
+    if out <= width:
+        # c = B^T S^-1 v with S = B P B^T + I
+        S = B @ PBt
+        diag = np.arange(out)
+        S[:, diag, diag] += 1.0
+        c = Bt @ _stacked_solve(S, v)
+    else:
+        # the same c by the push-through identity, with a width-sized solve
+        M = PBt @ B
+        diag = np.arange(width)
+        M[:, diag, diag] += 1.0
+        c = Bt @ (v - B @ _stacked_solve(M, PBt @ v))
+    d = [m[-1] + (P[-1] @ c)[:, :, 0]]
+    for A, mj, Pj in zip(jacs[-2::-1], m[-2::-1], P[-2::-1]):
+        c = A.transpose(0, 2, 1) @ c
+        d.insert(0, mj + (Pj @ c)[:, :, 0])
+    return d
 
 
-def _damped_tridiag_solve(D, U, g, base_damping):
-    """_damped_solve for stacked block-tridiagonal systems H d = -g.
+def _z_gn_step(jacs, res, g, mu, base_damping):
+    """Each point's damped Gauss-Newton step, and a mask of the points
+    that found a finite descent step.
 
-    Each point escalates its own Levenberg damping until its step is
-    finite and a descent direction.  Returns the steps and a mask of the
-    points that found one.
+    With mu > 0 and two or more coordinate blocks, the undamped step comes
+    from _z_chain_solve, and only the points whose step is not finite or
+    not a descent direction go on to _damped_tridiag_solve.  At mu = 0, or
+    with one coordinate block, where elimination is already a single
+    solve, every point goes to _damped_tridiag_solve.
     """
-    n = g[0].shape[0]
-    m = sum(gj.shape[1] for gj in g)
-    scale = 1.0 + sum(np.trace(Dj, axis1=1, axis2=2) for Dj in D) / m
-    steps = [np.zeros_like(gj) for gj in g]
-    found = np.zeros(n, dtype=bool)
-    for damp in _damping_levels(base_damping):
-        idx = np.flatnonzero(~found)
-        if idx.size == 0:
-            break
-        every = idx.size == n  # then the systems are used as built
-        if damp == 0.0 and every:
-            D_l = D
-        else:
-            D_l = [Dj[idx] for Dj in D]  # copies: the shift goes in in place
-            for Dj in D_l:
-                diag = np.arange(Dj.shape[1])
-                Dj[:, diag, diag] += (damp * scale[idx])[:, None]
-        U_l = U if every else [Uj[idx] for Uj in U]
-        g_l = g if every else [gj[idx] for gj in g]
-        d = _block_thomas(D_l, U_l, [-gj for gj in g_l])
-        finite = np.all([np.all(np.isfinite(dj), axis=1) for dj in d], axis=0)
-        gd = sum(np.einsum("ij,ij->i", gj, dj) for gj, dj in zip(g_l, d))
-        ok = finite & (gd < 0)
-        for s, dj in zip(steps, d):
-            s[idx[ok]] = dj[ok]
-        found[idx[ok]] = True
-    return steps, found
+    if not (mu > 0 and len(jacs) > 1):
+        return _damped_tridiag_solve(*_z_gn_blocks(jacs, mu), g, base_damping)
+    d = _z_chain_solve(jacs, res, mu)
+    found = _is_descent(g, d)
+    redo = np.flatnonzero(~found)
+    if redo.size:
+        d_redo, found[redo] = _damped_tridiag_solve(
+            *_z_gn_blocks([A[redo] for A in jacs], mu), [gj[redo] for gj in g], base_damping)
+        for dj, dr in zip(d, d_redo):
+            dj[redo] = dr
+    return d, found
 
 
 def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
@@ -628,10 +698,10 @@ def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
         if live.size == 0:
             break
         z_live = [z[live] for z in zs]
-        D, U, g, f_live = _z_gn_system(net, slices, f1[live], y[live], z_live, mu)
+        jacs, res, g, f_live = _z_gn_system(net, slices, f1[live], y[live], z_live, mu)
         if f_cur is None:  # first iteration: every point is live
             f_cur = f_live
-        d, found = _damped_tridiag_solve(D, U, g, cfg.gn_damping)
+        d, found = _z_gn_step(jacs, res, g, mu, cfg.gn_damping)
         step = np.ones(live.size)
         accepted = np.zeros(live.size, dtype=bool)
         pending = np.flatnonzero(found)
@@ -657,9 +727,14 @@ def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
     """Per-point coordinate update by damped Gauss-Newton; never increases E_Q.
 
     The points are solved in fixed tiles of _z_tile(net) points, each tile
-    as one batched block-tridiagonal system; workers take whole tiles.  The
-    first block's output depends on the weights and inputs only, so it
-    is computed once for all points, unless given as ``f1``.
+    as one batch; workers take whole tiles.  With mu > 0 and two or more
+    coordinate blocks, each point's undamped step takes one small solve
+    (_z_chain_solve).  Block elimination of the block-tridiagonal system
+    (_damped_tridiag_solve) runs at mu = 0, with one coordinate block, and
+    for the points whose chain step is not finite or not a descent
+    direction, which it retries with damping.  The first block's output
+    depends on the weights and inputs only, so it is computed once for all
+    points, unless given as ``f1``.
     """
     slices = block_slices(net)
     if len(slices) < 2:

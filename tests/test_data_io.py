@@ -481,12 +481,15 @@ class TestCli:
         assert "E1 =" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, message", [
-        (["--n", "0"], "dataset.synth.n must be an integer >= 1, got 0"),
-        (["--n", "-3"], "dataset.synth.n must be an integer >= 1, got -3"),
-        (["--noise", "-1"], "dataset.synth.noise must be a finite number >= 0, got -1.0"),
-        (["--intrinsic-dim", "0"], "dataset.synth.intrinsic_dim must be an integer >= 1, got 0"),
-        (["--noise", "nan"], "dataset.synth.noise must be a finite number >= 0, got nan"),
-    ], ids=["n=0", "n=-3", "noise=-1", "intrinsic-dim=0", "noise=nan"])
+        (["--n", "0"], "--n must be an integer >= 1, got 0"),
+        (["--n", "-3"], "--n must be an integer >= 1, got -3"),
+        (["--noise", "-1"], "--noise must be a finite number >= 0, got -1.0"),
+        (["--intrinsic-dim", "0"], "--intrinsic-dim must be an integer >= 1, got 0"),
+        (["--noise", "nan"], "--noise must be a finite number >= 0, got nan"),
+        (["--ambient-dim", "1"], "--intrinsic-dim must be below --ambient-dim, got 1 and 1"),
+        (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    ], ids=["n=0", "n=-3", "noise=-1", "intrinsic-dim=0", "noise=nan", "ambient-dim=1",
+            "seed=-1"])
     def test_synth_rejects_bad_flags_before_writing(self, tmp_path, capsys, flags, message):
         data_path = tmp_path / "ds.macd"
         rc = cli_main(["synth", "--out", str(data_path), *flags])

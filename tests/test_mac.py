@@ -266,6 +266,9 @@ def _z_problem(rng, kind, n):
     """A net, data and coordinates moved off the lifted state."""
     if kind == "sigmoid":
         net = sigmoid_autoencoder((6, 5, 2, 5, 6), seed=21)
+    elif kind == "path":
+        # the path workload's widths: three coordinate blocks, output 4
+        net = sigmoid_autoencoder((4, 24, 2, 24, 4), seed=21)
     elif kind == "rbf":
         net = rbf_autoencoder(5, 8, 2, 8, width1=1.0, width3=1.0, seed=5)
     else:
@@ -291,46 +294,85 @@ class TestBatchedZStep:
     # one point, parts of one tile, a nearly full tile, two tiles and a short
     # one, at tiles of Z_TILE points: these nets would fit in one tile
     @pytest.mark.parametrize("n", [1, 13, 37, Z_TILE - 3, 2 * Z_TILE + 5])
-    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
     def test_matches_point_by_point_reference(self, rng, monkeypatch, kind, n):
         monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
         net, data, Z = _z_problem(rng, kind, n)
         assert macqp.mac._z_tile(net) == Z_TILE
         cfg = StepConfig(z_gn_iters=2)
-        for mu in (0.5, 50.0):
+        for mu in (0.5, 50.0) + ((1e4,) if kind == "path" else ()):
             got = z_step(net, Z, data, mu, cfg).coords
             ref = slow_z_step(net, Z, data, mu, cfg)
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
-    def test_point_without_descent_direction_keeps_its_coordinates(self, rng):
-        # A linear net with dyadic weights, and point 3 placed exactly at its
-        # optimum: its gradient is exactly zero, so every damping level fails
-        # the descent test and it takes no step, while its tile-mates move.
+    def test_point_without_descent_direction_keeps_its_coordinates(self, rng, monkeypatch):
+        # Linear nets with dyadic weights, and point 3 placed exactly at its
+        # optimum: its gradient is exactly zero.  With one coordinate block
+        # every point goes to the damped elimination, where every damping
+        # level fails the descent test for point 3.  With two, point 3's chain
+        # step is exactly zero, so it alone goes on to the damped elimination
+        # and fails there too.  Either way it takes no step, while its
+        # tile-mates move.
         lin = LayerKind.LINEAR_DENSE
-        net = NestedNet(
-            [
-                Layer(LayerSpec(lin, 2, 2),
-                      LayerWeights([[1.0, -0.5, 0.25], [0.5, 2.0, -1.0]])),
-                Layer(LayerSpec(lin, 2, 3),
-                      LayerWeights([[0.75, 1.0, 0.0], [-2.0, 0.5, 1.0], [1.0, 1.0, -0.5]])),
-            ],
-            [1],
-        )
-        X = rng.normal(size=(10, 2))
-        X[3] = [0.5, -1.25]
-        Y = rng.normal(size=(10, 3))
-        Y[3] = forward_all(net, X[3:4])[-1][0]
-        data = Dataset(X, Y)
-        lifted = lift_to_feasible(net, X).coords[0]
-        noise = rng.normal(size=lifted.shape)
-        noise[3] = 0.0
-        Z = AuxState([lifted + noise])
-        got = z_step(net, Z, data, 2.0, StepConfig()).coords[0]
-        np.testing.assert_array_equal(got[3], Z.coords[0][3])
-        others = np.arange(10) != 3
-        assert np.all(np.any(got[others] != Z.coords[0][others], axis=1))
-        ref = slow_z_step(net, Z, data, 2.0, StepConfig())[0]
-        assert np.max(np.abs(got - ref)) <= 1e-12
+        layers = [
+            Layer(LayerSpec(lin, 2, 2),
+                  LayerWeights([[1.0, -0.5, 0.25], [0.5, 2.0, -1.0]])),
+            Layer(LayerSpec(lin, 2, 3),
+                  LayerWeights([[0.75, 1.0, 0.0], [-2.0, 0.5, 1.0], [1.0, 1.0, -0.5]])),
+            Layer(LayerSpec(lin, 3, 2),
+                  LayerWeights([[0.5, -1.0, 0.25, 2.0], [1.0, 0.5, -0.75, 0.0]])),
+        ]
+        damped = macqp.mac._damped_tridiag_solve
+        eliminated = []
+
+        def spy(D, U, g, base_damping):
+            eliminated.append(g[0].shape[0])
+            return damped(D, U, g, base_damping)
+
+        monkeypatch.setattr(macqp.mac, "_damped_tridiag_solve", spy)
+        for net, points in ((NestedNet(layers[:2], [1]), 10), (NestedNet(layers, [1, 2]), 1)):
+            X = rng.normal(size=(10, 2))
+            X[3] = [0.5, -1.25]
+            Y = rng.normal(size=(10, net.out_dim))
+            Y[3] = forward_all(net, X[3:4])[-1][0]
+            data = Dataset(X, Y)
+            coords = []
+            for lifted in lift_to_feasible(net, X).coords:
+                noise = rng.normal(size=lifted.shape)
+                noise[3] = 0.0
+                coords.append(lifted + noise)
+            Z = AuxState(coords)
+            eliminated.clear()
+            got = z_step(net, Z, data, 2.0, StepConfig()).coords
+            assert eliminated == [points]
+            for g_, z in zip(got, Z.coords):
+                np.testing.assert_array_equal(g_[3], z[3])
+            others = np.arange(10) != 3
+            assert np.all(np.any(np.hstack(got)[others] != np.hstack(Z.coords)[others], axis=1))
+            ref = slow_z_step(net, Z, data, 2.0, StepConfig())
+            assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
+
+    def test_elimination_runs_only_at_mu_zero_or_one_block(self, rng, monkeypatch):
+        # the chain solve serves every point of a multi-block net at mu > 0;
+        # elimination serves mu = 0 and nets with one coordinate block
+        calls = []
+        damped = macqp.mac._damped_tridiag_solve
+
+        def spy(*args):
+            calls.append(1)
+            return damped(*args)
+
+        monkeypatch.setattr(macqp.mac, "_damped_tridiag_solve", spy)
+        net, data, Z = _z_problem(rng, "path", 2 * Z_TILE + 5)
+        for mu in (1.0, 1e4):
+            z_step(net, Z, data, mu, StepConfig(z_gn_iters=2))
+        assert calls == []
+        z_step(net, Z, data, 0.0, StepConfig())
+        assert calls
+        calls.clear()
+        net, data, Z = _z_problem(rng, "rbf", 20)
+        z_step(net, Z, data, 1.0, StepConfig())
+        assert calls
 
     def test_points_without_accepted_step_leave_the_others_unaffected(self, rng):
         # narrow RBF widths and a single step length: on this problem some
@@ -425,7 +467,8 @@ class TestBatchedZStep:
         code[4] = [1e3, -1e3]
         slices = block_slices(net)
         f1 = block_apply(net, slices[0], X)
-        D, U, g, _ = macqp.mac._z_gn_system(net, slices, f1, X, [code], 0.0)
+        jacs, _, g, _ = macqp.mac._z_gn_system(net, slices, f1, X, [code], 0.0)
+        D, U = macqp.mac._z_gn_blocks(jacs, 0.0)
         before = [a.copy() for a in D + U + g]
         _, found = macqp.mac._damped_tridiag_solve(D, U, g, 1e-8)
         assert not found[4] and found.sum() == 6
