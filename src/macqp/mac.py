@@ -147,13 +147,6 @@ def block_slices(net):
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def block_apply(net, sl, Z_in):
-    cur = Z_in
-    for i in range(sl[0], sl[1]):
-        cur = layer_apply(net.layers[i], cur, index=i + 1)
-    return cur
-
-
 def lift_to_feasible(net, X):
     """Coordinates set by forward propagation; constraint residuals are zero."""
     acts = forward_all(net, X)
@@ -179,26 +172,27 @@ def block_outputs(net, Z, X):
     coordinates.  qp_objective, constraint_residuals, w_step and
     selection_step take this list, and z_step its first entry, to share
     one evaluation of the blocks."""
-    return [block_apply(net, sl, a)
-            for sl, a in zip(block_slices(net), _block_inputs(net, Z, X))]
+    return [_block_output(net.layers[a:b], A, start=a)
+            for (a, b), A in zip(block_slices(net), _block_inputs(net, Z, X))]
 
 
-def _block_output(layers, A_in, table=None):
+def _block_output(layers, A_in, table=None, start=None):
     """The output of a block's layers at inputs A_in.
 
     ``table`` is the block's {size: (centers, design matrix, Gram
     matrix)} table of RBF fits at A_in (see fit_rbf_linear_pair).  If
     the first layer is an RBF layer whose centers are its size's entry
-    there, that entry's design matrix is its output.
+    there, that entry's design matrix is its output.  ``start``, the
+    net's index of the first layer, numbers the layers in error messages.
     """
-    out, rest = A_in, layers
+    out, skip = A_in, 0
     first = layers[0]
     if table and first.spec.kind == LayerKind.GAUSSIAN_RBF:
         entry = table.get(first.spec.out_dim)
         if entry is not None and np.array_equal(entry[0], first.weights.matrix):
-            out, rest = entry[1], layers[1:]
-    for layer in rest:
-        out = layer_apply(layer, out)
+            out, skip = entry[1], 1
+    for i in range(skip, len(layers)):
+        out = layer_apply(layers[i], out, index=None if start is None else start + i + 1)
     return out
 
 
@@ -246,7 +240,7 @@ def multiplier_estimates(net, Z, X, mu):
 
 
 # ---------------------------------------------------------------------------
-# Damped solves, shared by the W- and Z-steps
+# Damped solves and backtracking, shared by the W- and Z-steps
 
 
 def _damping_levels(base_damping):
@@ -304,7 +298,9 @@ def _block_thomas(D, U, b):
 def _is_descent(g, d):
     """Which stacked steps d (blocks (n, w_j)) are finite and descent
     directions of the gradients g."""
-    finite = np.all([np.all(np.isfinite(dj), axis=1) for dj in d], axis=0)
+    finite = np.isfinite(d[0]).all(axis=1)
+    for dj in d[1:]:
+        finite &= np.isfinite(dj).all(axis=1)
     gd = sum(np.einsum("ij,ij->i", gj, dj) for gj, dj in zip(g, d))
     return finite & (gd < 0)
 
@@ -318,8 +314,7 @@ def _damped_tridiag_solve(D, U, g, base_damping):
     solved by one stacked solve, as the sigmoid W-step's are.
     """
     n = g[0].shape[0]
-    m = sum(gj.shape[1] for gj in g)
-    scale = 1.0 + sum(np.trace(Dj, axis1=1, axis2=2) for Dj in D) / m
+    scale = None  # the damping's scale, computed when a damped level first runs
     steps = [np.zeros_like(gj) for gj in g]
     found = np.zeros(n, dtype=bool)
     for damp in _damping_levels(base_damping):
@@ -330,6 +325,9 @@ def _damped_tridiag_solve(D, U, g, base_damping):
         if damp == 0.0 and every:
             D_l = D
         else:
+            if scale is None:
+                m = sum(gj.shape[1] for gj in g)
+                scale = 1.0 + sum(np.trace(Dj, axis1=1, axis2=2) for Dj in D) / m
             D_l = [Dj[idx] for Dj in D]  # copies: the shift goes in in place
             for Dj in D_l:
                 diag = np.arange(Dj.shape[1])
@@ -342,6 +340,43 @@ def _damped_tridiag_solve(D, U, g, base_damping):
             s[idx[ok]] = dj[ok]
         found[idx[ok]] = True
     return steps, found
+
+
+def _backtrack(evaluate, x, d, vals, found, cfg):
+    """Backtracking line search on stacked independent problems.
+
+    Row i of the blocks ``x`` is one problem's value and row i of ``d`` its
+    direction; ``found`` masks the rows with a direction.  Each row moves
+    to the first of the steps 1, b, b^2, ... (b = cfg.backtrack_factor, at
+    most cfg.max_backtracks) that lowers its objective, where its rows of
+    ``x`` and ``vals`` are overwritten.  ``evaluate(rows, cand)`` returns
+    arrays like ``vals``, the objective first, for problems ``rows`` at
+    candidate blocks ``cand``.  The pending rows test their next 1, 2, 4,
+    ... steps in one batch: a row's objective is fixed until it accepts,
+    so this picks the same step, and a row that accepts none costs
+    ceil(log2(max_backtracks + 1)) batches.  Returns the rows that moved.
+    A row's last bits can depend on the rows that share its batch: BLAS
+    rounds a one-row product unlike a multi-row one, and at N = 500 also
+    by the row count.
+    """
+    steps = np.cumprod([1.0] + [cfg.backtrack_factor] * (cfg.max_backtracks - 1))
+    accepted = np.zeros(found.shape, dtype=bool)
+    pending, tried = np.flatnonzero(found), 0
+    while pending.size and tried < steps.size:
+        s = min(tried + 1, steps.size - tried)  # 1, 2, 4, ... steps
+        idx = np.repeat(pending, s)
+        step = np.tile(steps[tried : tried + s], pending.size)[:, None]
+        cand = [xj[idx] + step * dj[idx] for xj, dj in zip(x, d)]
+        new = evaluate(idx, cand)
+        better = (new[0] < vals[0][idx]).reshape(pending.size, s)
+        hit = better.any(axis=1)
+        pick = np.flatnonzero(hit) * s + better.argmax(axis=1)[hit]
+        rows = pending[hit]
+        for old, c in zip(x + vals, cand + new):
+            old[rows] = c[pick]
+        accepted[rows] = True
+        pending, tried = pending[~hit], tried + s
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -380,49 +415,43 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
 
     The units' problems are independent.  They are solved as one stack,
     but every unit follows its own damping, step length and stopping, as
-    if solved alone: a unit that finds no descent direction or no
-    decreasing step keeps its weights and leaves the iteration.
+    if solved alone up to rounding (see _backtrack): a unit that finds no
+    descent direction or no decreasing step keeps its weights and leaves
+    the iteration.
     """
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
     W = layer.weights.matrix.copy()
     Tt = T.T
     P = sigmoid(W @ phi.T)  # (units, N); kept at the current weights
-    f_cur = _sigmoid_unit_objectives(Tt - P, W, weight, lam)
     live = np.arange(W.shape[0])
     for _ in range(cfg.w_gn_iters):
         if live.size == 0:
             break
-        P_l = P[live]
-        R = Tt[live] - P_l
+        W_l, P_l, T_l = W[live], P[live], Tt[live]
+        R = T_l - P_l
         S = P_l * (1.0 - P_l)
-        g = -weight * ((S * R) @ phi) + 2.0 * lam * W[live]
-        (d,), found = _damped_tridiag_solve([_sigmoid_gn_matrices(phi, S, weight, lam)], [],
-                                            [g], cfg.gn_damping)
-        step = np.ones(live.size)
-        accepted = np.zeros(live.size, dtype=bool)
-        pending = np.flatnonzero(found)
-        for _ in range(cfg.max_backtracks):
-            if pending.size == 0:
-                break
-            rows = live[pending]
-            cand = W[rows] + step[pending, None] * d[pending]
-            P_c = sigmoid(cand @ phi.T)
-            f_new = _sigmoid_unit_objectives(Tt[rows] - P_c, cand, weight, lam)
-            better = f_new < f_cur[rows]
-            W[rows[better]] = cand[better]
-            P[rows[better]] = P_c[better]
-            f_cur[rows[better]] = f_new[better]
-            accepted[pending[better]] = True
-            pending = pending[~better]
-            step[pending] *= cfg.backtrack_factor
+        g = -weight * ((S * R) @ phi) + 2.0 * lam * W_l
+        d, found = _damped_tridiag_solve([_sigmoid_gn_matrices(phi, S, weight, lam)], [],
+                                         [g], cfg.gn_damping)
+
+        def evaluate(rows, cand):
+            P_c = sigmoid(cand[0] @ phi.T)
+            return [_sigmoid_unit_objectives(T_l[rows] - P_c, cand[0], weight, lam), P_c]
+
+        f_l = _sigmoid_unit_objectives(R, W_l, weight, lam)
+        accepted = _backtrack(evaluate, [W_l], d, [f_l, P_l], found, cfg)
         live = live[accepted]
+        W[live], P[live] = W_l[accepted], P_l[accepted]
     return Layer(layer.spec, LayerWeights(W))
 
 
 def _fit_linear_layer(layer, A_in, T, weight, lam):
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
-    W = ridge_lsq(phi, T, 2.0 * lam / weight).T
-    return Layer(layer.spec, LayerWeights(W))
+    if lam > 0:
+        W = ridge_lsq(phi, T, 2.0 * lam / weight)
+    else:  # by SVD: saturated units can make phi^T phi singular to rounding
+        W = np.linalg.lstsq(phi, T, rcond=None)[0]
+    return Layer(layer.spec, LayerWeights(W.T))
 
 
 def _block_objective(layers, A_in, T, weight, transient_reg, out=None):
@@ -493,7 +522,7 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
         args = (ins[j], targets[j], weight, transient_reg)
         before = _block_objective(net.layers[sl[0] : sl[1]], *args,
                                   out=None if outs is None else outs[j])
-        out = _block_output(fitted, ins[j], table)
+        out = _block_output(fitted, ins[j], table, start=sl[0])
         if _block_objective(fitted, *args, out=out) <= before:
             new_layers[sl[0] : sl[1]] = fitted
             if outs is not None:
@@ -553,7 +582,8 @@ def _z_objective(net, slices, f1, y, zs, mu):
     ``f1`` is the first block's output at the points' inputs, which the
     coordinates do not change.
     """
-    outs = [f1] + [block_apply(net, slices[j], zs[j - 1]) for j in range(1, len(slices))]
+    outs = [f1] + [_block_output(net.layers[a:b], z, start=a)
+                   for (a, b), z in zip(slices[1:], zs)]
     res = [t - o for t, o in zip(list(zs) + [y], outs)]
     return _z_objective_from_residuals(res, mu)
 
@@ -687,39 +717,27 @@ def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
     """Damped Gauss-Newton with backtracking on one tile of points.
 
     ``f1`` is the first block's output at the tile's inputs.  Every point
-    follows its own damping, step length and stopping, as if solved
-    alone: a point that finds no descent direction or no decreasing step
-    keeps its coordinates and leaves the iteration.
+    follows its own damping, step length and stopping, as if solved alone
+    up to rounding (see _backtrack): a point that finds no descent
+    direction or no decreasing step keeps its coordinates and leaves the
+    iteration.
     """
     zs = [z.copy() for z in zs]
-    f_cur = None
     live = np.arange(f1.shape[0])
     for _ in range(cfg.z_gn_iters):
         if live.size == 0:
             break
-        z_live = [z[live] for z in zs]
-        jacs, res, g, f_live = _z_gn_system(net, slices, f1[live], y[live], z_live, mu)
-        if f_cur is None:  # first iteration: every point is live
-            f_cur = f_live
+        z_live, f1_l, y_l = [z[live] for z in zs], f1[live], y[live]
+        jacs, res, g, f_l = _z_gn_system(net, slices, f1_l, y_l, z_live, mu)
         d, found = _z_gn_step(jacs, res, g, mu, cfg.gn_damping)
-        step = np.ones(live.size)
-        accepted = np.zeros(live.size, dtype=bool)
-        pending = np.flatnonzero(found)
-        for _ in range(cfg.max_backtracks):
-            if pending.size == 0:
-                break
-            rows = live[pending]
-            cand = [zj[pending] + step[pending, None] * dj[pending]
-                    for zj, dj in zip(z_live, d)]
-            f_new = _z_objective(net, slices, f1[rows], y[rows], cand, mu)
-            better = f_new < f_cur[rows]
-            for z, c in zip(zs, cand):
-                z[rows[better]] = c[better]
-            f_cur[rows[better]] = f_new[better]
-            accepted[pending[better]] = True
-            pending = pending[~better]
-            step[pending] *= cfg.backtrack_factor
+
+        def evaluate(rows, cand):
+            return [_z_objective(net, slices, f1_l[rows], y_l[rows], cand, mu)]
+
+        accepted = _backtrack(evaluate, z_live, d, [f_l], found, cfg)
         live = live[accepted]
+        for z, zl in zip(zs, z_live):
+            z[live] = zl[accepted]
     return zs
 
 
@@ -739,7 +757,8 @@ def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
     slices = block_slices(net)
     if len(slices) < 2:
         return Z.copy()
-    F1 = block_apply(net, slices[0], data.X) if f1 is None else f1
+    a, b = slices[0]
+    F1 = _block_output(net.layers[a:b], data.X, start=a) if f1 is None else f1
     Y = data.Y
 
     def tile_task(lo, hi):
@@ -765,8 +784,8 @@ def postprocess(net, Z, data, cfg=None):
     cfg = cfg or StepConfig()
     slices = block_slices(net)
     feats = data.X
-    for sl in slices[:-1]:
-        feats = block_apply(net, sl, feats)
+    for a, b in slices[:-1]:
+        feats = _block_output(net.layers[a:b], feats, start=a)
     # the layers before the last block are kept, so both nets' forward
     # passes continue from feats
     prefix = (slices[-1][0], feats)
@@ -846,7 +865,8 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         """Recompute the outputs of ``blocks`` at the current net and Z."""
         ins = _block_inputs(net, Z, data.X)
         for j in blocks:
-            outs[j] = _block_output(net.layers[slices[j][0] : slices[j][1]], ins[j], tables[j])
+            a, b = slices[j]
+            outs[j] = _block_output(net.layers[a:b], ins[j], tables[j], start=a)
 
     # (e1_train, e1_val) at the current weights; None once a W-step, a
     # selection step or a restore changes them, until the next row

@@ -118,7 +118,7 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=N
                 )
             except MacqpError:
                 continue
-            out = _block_output(pair, ins[j], table)
+            out = _block_output(pair, ins[j], table, start=sl[0])
             pair_score = score(pair, j, weight, out)
             if pair_score < best_score:
                 best_score, best_pair, best_out = pair_score, pair, out

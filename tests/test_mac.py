@@ -20,7 +20,7 @@ from macqp.mac import (
     PenaltySchedule,
     StepConfig,
     _block_objective,
-    block_apply,
+    _block_output,
     block_outputs,
     block_slices,
     constraint_residual_vectors,
@@ -38,6 +38,7 @@ from macqp.data import synth_manifold_dataset
 from macqp.kernels import rbf_design
 from macqp.model import (
     Dataset,
+    DimensionMismatchError,
     Layer,
     LayerKind,
     LayerSpec,
@@ -391,6 +392,33 @@ class TestBatchedZStep:
         ref = slow_z_step(net, Z, data, 1.0, cfg)[0]
         assert np.max(np.abs(got - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("max_backtracks", [1, 3, 20])
+    def test_several_halvings_match_reference(self, rng, monkeypatch, max_backtracks):
+        # At mu = 0.1 with narrow RBF widths many full Gauss-Newton steps
+        # overshoot, and some points reject 1, b and b^2: their next steps
+        # are tested four at a time, yet each point takes the step the
+        # point-by-point search takes
+        net = rbf_autoencoder(4, 6, 2, 6, width1=0.3, width3=0.3, seed=2)
+        X = rng.uniform(size=(30, 4))
+        data = Dataset(X, X)
+        Z = AuxState(
+            [c + 0.5 * rng.normal(size=c.shape) for c in lift_to_feasible(net, X).coords]
+        )
+        rounds = []
+        objective = macqp.mac._z_objective
+
+        def counting(*args):
+            rounds.append(args[2].shape[0])
+            return objective(*args)
+
+        monkeypatch.setattr(macqp.mac, "_z_objective", counting)
+        cfg = StepConfig(max_backtracks=max_backtracks)
+        got = z_step(net, Z, data, 0.1, cfg).coords
+        if max_backtracks == 20:
+            assert len(rounds) >= 3
+        ref = slow_z_step(net, Z, data, 0.1, cfg)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
+
     def test_singular_point_leaves_its_tile_mates_unaffected(self, rng):
         # At mu = 0 only the decoder constrains the code.  Point 4's code is
         # so far from every decoder centre that its RBF responses underflow
@@ -433,11 +461,11 @@ class TestBatchedZStep:
 
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
     def test_gn_system_objective_equals_z_objective_bitwise(self, rng, kind):
-        # the first line search starts from the objective the Gauss-Newton
-        # system builds from its residuals, not from a second forward pass
+        # each line search starts from the objective the Gauss-Newton system
+        # builds from its residuals, not from a second forward pass
         net, data, Z = _z_problem(rng, kind, Z_TILE + 5)
         slices = block_slices(net)
-        f1 = block_apply(net, slices[0], data.X)
+        f1 = _block_output(net.layers[slice(*slices[0])], data.X)
         for mu in (0.0, 1.0, 1e3):
             *_, f = macqp.mac._z_gn_system(net, slices, f1, data.Y, Z.coords, mu)
             want = macqp.mac._z_objective(net, slices, f1, data.Y, Z.coords, mu)
@@ -450,14 +478,22 @@ class TestBatchedZStep:
         first = block_slices(net)[0]
         calls = []
 
-        def counting(net_, sl, Z_in):
-            calls.append(sl)
-            return block_apply(net_, sl, Z_in)
+        def counting(layers, A_in, table=None, start=None):
+            calls.append((start, start + len(layers)))
+            return _block_output(layers, A_in, table, start)
 
-        monkeypatch.setattr(macqp.mac, "block_apply", counting)
+        monkeypatch.setattr(macqp.mac, "_block_output", counting)
         z_step(net, Z, data, 2.0, StepConfig(z_gn_iters=3))
         assert calls.count(first) == 1
         assert len(calls) > 1
+
+    def test_block_errors_name_the_layer_by_its_place_in_the_net(self, rng):
+        # the second block starts at the net's third layer
+        net = sigmoid_autoencoder((5, 4, 3, 4, 5), seed=1, placement=[2])
+        X = rng.uniform(size=(6, 5))
+        Z = AuxState([rng.uniform(size=(6, 7))])
+        with pytest.raises(DimensionMismatchError, match="layer 3 expects width 3, got 7"):
+            block_outputs(net, Z, X)
 
     def test_damped_solve_leaves_its_systems_unchanged(self, rng):
         # the damping shift is added to copies, never to the systems as built
@@ -466,7 +502,7 @@ class TestBatchedZStep:
         code = lift_to_feasible(net, X).coords[0]
         code[4] = [1e3, -1e3]
         slices = block_slices(net)
-        f1 = block_apply(net, slices[0], X)
+        f1 = _block_output(net.layers[slice(*slices[0])], X)
         jacs, _, g, _ = macqp.mac._z_gn_system(net, slices, f1, X, [code], 0.0)
         D, U = macqp.mac._z_gn_blocks(jacs, 0.0)
         before = [a.copy() for a in D + U + g]
@@ -527,6 +563,40 @@ def _unit_objectives(layer, W, A, T, weight, lam):
     return 0.5 * weight * np.sum(R**2, axis=0) + lam * np.sum(W**2, axis=1)
 
 
+def _assert_matches_reference(layer, got, ref, A, T, weight, lam):
+    """Each unit's weights in ``got`` equal the unit-by-unit reference's to
+    1e-10.  A unit that has converged may stand before a last step of
+    rounding size, which one run accepts and the other rejects: there both
+    runs reach the same objective."""
+    diff = np.max(np.abs(got - ref), axis=1)
+    f = [_unit_objectives(layer, w, A, T, weight, lam) for w in (got, ref)]
+    tie = (diff <= 1e-6) & (np.abs(f[0] - f[1]) <= 1e-13 * f[1])
+    assert np.all((diff <= 1e-10) | tie)
+
+
+def _saturated_unit_problem(rng):
+    """A layer of 4 units whose unit 1 has pre-activations of 20 to 27, so
+    outputs within 2e-9 of 1, at targets of 1/2."""
+    layer, A, T = _sigmoid_layer_problem(rng, 60, 4, 4)
+    W = layer.weights.matrix.copy()
+    W[1] = [1.0, 1.0, 1.0, 1.0, 20.0]
+    T[:, 1] = 0.5
+    return Layer(layer.spec, LayerWeights(W)), A, T
+
+
+def _backtracking_layer_problem(rng):
+    """A sigmoid layer whose units start saturated, with pre-activations
+    of up to about +-20, at targets spread over (0, 1): their Gauss-Newton
+    steps overshoot, so at lam = 1e-3 units take from 0 to 17 halvings at
+    factor 0.9 (up to 3 at 0.5)."""
+    layer, A, _ = _sigmoid_layer_problem(rng, 60, 4, 8)
+    W = layer.weights.matrix.copy()
+    W[:, :-1] *= 3.0
+    W[:, -1] = rng.uniform(4.0, 12.0, size=8) * rng.choice([-1.0, 1.0], size=8)
+    T = rng.uniform(0.05, 0.95, size=(60, 8))
+    return Layer(layer.spec, LayerWeights(W)), A, T
+
+
 def _without_unit(layer, T, k):
     """The layer and targets with unit k left out."""
     spec = LayerSpec(LayerKind.SIGMOID_DENSE, layer.spec.in_dim, layer.spec.out_dim - 1,
@@ -565,18 +635,25 @@ class TestBatchedWStep:
             got = w_step(net, Z, data, mu, StepConfig(), transient_reg=1e-4)
             ref = slow_w_step(net, Z, data, mu, StepConfig(), transient_reg=1e-4)
             for j, (layer, W) in enumerate(zip(got.layers, ref)):
-                diff = np.max(np.abs(layer.weights.matrix - W), axis=1)
                 if layer.spec.kind != LayerKind.SIGMOID_DENSE:
-                    assert np.all(diff <= 1e-10)
+                    assert np.max(np.abs(layer.weights.matrix - W)) <= 1e-10
                     continue
-                # A unit that has converged may stand before a last step
-                # of rounding size, which one run accepts and the other
-                # rejects: there both runs reach the same objective.
                 weight = 1.0 if j == len(ref) - 1 else mu
-                f = [_unit_objectives(layer, w, ins[j], targets[j], weight, 2e-4)
-                     for w in (layer.weights.matrix, W)]
-                tie = (diff <= 1e-6) & (np.abs(f[0] - f[1]) <= 1e-13 * f[1])
-                assert np.all((diff <= 1e-10) | tie)
+                _assert_matches_reference(layer, layer.weights.matrix, W, ins[j], targets[j],
+                                          weight, 2e-4)
+
+    @pytest.mark.parametrize("max_backtracks", [1, 2, 3, 7, 20, 33])
+    @pytest.mark.parametrize("factor", [0.5, 0.3, 0.9])
+    def test_backtracking_matches_reference(self, rng, max_backtracks, factor):
+        # the trial steps are tested in batches of 1, 2, 4, ... per unit;
+        # each unit still takes the first step the sequential search takes,
+        # or none within max_backtracks
+        cfg = StepConfig(max_backtracks=max_backtracks, backtrack_factor=factor)
+        for _ in range(3):
+            layer, A, T = _backtracking_layer_problem(rng)
+            got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3, cfg).weights.matrix
+            ref = slow_fit_sigmoid_layer(layer, A, T, 1.0, 1e-3, cfg)
+            _assert_matches_reference(layer, got, ref, A, T, 1.0, 1e-3)
 
     def _check_odd_unit(self, layer, A, T, weight, lam, cfg, k):
         """Unit k may not move; no unit's objective rises; the other units
@@ -606,17 +683,31 @@ class TestBatchedWStep:
         assert np.all(np.any(np.delete(got, 2, axis=0) != np.delete(W, 2, axis=0), axis=1))
 
     def test_saturated_unit_never_accepts_a_step(self, rng):
-        # Unit 1's pre-activations are 20 to 27: its outputs are within 2e-9
-        # of 1 at targets of 1/2.  Its Gauss-Newton step is so long that
-        # every backtracked step still saturates the other way, and none of
-        # them lowers the objective, so the unit stops where it started.
-        layer, A, T = _sigmoid_layer_problem(rng, 60, 4, 4)
-        W = layer.weights.matrix.copy()
-        W[1] = [1.0, 1.0, 1.0, 1.0, 20.0]
-        layer = Layer(layer.spec, LayerWeights(W))
-        T[:, 1] = 0.5
+        # Unit 1's Gauss-Newton step is so long that every backtracked step
+        # still saturates the other way, and none of them lowers the
+        # objective, so the unit stops where it started.
+        layer, A, T = _saturated_unit_problem(rng)
         got = self._check_odd_unit(layer, A, T, 1.0, 0.0, StepConfig(), 1)
-        np.testing.assert_array_equal(got[1], W[1])
+        np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
+
+    @pytest.mark.parametrize("max_backtracks", [1, 3, 7, 20])
+    def test_unit_that_never_accepts_costs_log_rounds(self, rng, monkeypatch, max_backtracks):
+        # the saturated unit of the test above tries every step length in
+        # ceil(log2(max_backtracks + 1)) rounds, one sigmoid call each
+        layer, A, T = _saturated_unit_problem(rng)
+        calls = []
+        sigmoid = macqp.mac.sigmoid
+
+        def counting(t):
+            calls.append(t.shape)
+            return sigmoid(t)
+
+        monkeypatch.setattr(macqp.mac, "sigmoid", counting)
+        cfg = StepConfig(max_backtracks=max_backtracks)
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0, cfg).weights.matrix
+        np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
+        rounds = int(np.ceil(np.log2(max_backtracks + 1)))
+        assert len(calls) <= 1 + cfg.w_gn_iters * rounds
 
     def test_singular_unit_leaves_the_others_unaffected(self, rng):
         # Input columns 0 and 1 agree on the first half of the points, and
@@ -731,7 +822,7 @@ class TestResidualsAndMultipliers:
                                       constraint_residuals(net, Z, data.X))
         # and both equal the per-block evaluation, block by block
         ins = [data.X] + Z.coords
-        parts = [Z.coords[j] - block_apply(net, sl, ins[j])
+        parts = [Z.coords[j] - _block_output(net.layers[slice(*sl)], ins[j])
                  for j, sl in enumerate(block_slices(net)[:-1])]
         np.testing.assert_array_equal(constraint_residuals(net, Z, data.X, outs=outs),
                                       np.linalg.norm(np.hstack(parts), axis=1))
@@ -864,6 +955,20 @@ class TestPostprocess:
         A = phi.T @ phi + 2e-3 * np.eye(phi.shape[1])
         want = np.linalg.solve(A, phi.T @ X).T
         np.testing.assert_allclose(out.layers[-1].weights.matrix, want, rtol=1e-8)
+
+    def test_saturated_features_fit_to_rounding(self, rng):
+        # at bias 12 the hidden units vary by ~1e-5 around 1, so the
+        # readout's normal equations have condition number ~1e15; the
+        # targets are nearly linear in the features, and a least-squares
+        # refit reaches E1 ~1e-12 where Cholesky on phi^T phi left ~1e-5
+        net = sigmoid_autoencoder((2, 3, 2), seed=2)
+        W = net.layers[0].weights.matrix.copy()
+        W[:, 2] = 12.0
+        net.layers[0] = Layer(net.layers[0].spec, LayerWeights(W))
+        X = rng.uniform(size=(40, 2))
+        data = Dataset(X, np.exp(-X @ W[:2, :2].T))
+        out = postprocess(net, lift_to_feasible(net, X), data)
+        assert nested_objective(out, data) < 1e-9
 
     def test_already_optimal_is_unchanged(self, rng):
         net = sigmoid_autoencoder((6, 3, 6), seed=5)
