@@ -201,8 +201,8 @@ def qp_objective(net, Z, data, mu, transient_reg=0.0, outs=None):
 
     ``outs`` is block_outputs(net, Z, data.X), computed here if not given.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not mu >= 0:  # written so that NaN fails
+        raise ValueError(f"mu must be nonnegative, got {mu}")
     if len(Z.coords) != len(block_slices(net)) - 1:
         raise MacqpError("auxiliary state does not match net placement")
     if outs is None:
@@ -240,24 +240,16 @@ def multiplier_estimates(net, Z, X, mu):
 
 
 # ---------------------------------------------------------------------------
-# Damped solves and backtracking, shared by the W- and Z-steps
-
-
-def _damping_levels(base_damping):
-    """The Levenberg damping levels a damped solve tries in turn."""
-    damp = 0.0
-    for _ in range(12):
-        yield damp
-        damp = base_damping if damp == 0.0 else damp * 10.0
-        if damp == 0.0:
-            damp = 1e-8
+# Stacked solves, descent test and backtracking, shared by the W- and Z-steps
 
 
 def _stacked_solve(A, B):
     """np.linalg.solve over a stack of systems A X = B, B of shape (n, m, k).
 
     One singular matrix fails a stacked solve as a whole, so then the
-    systems are solved one at a time and a singular one gets NaN.
+    systems are solved one at a time and a singular one gets NaN.  Only a
+    W-step matrix can be singular: the Z-step solves systems of the form
+    identity plus a positive semidefinite product.
     """
     try:
         return np.linalg.solve(A, B)
@@ -271,30 +263,6 @@ def _stacked_solve(A, B):
         return X
 
 
-def _block_thomas(D, U, b):
-    """Solve stacked symmetric block-tridiagonal systems by block elimination.
-
-    D[j] (n, w_j, w_j) are the diagonal blocks, U[j] (n, w_j, w_{j+1}) the
-    super-diagonal ones (the sub-diagonal blocks are their transposes),
-    b[j] (n, w_j) the right-hand sides.  A point whose elimination meets an
-    exactly singular block gets a NaN solution, which the NaN carries
-    through the rest of its elimination; the others are unaffected.
-    """
-    Dp, bp = D[0], b[0]
-    elim = []
-    for j in range(1, len(D)):
-        sol = _stacked_solve(Dp, np.concatenate([U[j - 1], bp[:, :, None]], axis=2))
-        DiU, Dib = sol[:, :, :-1], sol[:, :, -1]
-        elim.append((DiU, Dib))
-        L = U[j - 1].transpose(0, 2, 1)
-        Dp = D[j] - L @ DiU
-        bp = b[j] - (L @ Dib[:, :, None])[:, :, 0]
-    x = [_stacked_solve(Dp, bp[:, :, None])[:, :, 0]]
-    for DiU, Dib in reversed(elim):
-        x.insert(0, Dib - (DiU @ x[0][:, :, None])[:, :, 0])
-    return x
-
-
 def _is_descent(g, d):
     """Which stacked steps d (blocks (n, w_j)) are finite and descent
     directions of the gradients g."""
@@ -303,43 +271,6 @@ def _is_descent(g, d):
         finite &= np.isfinite(dj).all(axis=1)
     gd = sum(np.einsum("ij,ij->i", gj, dj) for gj, dj in zip(g, d))
     return finite & (gd < 0)
-
-
-def _damped_tridiag_solve(D, U, g, base_damping):
-    """Solve stacked symmetric block-tridiagonal systems H d = -g.
-
-    Each system escalates its own Levenberg damping until its step is
-    finite and a descent direction.  Returns the steps and a mask of the
-    systems that found one.  A system of one block (D = [H], U = []) is
-    solved by one stacked solve, as the sigmoid W-step's are.
-    """
-    n = g[0].shape[0]
-    scale = None  # the damping's scale, computed when a damped level first runs
-    steps = [np.zeros_like(gj) for gj in g]
-    found = np.zeros(n, dtype=bool)
-    for damp in _damping_levels(base_damping):
-        idx = np.flatnonzero(~found)
-        if idx.size == 0:
-            break
-        every = idx.size == n  # then the systems are used as built
-        if damp == 0.0 and every:
-            D_l = D
-        else:
-            if scale is None:
-                m = sum(gj.shape[1] for gj in g)
-                scale = 1.0 + sum(np.trace(Dj, axis1=1, axis2=2) for Dj in D) / m
-            D_l = [Dj[idx] for Dj in D]  # copies: the shift goes in in place
-            for Dj in D_l:
-                diag = np.arange(Dj.shape[1])
-                Dj[:, diag, diag] += (damp * scale[idx])[:, None]
-        U_l = U if every else [Uj[idx] for Uj in U]
-        g_l = g if every else [gj[idx] for gj in g]
-        d = _block_thomas(D_l, U_l, [-gj for gj in g_l])
-        ok = _is_descent(g_l, d)
-        for s, dj in zip(steps, d):
-            s[idx[ok]] = dj[ok]
-        found[idx[ok]] = True
-    return steps, found
 
 
 def _backtrack(evaluate, x, d, vals, found, cfg):
@@ -391,6 +322,48 @@ def _backtrack(evaluate, x, d, vals, found, cfg):
 W_GROUP_ELEMS = 1 << 18
 
 
+def _damping_levels(base_damping):
+    """The Levenberg damping levels a damped solve tries in turn."""
+    damp = 0.0
+    for _ in range(12):
+        yield damp
+        damp = base_damping if damp == 0.0 else damp * 10.0
+        if damp == 0.0:
+            damp = 1e-8
+
+
+def _damped_solve(H, g, base_damping):
+    """Solve stacked symmetric systems H d = -g, H (n, m, m) and g (n, m).
+
+    Each system escalates its own Levenberg damping until its step is
+    finite and a descent direction.  Returns the steps and a mask of the
+    systems that found one.
+    """
+    n, m = g.shape
+    scale = None  # the damping's scale, computed when a damped level first runs
+    d = np.zeros_like(g)
+    found = np.zeros(n, dtype=bool)
+    for damp in _damping_levels(base_damping):
+        idx = np.flatnonzero(~found)
+        if idx.size == 0:
+            break
+        every = idx.size == n  # then the systems are used as built
+        if damp == 0.0 and every:
+            H_l = H
+        else:
+            if scale is None:
+                scale = 1.0 + np.trace(H, axis1=1, axis2=2) / m
+            H_l = H[idx]  # a copy: the shift goes in in place
+            diag = np.arange(m)
+            H_l[:, diag, diag] += (damp * scale[idx])[:, None]
+        g_l = g if every else g[idx]
+        d_l = _stacked_solve(H_l, -g_l[:, :, None])[:, :, 0]
+        ok = _is_descent([g_l], [d_l])
+        d[idx[ok]] = d_l[ok]
+        found[idx[ok]] = True
+    return d, found
+
+
 def _sigmoid_gn_matrices(phi, S, weight, lam):
     """Each unit's Gauss-Newton matrix weight * J^T J + 2 lam I, where the
     rows of unit u's Jacobian J are S[u, n] * phi[n]; shape (units, m, m)."""
@@ -431,15 +404,14 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
         R = T_l - P_l
         S = P_l * (1.0 - P_l)
         g = -weight * ((S * R) @ phi) + 2.0 * lam * W_l
-        d, found = _damped_tridiag_solve([_sigmoid_gn_matrices(phi, S, weight, lam)], [],
-                                         [g], cfg.gn_damping)
+        d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g, cfg.gn_damping)
 
         def evaluate(rows, cand):
             P_c = sigmoid(cand[0] @ phi.T)
             return [_sigmoid_unit_objectives(T_l[rows] - P_c, cand[0], weight, lam), P_c]
 
         f_l = _sigmoid_unit_objectives(R, W_l, weight, lam)
-        accepted = _backtrack(evaluate, [W_l], d, [f_l, P_l], found, cfg)
+        accepted = _backtrack(evaluate, [W_l], [d], [f_l, P_l], found, cfg)
         live = live[accepted]
         W[live], P[live] = W_l[accepted], P_l[accepted]
     return Layer(layer.spec, LayerWeights(W))
@@ -539,8 +511,8 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
 # but hold larger stacked Jacobians; 64 was measured against 16, 32 and 128.
 Z_TILE = 64
 
-# Elements of stacked Jacobians and Gauss-Newton diagonal blocks a Z-step
-# tile may hold: a net with narrow coordinate blocks, whose points cost
+# Elements of stacked Jacobians and chain covariances a Z-step tile may
+# hold: a net with narrow coordinate blocks, whose points cost
 # little each, gets tiles of more than Z_TILE points (see _z_tile).
 Z_TILE_ELEMS = 1 << 16
 
@@ -550,8 +522,7 @@ def _z_tile(net):
 
     One point holds, for each block fed by coordinates, the input Jacobian
     of each of its layers (out_dim x the block's input width), and one
-    width^2 matrix per coordinate block (a Gauss-Newton diagonal block, or
-    the chain solve's covariance).
+    width^2 matrix per coordinate block (its covariance in _z_chain_solve).
     """
     per_point = 0
     for a, b in block_slices(net)[1:]:
@@ -619,32 +590,9 @@ def _z_gn_system(net, slices, f1, y, zs, mu):
     return jacs, res, g, _z_objective_from_residuals(res, mu)
 
 
-def _z_gn_blocks(jacs, mu):
-    """Block-tridiagonal Gauss-Newton matrices of the points' subproblems.
-
-    With A_{j+1} = jacs[j], the diagonal blocks are mu*I + mu*A_{j+1}^T
-    A_{j+1} (the last one mu*I + A_out^T A_out), the super-diagonal blocks
-    -mu*A_{j+1}^T and the sub-diagonal ones their transposes.  Returns the
-    diagonal and the super-diagonal blocks; the dense Jacobian is never
-    formed.
-    """
-    K = len(jacs)
-    D, U = [], []
-    for j, A in enumerate(jacs):
-        weight = mu if j + 1 < K else 1.0
-        At = A.transpose(0, 2, 1)
-        Dj = weight * (At @ A)
-        diag = np.arange(Dj.shape[1])
-        Dj[:, diag, diag] += mu
-        D.append(Dj)
-        if j + 1 < K:
-            U.append(-mu * At)
-    return D, U
-
-
 def _z_chain_solve(jacs, res, mu):
-    """Each point's undamped Gauss-Newton step by one pass forward and one
-    back over its coordinate blocks; mu > 0.
+    """Each point's Gauss-Newton step by one pass forward and one back
+    over its coordinate blocks; mu > 0.
 
     ``jacs`` and ``res`` are as _z_gn_system returns them.  A point's
     linearised subproblem is a linear-Gaussian chain observed only at its
@@ -690,37 +638,14 @@ def _z_chain_solve(jacs, res, mu):
     return d
 
 
-def _z_gn_step(jacs, res, g, mu, base_damping):
-    """Each point's damped Gauss-Newton step, and a mask of the points
-    that found a finite descent step.
-
-    With mu > 0 and two or more coordinate blocks, the undamped step comes
-    from _z_chain_solve, and only the points whose step is not finite or
-    not a descent direction go on to _damped_tridiag_solve.  At mu = 0, or
-    with one coordinate block, where elimination is already a single
-    solve, every point goes to _damped_tridiag_solve.
-    """
-    if not (mu > 0 and len(jacs) > 1):
-        return _damped_tridiag_solve(*_z_gn_blocks(jacs, mu), g, base_damping)
-    d = _z_chain_solve(jacs, res, mu)
-    found = _is_descent(g, d)
-    redo = np.flatnonzero(~found)
-    if redo.size:
-        d_redo, found[redo] = _damped_tridiag_solve(
-            *_z_gn_blocks([A[redo] for A in jacs], mu), [gj[redo] for gj in g], base_damping)
-        for dj, dr in zip(d, d_redo):
-            dj[redo] = dr
-    return d, found
-
-
 def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
-    """Damped Gauss-Newton with backtracking on one tile of points.
+    """Gauss-Newton with backtracking on one tile of points.
 
     ``f1`` is the first block's output at the tile's inputs.  Every point
-    follows its own damping, step length and stopping, as if solved alone
-    up to rounding (see _backtrack): a point that finds no descent
-    direction or no decreasing step keeps its coordinates and leaves the
-    iteration.
+    follows its own step length and stopping, as if solved alone up to
+    rounding (see _backtrack): a point whose step is no descent direction
+    (its gradient is zero) or that finds no decreasing step keeps its
+    coordinates and leaves the iteration.
     """
     zs = [z.copy() for z in zs]
     live = np.arange(f1.shape[0])
@@ -729,7 +654,8 @@ def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
             break
         z_live, f1_l, y_l = [z[live] for z in zs], f1[live], y[live]
         jacs, res, g, f_l = _z_gn_system(net, slices, f1_l, y_l, z_live, mu)
-        d, found = _z_gn_step(jacs, res, g, mu, cfg.gn_damping)
+        d = _z_chain_solve(jacs, res, mu)
+        found = _is_descent(g, d)
 
         def evaluate(rows, cand):
             return [_z_objective(net, slices, f1_l[rows], y_l[rows], cand, mu)]
@@ -742,18 +668,19 @@ def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
 
 
 def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
-    """Per-point coordinate update by damped Gauss-Newton; never increases E_Q.
+    """Per-point coordinate update by Gauss-Newton; never increases E_Q.
 
-    The points are solved in fixed tiles of _z_tile(net) points, each tile
-    as one batch; workers take whole tiles.  With mu > 0 and two or more
-    coordinate blocks, each point's undamped step takes one small solve
-    (_z_chain_solve).  Block elimination of the block-tridiagonal system
-    (_damped_tridiag_solve) runs at mu = 0, with one coordinate block, and
-    for the points whose chain step is not finite or not a descent
-    direction, which it retries with damping.  The first block's output
-    depends on the weights and inputs only, so it is computed once for all
-    points, unless given as ``f1``.
+    mu must be positive and finite.  The points are solved in fixed tiles
+    of _z_tile(net) points, each tile as one batch; workers take whole
+    tiles.  Each point's step takes one small solve (_z_chain_solve), for
+    any number of coordinate blocks.  Its Gauss-Newton matrix is at least
+    mu I, so the step is finite, and a descent direction wherever the
+    gradient is nonzero: the Z-step needs no damping.  The first block's
+    output depends on the weights and inputs only, so it is computed once
+    for all points, unless given as ``f1``.
     """
+    if not 0 < mu < np.inf:  # written so that NaN fails
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     slices = block_slices(net)
     if len(slices) < 2:
         return Z.copy()

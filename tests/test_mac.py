@@ -123,6 +123,14 @@ class TestLiftAndQp:
                 qp_objective(net, Z, data, mu), _slow_qp(net, Z, data, mu), rtol=1e-11
             )
 
+    @pytest.mark.parametrize("mu", [-1.0, np.nan])
+    def test_rejects_negative_or_nan_mu(self, rng, mu):
+        net = random_mixed_net(rng)
+        data = random_dataset(rng, net)
+        Z = lift_to_feasible(net, data.X)
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            qp_objective(net, Z, data, mu)
+
 
 class TestWStep:
     def test_linear_block_matches_normal_equations(self, rng):
@@ -290,7 +298,7 @@ def _z_problem(rng, kind, n):
 
 
 class TestBatchedZStep:
-    """The tiled block-tridiagonal Z-step against the point-by-point reference."""
+    """The tiled chain-solve Z-step against the point-by-point reference."""
 
     # one point, parts of one tile, a nearly full tile, two tiles and a short
     # one, at tiles of Z_TILE points: these nets would fit in one tile
@@ -306,14 +314,11 @@ class TestBatchedZStep:
             ref = slow_z_step(net, Z, data, mu, cfg)
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
-    def test_point_without_descent_direction_keeps_its_coordinates(self, rng, monkeypatch):
+    def test_point_without_descent_direction_keeps_its_coordinates(self, rng):
         # Linear nets with dyadic weights, and point 3 placed exactly at its
-        # optimum: its gradient is exactly zero.  With one coordinate block
-        # every point goes to the damped elimination, where every damping
-        # level fails the descent test for point 3.  With two, point 3's chain
-        # step is exactly zero, so it alone goes on to the damped elimination
-        # and fails there too.  Either way it takes no step, while its
-        # tile-mates move.
+        # optimum: its gradient is exactly zero, so its chain step is exactly
+        # zero and no descent direction, with one coordinate block and with
+        # two.  It takes no step, while its tile-mates move.
         lin = LayerKind.LINEAR_DENSE
         layers = [
             Layer(LayerSpec(lin, 2, 2),
@@ -323,15 +328,7 @@ class TestBatchedZStep:
             Layer(LayerSpec(lin, 3, 2),
                   LayerWeights([[0.5, -1.0, 0.25, 2.0], [1.0, 0.5, -0.75, 0.0]])),
         ]
-        damped = macqp.mac._damped_tridiag_solve
-        eliminated = []
-
-        def spy(D, U, g, base_damping):
-            eliminated.append(g[0].shape[0])
-            return damped(D, U, g, base_damping)
-
-        monkeypatch.setattr(macqp.mac, "_damped_tridiag_solve", spy)
-        for net, points in ((NestedNet(layers[:2], [1]), 10), (NestedNet(layers, [1, 2]), 1)):
+        for net in (NestedNet(layers[:2], [1]), NestedNet(layers, [1, 2])):
             X = rng.normal(size=(10, 2))
             X[3] = [0.5, -1.25]
             Y = rng.normal(size=(10, net.out_dim))
@@ -343,9 +340,7 @@ class TestBatchedZStep:
                 noise[3] = 0.0
                 coords.append(lifted + noise)
             Z = AuxState(coords)
-            eliminated.clear()
             got = z_step(net, Z, data, 2.0, StepConfig()).coords
-            assert eliminated == [points]
             for g_, z in zip(got, Z.coords):
                 np.testing.assert_array_equal(g_[3], z[3])
             others = np.arange(10) != 3
@@ -353,27 +348,32 @@ class TestBatchedZStep:
             ref = slow_z_step(net, Z, data, 2.0, StepConfig())
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
-    def test_elimination_runs_only_at_mu_zero_or_one_block(self, rng, monkeypatch):
-        # the chain solve serves every point of a multi-block net at mu > 0;
-        # elimination serves mu = 0 and nets with one coordinate block
-        calls = []
-        damped = macqp.mac._damped_tridiag_solve
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
+    def test_chain_step_is_a_finite_descent_direction(self, rng, kind):
+        # Each point's Gauss-Newton matrix is at least mu I, so its chain
+        # step is finite and, its gradient being nonzero, a descent
+        # direction at any mu > 0: the Z-step has no use for damping.  The
+        # reference's normal equations lose digits at small mu (9e-8 at
+        # mu = 1e-8), so it is compared at the large mu only.
+        net, data, Z = _z_problem(rng, kind, 40)
+        slices = block_slices(net)
+        f1 = _block_output(net.layers[slice(*slices[0])], data.X)
+        for mu in (1e-6, 1e12):
+            jacs, res, g, _ = macqp.mac._z_gn_system(net, slices, f1, data.Y, Z.coords, mu)
+            d = macqp.mac._z_chain_solve(jacs, res, mu)
+            assert all(np.all(np.isfinite(dj)) for dj in d)
+            assert np.all(macqp.mac._is_descent(g, d))
+            got = z_step(net, Z, data, mu, StepConfig())
+            assert qp_objective(net, got, data, mu) <= qp_objective(net, Z, data, mu)
+            if mu >= 1e-3:
+                ref = slow_z_step(net, Z, data, mu, StepConfig())
+                assert max(np.max(np.abs(a - b)) for a, b in zip(got.coords, ref)) <= 1e-12
 
-        def spy(*args):
-            calls.append(1)
-            return damped(*args)
-
-        monkeypatch.setattr(macqp.mac, "_damped_tridiag_solve", spy)
-        net, data, Z = _z_problem(rng, "path", 2 * Z_TILE + 5)
-        for mu in (1.0, 1e4):
-            z_step(net, Z, data, mu, StepConfig(z_gn_iters=2))
-        assert calls == []
-        z_step(net, Z, data, 0.0, StepConfig())
-        assert calls
-        calls.clear()
-        net, data, Z = _z_problem(rng, "rbf", 20)
-        z_step(net, Z, data, 1.0, StepConfig())
-        assert calls
+    @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_mu_that_is_not_positive_and_finite(self, rng, mu):
+        net, data, Z = _z_problem(rng, "sigmoid", 5)
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            z_step(net, Z, data, mu, StepConfig())
 
     def test_points_without_accepted_step_leave_the_others_unaffected(self, rng):
         # narrow RBF widths and a single step length: on this problem some
@@ -420,44 +420,29 @@ class TestBatchedZStep:
         assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
     def test_singular_point_leaves_its_tile_mates_unaffected(self, rng):
-        # At mu = 0 only the decoder constrains the code.  Point 4's code is
-        # so far from every decoder centre that its RBF responses underflow
-        # to zero: its system is exactly singular and its gradient zero, so
-        # it takes no step, while the stacked solve still serves the rest.
+        # Point 4's code is so far from every decoder centre that its RBF
+        # responses underflow to zero: its Jacobian is exactly zero.  Its
+        # Gauss-Newton matrix is still mu I, so its step pulls the code back
+        # to the encoder's output, and its tile-mates take the steps they
+        # take without it.
         net = rbf_autoencoder(5, 8, 2, 8, width1=1.0, width3=1.0, seed=5)
         X = rng.uniform(size=(7, 5))
         data = Dataset(X, X)
         code = lift_to_feasible(net, X).coords[0]
         code[4] = [1e3, -1e3]
         Z = AuxState([code])
-        got = z_step(net, Z, data, 0.0, StepConfig()).coords[0]
-        np.testing.assert_array_equal(got[4], code[4])
+        slices = block_slices(net)
+        f1 = _block_output(net.layers[slice(*slices[0])], X)
+        jacs, *_ = macqp.mac._z_gn_system(net, slices, f1, X, [code], 1.0)
+        assert not np.any(jacs[0][4])
+        got = z_step(net, Z, data, 1.0, StepConfig()).coords[0]
+        assert np.all(np.any(got != code, axis=1))
         others = np.arange(7) != 4
-        assert np.all(np.any(got[others] != code[others], axis=1))
-        ref = slow_z_step(net, Z, data, 0.0, StepConfig())[0]
+        rest = z_step(net, AuxState([code[others]]), Dataset(X[others], X[others]), 1.0,
+                      StepConfig()).coords[0]
+        assert np.max(np.abs(got[others] - rest)) <= 1e-12
+        ref = slow_z_step(net, Z, data, 1.0, StepConfig())[0]
         assert np.max(np.abs(got - ref)) <= 1e-12
-
-    def test_singular_systems_escalate_damping(self, rng):
-        # At mu = 0 with a rank-one decoder of dyadic weights every point's
-        # Gauss-Newton matrix is exactly singular while its gradient is not
-        # zero: the undamped solve fails and damping must find the step.
-        lin = LayerKind.LINEAR_DENSE
-        net = NestedNet(
-            [
-                Layer(LayerSpec(lin, 3, 2), LayerWeights(rng.normal(size=(2, 4)))),
-                Layer(LayerSpec(lin, 2, 3, bias=False),
-                      LayerWeights([[1.0, 2.0], [2.0, 4.0], [-0.5, -1.0]])),
-            ],
-            [1],
-        )
-        X = rng.normal(size=(9, 3))
-        data = Dataset(X, rng.normal(size=(9, 3)))
-        Z = lift_to_feasible(net, X)
-        got = z_step(net, Z, data, 0.0, StepConfig()).coords[0]
-        assert np.all(np.any(got != Z.coords[0], axis=1))
-        ref = slow_z_step(net, Z, data, 0.0, StepConfig())[0]
-        assert np.max(np.abs(got - ref)) <= 1e-12
-
 
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
     def test_gn_system_objective_equals_z_objective_bitwise(self, rng, kind):
@@ -495,26 +480,10 @@ class TestBatchedZStep:
         with pytest.raises(DimensionMismatchError, match="layer 3 expects width 3, got 7"):
             block_outputs(net, Z, X)
 
-    def test_damped_solve_leaves_its_systems_unchanged(self, rng):
-        # the damping shift is added to copies, never to the systems as built
-        net = rbf_autoencoder(5, 8, 2, 8, width1=1.0, width3=1.0, seed=5)
-        X = rng.uniform(size=(7, 5))
-        code = lift_to_feasible(net, X).coords[0]
-        code[4] = [1e3, -1e3]
-        slices = block_slices(net)
-        f1 = _block_output(net.layers[slice(*slices[0])], X)
-        jacs, _, g, _ = macqp.mac._z_gn_system(net, slices, f1, X, [code], 0.0)
-        D, U = macqp.mac._z_gn_blocks(jacs, 0.0)
-        before = [a.copy() for a in D + U + g]
-        _, found = macqp.mac._damped_tridiag_solve(D, U, g, 1e-8)
-        assert not found[4] and found.sum() == 6
-        for a, b in zip(D + U + g, before):
-            np.testing.assert_array_equal(a, b)
-
 
 class TestZTile:
     """The Z-step tile: Z_TILE points, or more for nets whose points hold
-    few Jacobian and Gauss-Newton elements."""
+    few Jacobian and covariance elements."""
 
     @pytest.mark.parametrize("widths", [(4, 24, 2, 24, 4), (64, 32, 8, 32, 64)])
     def test_path_and_desk_nets_keep_z_tile(self, widths):
@@ -522,7 +491,7 @@ class TestZTile:
 
     def test_rbf_select_net_solves_its_points_in_one_tile(self):
         # 2-wide codes: each point holds 2 x (40 + 16) Jacobian and 2 x 2
-        # Gauss-Newton elements
+        # covariance elements
         net = rbf_autoencoder(16, 40, 2, 40)
         assert macqp.mac._z_tile(net) == macqp.mac.Z_TILE_ELEMS // 116 >= 500
 
@@ -595,6 +564,26 @@ def _backtracking_layer_problem(rng):
     W[:, -1] = rng.uniform(4.0, 12.0, size=8) * rng.choice([-1.0, 1.0], size=8)
     T = rng.uniform(0.05, 0.95, size=(60, 8))
     return Layer(layer.spec, LayerWeights(W)), A, T
+
+
+def _singular_unit_problem(rng):
+    """A layer of 6 units whose unit 3 has a singular Gauss-Newton matrix,
+    and the units' matrices at weight 1 and no ridge.  Input columns 0 and
+    1 agree on the first half of the points, and unit 3 saturates to
+    exactly 1 on the second half (column 2 is 1 there), so its matrix has
+    two equal rows."""
+    n = 50
+    A = rng.uniform(size=(n, 3))
+    A[: n // 2, 1] = A[: n // 2, 0]
+    A[: n // 2, 2] = 0.0
+    A[n // 2 :, 2] = 1.0
+    layer, _, T = _sigmoid_layer_problem(rng, n, 3, 6)
+    W = layer.weights.matrix.copy()
+    W[3] = [0.5, -0.5, 100.0, 0.25]
+    S = macqp.mac.sigmoid(W @ add_bias_col(A).T)
+    S *= 1.0 - S
+    H = macqp.mac._sigmoid_gn_matrices(add_bias_col(A), S, 1.0, 0.0)
+    return Layer(layer.spec, LayerWeights(W)), A, T, H
 
 
 def _without_unit(layer, T, k):
@@ -710,29 +699,26 @@ class TestBatchedWStep:
         assert len(calls) <= 1 + cfg.w_gn_iters * rounds
 
     def test_singular_unit_leaves_the_others_unaffected(self, rng):
-        # Input columns 0 and 1 agree on the first half of the points, and
-        # unit 3 saturates to exactly 1 on the second half (column 2 is 1
-        # there).  Its undamped Gauss-Newton matrix therefore has two equal
-        # rows: the stacked solve fails, the units are solved one by one,
-        # and damping finds unit 3 a step while the others take theirs.
-        n = 50
-        A = rng.uniform(size=(n, 3))
-        A[: n // 2, 1] = A[: n // 2, 0]
-        A[: n // 2, 2] = 0.0
-        A[n // 2 :, 2] = 1.0
-        layer, _, T = _sigmoid_layer_problem(rng, n, 3, 6)
-        W = layer.weights.matrix.copy()
-        W[3] = [0.5, -0.5, 100.0, 0.25]
-        layer = Layer(layer.spec, LayerWeights(W))
-        S = macqp.mac.sigmoid(W @ add_bias_col(A).T)
-        S *= 1.0 - S
-        H = macqp.mac._sigmoid_gn_matrices(add_bias_col(A), S, 1.0, 0.0)
+        # Unit 3's undamped Gauss-Newton matrix has two equal rows: the
+        # stacked solve fails, the units are solved one by one, and damping
+        # finds unit 3 a step while the others take theirs.
+        layer, A, T, H = _singular_unit_problem(rng)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(H[3], np.ones(4))
         for i in (0, 1, 2, 4, 5):
             np.linalg.solve(H[i], np.ones(4))
         got = self._check_odd_unit(layer, A, T, 1.0, 0.0, StepConfig(), 3)
-        assert np.all(np.any(got != W, axis=1))
+        assert np.all(np.any(got != layer.weights.matrix, axis=1))
+
+    def test_damped_solve_leaves_its_systems_unchanged(self, rng):
+        # the damping shift is added to copies, never to the systems as built
+        _, _, _, H = _singular_unit_problem(rng)
+        g = rng.normal(size=H.shape[:2])
+        before = [H.copy(), g.copy()]
+        _, found = macqp.mac._damped_solve(H, g, 1e-8)
+        assert found.all()
+        for a, b in zip((H, g), before):
+            np.testing.assert_array_equal(a, b)
 
     def test_one_point(self, rng):
         # N = 1: each unit's Gauss-Newton matrix is rank one plus the ridge
