@@ -63,21 +63,32 @@ class CgConfig:
                              f"got {self.line_search!r}")
 
 
-def kmeans(points, k, seed=0, iters=20):
-    """Lloyd's algorithm from k distinct seeded points.
+def kmeans(points, k, seed=0, iters=20, init=None):
+    """Lloyd's algorithm from ``init``, or else from k distinct seeded points.
 
-    When k equals the number of points the centers are the points
-    themselves.  An empty cluster is re-seeded from the point farthest
-    from its assigned center, empty clusters taken in ascending order.
+    ``init``, if given, is a finite (k, d) array of starting centers; it
+    is left unchanged.  Started from a converged result, a run returns it
+    after one pass over the distances.  When k equals the number of
+    points the centers are the points themselves.  An empty cluster is
+    re-seeded from the point farthest from its assigned center, empty
+    clusters taken in ascending order.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     m, d = points.shape
     if k > m:
         raise MacqpError(f"k-means with k={k} > {m} points")
+    if init is not None:
+        init = np.asarray(init, dtype=np.float64)
+        if init.shape != (k, d) or not np.all(np.isfinite(init)):
+            raise MacqpError(f"k-means start of shape {init.shape} is not a finite "
+                             f"({k}, {d}) array")
     if k == m:
         return points.copy()
-    rng = np.random.default_rng(seed)
-    centers = points[rng.choice(m, size=k, replace=False)].copy()
+    if init is None:
+        rng = np.random.default_rng(seed)
+        centers = points[rng.choice(m, size=k, replace=False)].copy()
+    else:
+        centers = init.copy()
     # each dimension's values in point order, contiguous for bincount
     cols = points.T.copy()
     x_sq = row_sq_norms(points)
@@ -361,15 +372,18 @@ def fit_rbf_linear_pair(rbf_layer, lin_layer, A_in, T, weight, seed=0, transient
     earlier fits on these same inputs with this seed, width and readout
     bias; a size found there skips k-means, the design matrix and the
     Gram matrix of the readout's features (the design matrix, with a bias
-    column if the readout has one), and a size computed here is added to
-    it.  The design matrix is the RBF layer's output at A_in and gets
-    layer_apply's checks when it is made, so an entry can stand in for it.
+    column if the readout has one), and a size computed here replaces its
+    entry.  An entry (centers, None, None) holds only the centers of a fit
+    on earlier inputs: k-means at its size starts from them.  The design
+    matrix is the RBF layer's output at A_in and gets layer_apply's checks
+    when it is made, so an entry can stand in for it.
     """
     m = rbf_layer.spec.out_dim
     bias = lin_layer.spec.bias
     entry = None if centers_by_size is None else centers_by_size.get(m)
-    if entry is None:
-        centers = A_in.copy() if m == A_in.shape[0] else kmeans(A_in, m, seed=seed)
+    if entry is None or entry[1] is None:
+        init = None if entry is None else entry[0]
+        centers = A_in.copy() if m == A_in.shape[0] else kmeans(A_in, m, seed=seed, init=init)
         Layer(rbf_layer.spec, LayerWeights(centers))  # raises unless A_in has the layer's width
         phi = rbf_design(A_in, centers, rbf_layer.spec.rbf_width)
         if not np.all(np.isfinite(phi)):

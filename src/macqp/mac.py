@@ -180,16 +180,18 @@ def _block_output(layers, A_in, table=None, start=None):
     """The output of a block's layers at inputs A_in.
 
     ``table`` is the block's {size: (centers, design matrix, Gram
-    matrix)} table of RBF fits at A_in (see fit_rbf_linear_pair).  If
-    the first layer is an RBF layer whose centers are its size's entry
-    there, that entry's design matrix is its output.  ``start``, the
-    net's index of the first layer, numbers the layers in error messages.
+    matrix)} table of RBF fits (see fit_rbf_linear_pair).  If the first
+    layer is an RBF layer whose centers are its size's entry there, and
+    the entry was made at A_in (it has a design matrix), that design
+    matrix is its output.  ``start``, the net's index of the first layer,
+    numbers the layers in error messages.
     """
     out, skip = A_in, 0
     first = layers[0]
     if table and first.spec.kind == LayerKind.GAUSSIAN_RBF:
         entry = table.get(first.spec.out_dim)
-        if entry is not None and np.array_equal(entry[0], first.weights.matrix):
+        if (entry is not None and entry[1] is not None
+                and np.array_equal(entry[0], first.weights.matrix)):
             out, skip = entry[1], 1
     for i in range(skip, len(layers)):
         out = layer_apply(layers[i], out, index=None if start is None else start + i + 1)
@@ -295,11 +297,12 @@ def _backtrack(evaluate, x, d, vals, found, cfg):
     pending, tried = np.flatnonzero(found), 0
     while pending.size and tried < steps.size:
         s = min(tried + 1, steps.size - tried)  # 1, 2, 4, ... steps
-        idx = np.repeat(pending, s)
-        step = np.tile(steps[tried : tried + s], pending.size)[:, None]
-        cand = [xj[idx] + step * dj[idx] for xj, dj in zip(x, d)]
+        idx = np.repeat(pending, s)  # row-major (row, step) order
+        step = steps[tried : tried + s, None]
+        cand = [(xj[pending, None] + step * dj[pending, None]).reshape(idx.size, -1)
+                for xj, dj in zip(x, d)]
         new = evaluate(idx, cand)
-        better = (new[0] < vals[0][idx]).reshape(pending.size, s)
+        better = new[0].reshape(pending.size, s) < vals[0][pending, None]
         hit = better.any(axis=1)
         pick = np.flatnonzero(hit) * s + better.argmax(axis=1)[hit]
         rows = pending[hit]
@@ -339,24 +342,23 @@ def _damped_solve(H, g, base_damping):
     finite and a descent direction.  Returns the steps and a mask of the
     systems that found one.
     """
-    n, m = g.shape
-    scale = None  # the damping's scale, computed when a damped level first runs
-    d = np.zeros_like(g)
-    found = np.zeros(n, dtype=bool)
-    for damp in _damping_levels(base_damping):
+    m = g.shape[1]
+    d = _stacked_solve(H, -g[:, :, None])[:, :, 0]  # undamped: the systems as built
+    found = _is_descent([g], [d])
+    if found.all():
+        return d, found
+    d[~found] = 0.0
+    scale = 1.0 + np.trace(H, axis1=1, axis2=2) / m
+    diag = np.arange(m)
+    levels = _damping_levels(base_damping)
+    next(levels)  # the undamped level, solved above
+    for damp in levels:
         idx = np.flatnonzero(~found)
         if idx.size == 0:
             break
-        every = idx.size == n  # then the systems are used as built
-        if damp == 0.0 and every:
-            H_l = H
-        else:
-            if scale is None:
-                scale = 1.0 + np.trace(H, axis1=1, axis2=2) / m
-            H_l = H[idx]  # a copy: the shift goes in in place
-            diag = np.arange(m)
-            H_l[:, diag, diag] += (damp * scale[idx])[:, None]
-        g_l = g if every else g[idx]
+        H_l = H[idx]  # a copy: the shift goes in in place
+        H_l[:, diag, diag] += (damp * scale[idx])[:, None]
+        g_l = g[idx]
         d_l = _stacked_solve(H_l, -g_l[:, :, None])[:, :, 0]
         ok = _is_descent([g_l], [d_l])
         d[idx[ok]] = d_l[ok]
@@ -450,8 +452,8 @@ def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=
     Returns replacement layers; the caller is responsible for rejecting a
     refit that increases its part of the objective (possible only for the
     k-means-based RBF path).  ``centers_by_size`` is the {size: (centers,
-    design matrix, Gram matrix)} table of an RBF block whose inputs are
-    A_in (see fit_rbf_linear_pair).
+    design matrix, Gram matrix)} table of an RBF block (see
+    fit_rbf_linear_pair).
     """
     layers = net.layers[sl[0] : sl[1]]
     kinds = [l.spec.kind for l in layers]
@@ -477,10 +479,10 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     ``outs``, if given, is block_outputs(net, Z, data.X): the current
     blocks are scored from it, and each accepted refit's output replaces
     its block's entry in place.  ``tables``, if given, holds one {size:
-    (centers, design matrix, Gram matrix)} table per block of RBF fits at
-    the block's current inputs (see fit_rbf_linear_pair).  A fit or
-    output at a size in its block's table reuses that entry, and a fit at
-    a new size adds one.
+    (centers, design matrix, Gram matrix)} table per block of RBF fits
+    (see fit_rbf_linear_pair).  A fit or output at a size whose entry was
+    made at the block's current inputs reuses it; a fit at any other size
+    makes its entry, starting k-means from a centers-only entry's centers.
     """
     slices = block_slices(net)
     ins = _block_inputs(net, Z, data.X)
@@ -751,11 +753,14 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
     E1 only after the weights changed (a W-step, a selection step or a
     restore); a zstep or mu_increase row repeats the last values.  Each
     block also has a {size: (centers, design matrix, Gram matrix)} table
-    of RBF fits at its inputs, shared by the W- and selection steps:
-    k-means always runs with seed 0, so a fit depends only on the inputs
-    and the size.  The first block's inputs are data.X, so its table
-    lasts the whole call; the table of a block fed by coordinates is
-    emptied whenever a Z-step or a restore changes them.
+    of RBF fits at its inputs, shared by the W- and selection steps, so
+    a size is clustered once per inputs.  The first block's inputs are
+    data.X, so its table lasts the whole call, and its k-means runs start
+    from seed 0.  When a Z-step or a restore changes the inputs of a block
+    fed by coordinates, its table keeps only each size's centers: the
+    next k-means at that size starts from them (warm start), as the
+    coordinates move little from one step to the next.  A size fitted for
+    the first time starts from seed 0.
     """
     net = net.copy()
     Z = z_init.copy() if z_init is not None else lift_to_feasible(net, data.X)
@@ -781,11 +786,12 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
 
     def moved_since(before):
         """The blocks fed by coordinates that differ from ``before``'s; their
-        tables are emptied."""
+        tables keep only each size's centers, as k-means starts."""
         moved = [j for j in range(1, len(slices))
                  if not np.array_equal(Z.coords[j - 1], before.coords[j - 1])]
         for j in moved:
-            tables[j].clear()
+            for m, entry in tables[j].items():
+                tables[j][m] = (entry[0], None, None)
         return moved
 
     def refresh(blocks):

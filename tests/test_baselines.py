@@ -292,6 +292,76 @@ class TestKmeans:
             [[-2.0 / 40, 0.0], [-7.0, 0.0], [5.0, 0.0]],
         )
 
+    def test_started_from_its_result_returns_it_after_one_pass(self, rng, monkeypatch):
+        import macqp.baselines
+
+        pts = self._codes_on_a_curve(rng, 500) + rng.normal(scale=0.01, size=(500, 2))
+        for k in (10, 50):
+            converged = kmeans(pts, k, seed=1, iters=200)
+            np.testing.assert_array_equal(converged, kmeans(pts, k, seed=1, iters=201))
+            passes = []
+
+            def counted(*args, **kwargs):
+                passes.append(1)
+                return sq_dist(*args, **kwargs)
+
+            monkeypatch.setattr(macqp.baselines, "sq_dist", counted)
+            np.testing.assert_array_equal(kmeans(pts, k, init=converged), converged)
+            monkeypatch.undo()
+            assert len(passes) == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_start_at_the_seeds_equals_the_seeded_run(self, rng, d):
+        # duplicate points give duplicate starting centers, whose clusters
+        # are left empty and re-seeded as in a seeded run
+        pts = np.repeat(rng.normal(size=(6, d)), 8, axis=0)
+        empty_seen = False
+        for seed in range(12):
+            seeds = kmeans(pts, 9, seed=seed, iters=0)
+            empty_seen |= len(np.unique(seeds, axis=0)) < 9
+            for iters in (1, 2, 20):
+                np.testing.assert_array_equal(
+                    kmeans(pts, 9, iters=iters, init=seeds),
+                    kmeans(pts, 9, seed=seed, iters=iters),
+                )
+        assert empty_seen
+
+    def test_duplicate_starting_centers_are_reseeded_farthest_first(self):
+        pts = np.zeros((40, 2))
+        pts[-2] = [5.0, 0.0]
+        pts[-1] = [-7.0, 0.0]
+        init = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
+        np.testing.assert_array_equal(
+            kmeans(pts, 3, iters=1, init=init),
+            [[-2.0 / 40, 0.0], [-7.0, 0.0], [5.0, 0.0]],
+        )
+        np.testing.assert_array_equal(init, [[0.5, 0.0]] * 3)
+
+    def test_start_is_left_unchanged(self, rng):
+        pts = rng.normal(size=(60, 3))
+        init = rng.normal(size=(5, 3))
+        kept = init.copy()
+        centers = kmeans(pts, 5, init=init)
+        assert not np.array_equal(centers, kept)
+        np.testing.assert_array_equal(init, kept)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5, 2), (15,), (1, 5, 3)])
+    def test_start_of_the_wrong_shape_rejected(self, rng, shape):
+        init = rng.normal(size=shape)
+        kept = init.copy()
+        with pytest.raises(MacqpError, match=rf"start of shape \({shape[0]},"):
+            kmeans(rng.normal(size=(20, 3)), 5, init=init)
+        np.testing.assert_array_equal(init, kept)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected(self, rng, bad):
+        init = rng.normal(size=(5, 3))
+        init[2, 1] = bad
+        kept = init.copy()
+        with pytest.raises(MacqpError, match=r"start of shape \(5, 3\)"):
+            kmeans(rng.normal(size=(20, 3)), 5, init=init)
+        np.testing.assert_array_equal(init, kept)
+
 
 class TestRidgeLsq:
     def test_identity_features_zero_ridge(self, rng):

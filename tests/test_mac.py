@@ -720,6 +720,27 @@ class TestBatchedWStep:
         for a, b in zip((H, g), before):
             np.testing.assert_array_equal(a, b)
 
+    def test_damped_solve_damps_only_systems_without_a_descent_step(self, rng, monkeypatch):
+        # every system descends undamped: one solve, returned as it is; with
+        # a singular system, only that one is solved again, damped
+        _, _, _, H = _singular_unit_problem(rng)
+        g = rng.normal(size=H.shape[:2])
+        solved = []  # systems per stacked solve
+        stacked = macqp.mac._stacked_solve
+
+        def counted(A, B):
+            solved.append(A.shape[0])
+            return stacked(A, B)
+
+        monkeypatch.setattr(macqp.mac, "_stacked_solve", counted)
+        ok = [0, 1, 2, 4, 5]
+        d, found = macqp.mac._damped_solve(H[ok], g[ok], 1e-8)
+        assert solved == [5] and found.all()
+        np.testing.assert_array_equal(d, stacked(H[ok], -g[ok, :, None])[:, :, 0])
+        solved.clear()
+        _, found = macqp.mac._damped_solve(H, g, 1e-8)
+        assert solved[0] == 6 and set(solved[1:]) == {1} and found.all()
+
     def test_one_point(self, rng):
         # N = 1: each unit's Gauss-Newton matrix is rank one plus the ridge
         layer, A, T = _sigmoid_layer_problem(rng, 1, 4, 6)

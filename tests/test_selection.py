@@ -17,6 +17,7 @@ from macqp.mac import (
     AuxState,
     PenaltySchedule,
     StepConfig,
+    TrainTrace,
     lift_to_feasible,
     mac_train,
     qp_objective,
@@ -265,10 +266,42 @@ class TestMacTrainWithSelection:
             assert ev["after"] <= ev["before"] * (1 + 1e-10)
 
 
+def _same_kmeans_starts(monkeypatch, starts, record):
+    """Spy on k-means so that two runs start it alike.
+
+    A recording run keeps each call's start in ``starts``, keyed by its
+    points and size, with the number of Z-steps run before it.  A replaying
+    run starts each call from the start the recording run used last on the
+    same points and size, as of the same number of Z-steps.  A run that
+    recomputes cached centers then clusters from the start the cached run
+    used, warm or seeded, also when a restore brings back coordinates that
+    were clustered before.
+    """
+    kmeans_fn, z_step_fn = macqp.baselines.kmeans, macqp.mac.z_step
+    z_steps = [0]
+
+    def counted_z_step(*args, **kwargs):
+        z_steps[0] += 1
+        return z_step_fn(*args, **kwargs)
+
+    def call(points, k, *args, init=None, **kwargs):
+        key = (np.asarray(points).tobytes(), k)
+        if record:
+            kept = starts.setdefault(key, [])
+            assert not kept or kept[-1][0] < z_steps[0]
+            kept.append((z_steps[0], None if init is None else init.copy()))
+        else:
+            init = [start for n, start in starts[key] if n <= z_steps[0]][-1]
+        return kmeans_fn(points, k, *args, init=init, **kwargs)
+
+    monkeypatch.setattr(macqp.mac, "z_step", counted_z_step)
+    monkeypatch.setattr(macqp.baselines, "kmeans", call)
+
+
 class TestFirstBlockCenterTable:
     """mac_train clusters the first block's inputs, data.X, once per size."""
 
-    def _run(self, monkeypatch, recompute):
+    def _run(self, monkeypatch, recompute, starts):
         data = synth_manifold_dataset(120, 16, 1, 0.01, seed=7)
         specs = [
             LayerSpec(LayerKind.GAUSSIAN_RBF, 16, 40, rbf_width=2.0),
@@ -281,6 +314,7 @@ class TestFirstBlockCenterTable:
         schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=4,
                                    stage_tolerance=1e-8)
         on_x = []
+        _same_kmeans_starts(monkeypatch, starts, record=not recompute)
         kmeans_fn = macqp.baselines.kmeans
 
         def counted(points, k, *args, **kwargs):
@@ -303,8 +337,9 @@ class TestFirstBlockCenterTable:
         return out, Z, trace, on_x
 
     def test_equals_recomputing_the_centers(self, monkeypatch):
-        out, Z, trace, on_x = self._run(monkeypatch, recompute=False)
-        ref, ref_Z, ref_trace, ref_on_x = self._run(monkeypatch, recompute=True)
+        starts = {}
+        out, Z, trace, on_x = self._run(monkeypatch, False, starts)
+        ref, ref_Z, ref_trace, ref_on_x = self._run(monkeypatch, True, starts)
         assert sorted(on_x) == [10, 20, 30, 40, 50]
         assert len(ref_on_x) > 2 * len(on_x)
         for a, b in zip(out.layers, ref.layers):
@@ -334,10 +369,29 @@ def test_table_entry_reproduces_the_fit_bitwise(rng, bias):
             np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
 
 
-def _rbf_select_problem():
+def test_block_output_reads_an_entry_only_at_its_centers(rng):
+    # a block's output comes from its size's table entry only when the
+    # entry holds a design matrix and the block's centers are the entry's
+    rbf = Layer(LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5),
+                LayerWeights(np.zeros((8, 3))))
+    lin_spec = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=False)
+    lin = Layer(lin_spec, LayerWeights(np.zeros(lin_spec.weight_shape)))
+    A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
+    table = {}
+    pair = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, centers_by_size=table)
+    other = [Layer(rbf.spec, LayerWeights(pair[0].weights.matrix + 0.5)), pair[1]]
+    for layers in (pair, other):
+        np.testing.assert_array_equal(macqp.mac._block_output(layers, A, table),
+                                      macqp.mac._block_output(layers, A))
+    table[8] = (table[8][0], None, None)  # centers kept from earlier inputs
+    np.testing.assert_array_equal(macqp.mac._block_output(pair, A, table),
+                                  macqp.mac._block_output(pair, A))
+
+
+def _rbf_select_problem(seed=7, n_val=0):
     """An rbf_select-shaped problem: RBF autoencoder, coding placement,
     selection over five sizes per block every two iterations."""
-    data = synth_manifold_dataset(120, 16, 1, 0.01, seed=7)
+    data = synth_manifold_dataset(120, 16, 1, 0.01, seed=seed, n_val=n_val)
     specs = [
         LayerSpec(LayerKind.GAUSSIAN_RBF, 16, 40, rbf_width=2.0),
         LayerSpec(LayerKind.LINEAR_DENSE, 40, 2, ridge=1e-6, bias=False),
@@ -358,11 +412,21 @@ def _without(fn, *names):
     return call
 
 
+def _restored(trace):
+    """Whether some stage restored an iterate other than its last one: the
+    row after the restore has a lower validation error than the row before."""
+    rows = trace.rows
+    return any(cur.event == "mu_increase" and cur.e1_val < prev.e1_val
+               for prev, cur in zip(rows, rows[1:]))
+
+
 class TestSharedBlockEvaluations:
     """mac_train shares each block's output and RBF design matrices between
-    steps; the results equal evaluating every block afresh, bit for bit."""
+    steps; the results equal evaluating every block afresh from the same
+    k-means starts, bit for bit."""
 
-    def _run(self, monkeypatch, net, data, schedule, recompute, **kwargs):
+    def _run(self, monkeypatch, net, data, schedule, recompute, starts, **kwargs):
+        _same_kmeans_starts(monkeypatch, starts, record=not recompute)
         if recompute:
             for module, name, dropped in (
                 (macqp.mac, "w_step", ("outs", "tables")),
@@ -378,8 +442,10 @@ class TestSharedBlockEvaluations:
         return out
 
     def _assert_same_runs(self, monkeypatch, net, data, schedule, **kwargs):
-        out, Z, trace = self._run(monkeypatch, net, data, schedule, False, **kwargs)
-        ref, ref_Z, ref_trace = self._run(monkeypatch, net, data, schedule, True, **kwargs)
+        starts = {}
+        out, Z, trace = self._run(monkeypatch, net, data, schedule, False, starts, **kwargs)
+        ref, ref_Z, ref_trace = self._run(monkeypatch, net, data, schedule, True, starts,
+                                          **kwargs)
         for a, b in zip(out.layers, ref.layers, strict=True):
             assert a.spec == b.spec
             np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
@@ -395,17 +461,20 @@ class TestSharedBlockEvaluations:
         trace = self._assert_same_runs(monkeypatch, net, data, schedule, **kwargs)
         assert trace.selection_events
 
+    def test_rbf_select_net_with_validation_split(self, monkeypatch):
+        # a restore moves the coordinates back: the coded block's entries
+        # keep only their centers, as after a Z-step
+        net, data, schedule, kwargs = _rbf_select_problem(seed=2, n_val=30)
+        trace = self._assert_same_runs(monkeypatch, net, data, schedule, **kwargs)
+        assert _restored(trace)
+
     def test_sigmoid_net_with_validation_split(self, monkeypatch):
         data = synth_manifold_dataset(60, 8, 1, 0.05, seed=4, n_val=30)
         net = sigmoid_autoencoder((8, 5, 2, 5, 8), seed=6)
         schedule = PenaltySchedule(max_stages=4, max_iters_per_stage=5,
                                    stage_tolerance=1e-6)
         trace = self._assert_same_runs(monkeypatch, net, data, schedule)
-        # some stage restored an iterate other than its last one: the row
-        # after the restore has a lower validation error than the row before
-        rows = trace.rows
-        assert any(cur.event == "mu_increase" and cur.e1_val < prev.e1_val
-                   for prev, cur in zip(rows, rows[1:]))
+        assert _restored(trace)
 
     def test_path_shaped_net(self, monkeypatch):
         data = synth_manifold_dataset(40, 4, 1, 0.0, seed=3)
@@ -480,3 +549,47 @@ class TestSharedBlockEvaluations:
         assert after_selection and all(n == 0 for _, n in after_selection)
         # a W-step that follows a Z-step clusters the moved coordinates afresh
         assert after_z_step and all(n == 1 for _, n in after_z_step)
+
+
+@pytest.mark.parametrize("problem", [{}, {"seed": 2, "n_val": 30}],
+                         ids=["no_split", "validation_split"])
+def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, problem):
+    # each coordinate-fed fit at size m starts from the centers last fitted
+    # at m, on the coordinates before a Z-step or a restore moved them; a
+    # size's first fit and every fit on data.X start from the seed
+    net, data, schedule, kwargs = _rbf_select_problem(**problem)
+    runs = []  # (on data.X, points, size, start, centers, stage ends) per k-means run
+    stage_ends = [0]  # mu_increase rows so far; a restore comes just before one
+    kmeans_fn, add_fn = macqp.baselines.kmeans, TrainTrace.add
+
+    def spied(points, k, *args, init=None, **kw):
+        centers = kmeans_fn(points, k, *args, init=init, **kw)
+        runs.append((points is data.X, points.tobytes(), k,
+                     None if init is None else init.copy(), centers.copy(), stage_ends[0]))
+        return centers
+
+    def add(trace, *args):
+        stage_ends[0] += args[-1] == "mu_increase"
+        return add_fn(trace, *args)
+
+    monkeypatch.setattr(macqp.baselines, "kmeans", spied)
+    monkeypatch.setattr(TrainTrace, "add", add)
+    trace = mac_train(net, data, schedule, StepConfig(), **kwargs)[2]
+    last = {}  # size -> centers of its last fit on the coordinates
+    seen = {}  # (points, size) -> stage ends at its last fit
+    warm = again = 0
+    for on_x, points, k, init, centers, ends in runs:
+        if on_x or k not in last:
+            assert init is None
+        else:
+            np.testing.assert_array_equal(init, last[k])
+            warm += 1
+        if (points, k) in seen:  # only a restore brings coordinates back
+            assert ends > seen[points, k]
+            again += 1
+        seen[points, k] = ends
+        if not on_x:
+            last[k] = centers
+    assert sorted(last) == [10, 20, 30, 40, 50]
+    assert warm > 2 * len(last)
+    assert (again > 0) == _restored(trace) == bool(problem)
