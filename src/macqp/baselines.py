@@ -21,10 +21,11 @@ from .model import (
     MacqpError,
     NestedNet,
     NonFiniteError,
-    _check_counts,
-    _check_reals,
+    TrainTrace,
     add_bias_col,
     backprop_gradient,
+    check_count,
+    check_real,
     flatten_weights,
     forward_all,
     nested_objective,
@@ -42,9 +43,10 @@ class SgdConfig:
     trace_every: int = 20
 
     def __post_init__(self):
-        _check_counts(self, 1, "minibatch", "epochs", "trace_every")
-        _check_counts(self, 0, "seed")
-        _check_reals(self, 0, "learning_rate")
+        for name in ("minibatch", "epochs", "trace_every"):
+            check_count(getattr(self, name), name, 1)
+        check_count(self.seed, "seed", 0)
+        check_real(self.learning_rate, "learning_rate", 0)
 
 
 @dataclass
@@ -56,8 +58,9 @@ class CgConfig:
     trace_every: int = 10
 
     def __post_init__(self):
-        _check_counts(self, 1, "max_iters", "restart_every", "trace_every")
-        _check_reals(self, 0, "gtol")
+        for name in ("max_iters", "restart_every", "trace_every"):
+            check_count(getattr(self, name), name, 1)
+        check_real(self.gtol, "gtol", 0)
         if self.line_search not in ("backtracking", "cubic"):
             raise ValueError("line_search must be 'backtracking' or 'cubic', "
                              f"got {self.line_search!r}")
@@ -164,8 +167,6 @@ def _cholesky_solve(A, rhs):
 
 def sgd_train(net, data, cfg, time_budget=None):
     """Minibatch stochastic gradient descent on the nested objective."""
-    from .mac import TrainTrace  # trace type lives with the MAC driver
-
     if cfg.minibatch > data.n:
         raise MacqpError("minibatch larger than the dataset")
     rng = np.random.default_rng(cfg.seed)
@@ -173,24 +174,11 @@ def sgd_train(net, data, cfg, time_budget=None):
     t0 = time.perf_counter()
     net = net.copy()
     e1_0 = nested_objective(net, data)
-    eval_data = data.eval_split()
 
-    def record(epoch, event):
-        e1_train = nested_objective(net, data)
-        e1_val = nested_objective(net, eval_data)
-        trace.add(
-            len(trace.rows) + 1,
-            time.perf_counter() - t0,
-            0.0,
-            e1_train,
-            e1_val,
-            e1_train,
-            0.0,
-            event,
-        )
-        return e1_train
+    def record(event):
+        return trace.add_nested(time.perf_counter() - t0, net, data, event)
 
-    record(0, "sgd_epoch")
+    record("sgd_epoch")
     last_recorded = 0
     epoch = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -203,7 +191,7 @@ def sgd_train(net, data, cfg, time_budget=None):
             grads = backprop_gradient(net, batch)
             net = net_axpy(net, grads, cfg.learning_rate)
         if epoch % cfg.trace_every == 0 or epoch == cfg.epochs:
-            e1 = record(epoch, "sgd_epoch")
+            e1 = record("sgd_epoch")
             last_recorded = epoch
             if e1 > 1e3 * max(e1_0, 1e-300):
                 trace.rows[-1].event = "sgd_diverged"
@@ -211,7 +199,7 @@ def sgd_train(net, data, cfg, time_budget=None):
         if time_budget is not None and time.perf_counter() - t0 > time_budget:
             break
     if last_recorded != epoch:
-        record(epoch, "sgd_epoch")
+        record("sgd_epoch")
     return net, trace
 
 
@@ -300,11 +288,8 @@ def _cg_minimize(value, grad, x0, max_iters, restart_every, line_search, gtol,
 
 def cg_train(net, data, cfg, time_budget=None):
     """Full-batch Polak-Ribiere conjugate-gradient training."""
-    from .mac import TrainTrace
-
     trace = TrainTrace()
     t0 = time.perf_counter()
-    eval_data = data.eval_split()
     template = net.copy()
 
     def value(w):
@@ -316,17 +301,8 @@ def cg_train(net, data, cfg, time_budget=None):
 
     def callback(it, w, fx, g):
         if it % cfg.trace_every == 0:
-            cand = unflatten_weights(template, w)
-            trace.add(
-                len(trace.rows) + 1,
-                time.perf_counter() - t0,
-                0.0,
-                fx,
-                nested_objective(cand, eval_data),
-                fx,
-                0.0,
-                "cg_iter",
-            )
+            trace.add_nested(time.perf_counter() - t0, unflatten_weights(template, w), data,
+                             "cg_iter", e1_train=fx)
 
     w0 = flatten_weights(net)
     w, fx, _ = _cg_minimize(
@@ -334,16 +310,7 @@ def cg_train(net, data, cfg, time_budget=None):
         cfg.gtol, callback=callback, time_budget=time_budget,
     )
     out = unflatten_weights(template, w)
-    trace.add(
-        len(trace.rows) + 1,
-        time.perf_counter() - t0,
-        0.0,
-        fx,
-        nested_objective(out, eval_data),
-        fx,
-        0.0,
-        "cg_iter",
-    )
+    trace.add_nested(time.perf_counter() - t0, out, data, "cg_iter", e1_train=fx)
     return out, trace
 
 
@@ -383,7 +350,7 @@ def fit_rbf_linear_pair(rbf_layer, lin_layer, A_in, T, weight, seed=0, transient
     entry = None if centers_by_size is None else centers_by_size.get(m)
     if entry is None or entry[1] is None:
         init = None if entry is None else entry[0]
-        centers = A_in.copy() if m == A_in.shape[0] else kmeans(A_in, m, seed=seed, init=init)
+        centers = kmeans(A_in, m, seed=seed, init=init)
         Layer(rbf_layer.spec, LayerWeights(centers))  # raises unless A_in has the layer's width
         phi = rbf_design(A_in, centers, rbf_layer.spec.rbf_width)
         if not np.all(np.isfinite(phi)):
@@ -411,26 +378,13 @@ def alt_opt_rbf_train(net, data, iters, cg_steps=10, seed=0, time_budget=None):
     current codes) and then the encoder (k-means centers, readout by
     nonlinear CG through the frozen decoder).
     """
-    from .mac import TrainTrace
-
     _check_rbf_autoencoder(net)
     net = net.copy()
     trace = TrainTrace()
     t0 = time.perf_counter()
-    eval_data = data.eval_split()
 
     def record(event):
-        e1 = nested_objective(net, data)
-        trace.add(
-            len(trace.rows) + 1,
-            time.perf_counter() - t0,
-            0.0,
-            e1,
-            nested_objective(net, eval_data),
-            e1,
-            0.0,
-            event,
-        )
+        trace.add_nested(time.perf_counter() - t0, net, data, event)
 
     record("altopt_iter")
     for _ in range(iters):
@@ -440,10 +394,7 @@ def alt_opt_rbf_train(net, data, iters, cg_steps=10, seed=0, time_budget=None):
         )
         net = NestedNet([net.layers[0], net.layers[1], dec_rbf, dec_lin], [2])
 
-        m1 = net.layers[0].spec.out_dim
-        centers = (
-            data.X.copy() if m1 == data.n else kmeans(data.X, m1, seed=seed)
-        )
+        centers = kmeans(data.X, net.layers[0].spec.out_dim, seed=seed)
         net.layers[0] = Layer(net.layers[0].spec, LayerWeights(centers))
         net = _refit_encoder_readout(net, data, cg_steps)
         record("altopt_iter")

@@ -67,6 +67,9 @@ def load_model(path):
         )
         if code not in _CODE_KINDS:
             raise MacqpError(f"{path}: unknown layer kind code {code} at byte offset {at}")
+        if bias not in (0.0, 1.0):
+            raise MacqpError(f"{path}: layer {k}'s bias flag at byte offset "
+                             f"{at + struct.calcsize('<BIIdd')} is {bias!r}, not 0.0 or 1.0")
         try:
             spec = LayerSpec(
                 _CODE_KINDS[code], in_dim, out_dim,

@@ -7,6 +7,7 @@ step, runs the chosen optimizer and writes trace.csv, model.macn and any
 requested reconstruction images into the output directory.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from .mac import (
     AuxState,
     PenaltySchedule,
     StepConfig,
-    TrainTrace,
     lift_to_feasible,
     mac_train,
     postprocess,
@@ -30,7 +30,10 @@ from .model import (
     LayerKind,
     LayerSpec,
     MacqpError,
+    TrainTrace,
     bias_warmup_step,
+    check_count,
+    check_real,
     forward_all,
     init_weights,
     nested_objective,
@@ -49,19 +52,11 @@ _DATASET_KEYS = {"path", "format", "synth"}
 _SYNTH_KEYS = {"n", "ambient_dim", "intrinsic_dim", "noise", "seed", "n_val"}
 _ARCH_KEYS = {"layers", "placement"}
 _LAYER_KEYS = {"kind", "in_dim", "out_dim", "rbf_width", "ridge", "bias"}
-_SCHEDULE_KEYS = {
-    "mu0", "growth", "stage_tolerance", "max_stages", "reg_drop_threshold",
-    "transient_reg", "max_iters_per_stage",
-}
-_STEP_KEYS = {"w_gn_iters", "z_gn_iters", "backtrack_factor", "max_backtracks", "gn_damping"}
-_SELECTION_KEYS = {"candidates_per_block", "epsilon_sq", "cadence"}
 _PARALLEL_KEYS = {"workers"}
-_SGD_KEYS = {"minibatch", "learning_rate", "epochs", "seed", "trace_every"}
-_CG_KEYS = {"max_iters", "restart_every", "line_search", "gtol", "trace_every"}
 _ALTOPT_KEYS = {"iters", "cg_steps"}
 
-# Sections built into these config types; a value a type rejects fails
-# the config at load time.
+# Sections built into these config types: their keys are the type's
+# fields, and a value the type rejects fails the config at load time.
 _SECTION_TYPES = {
     "schedule": PenaltySchedule,
     "step": StepConfig,
@@ -93,18 +88,6 @@ def load_config(path_or_dict):
     return cfg
 
 
-def _check_int(value, key, least):
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise MacqpError(f"{key} must be an integer >= {least}, got {value!r}")
-
-
-def _check_real(value, key, least):
-    """A finite number >= least (ints of any size are finite)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not math.isfinite(value)) or value < least):
-        raise MacqpError(f"{key} must be a finite number >= {least}, got {value!r}")
-
-
 def _check_section(value, key):
     if not isinstance(value, dict):
         raise MacqpError(f"config section {key} must be an object, got {value!r}")
@@ -133,20 +116,16 @@ def validate_config(cfg):
         if not isinstance(ds["path"], str) or not os.path.exists(ds["path"]):
             raise MacqpError(f"dataset file not found: {ds['path']!r}")
     build_architecture(cfg)
-    for key, allowed in (
-        ("schedule", _SCHEDULE_KEYS),
-        ("step", _STEP_KEYS),
-        ("selection", _SELECTION_KEYS),
-        ("parallel", _PARALLEL_KEYS),
-        ("sgd", _SGD_KEYS),
-        ("cg", _CG_KEYS),
-        ("altopt", _ALTOPT_KEYS),
-    ):
+    if method == "mac_select" and "selection" not in cfg:
+        raise MacqpError("mac_select requires a 'selection' section")
+    for key, allowed in (("parallel", _PARALLEL_KEYS), ("altopt", _ALTOPT_KEYS)):
         if key in cfg:
             _check_section(cfg[key], key)
             _check_keys(cfg[key], allowed, key)
     for key, section_type in _SECTION_TYPES.items():
         if key in cfg:
+            _check_section(cfg[key], key)
+            _check_keys(cfg[key], {f.name for f in dataclasses.fields(section_type)}, key)
             try:
                 section_type(**cfg[key])
             except (TypeError, ValueError) as exc:
@@ -155,13 +134,13 @@ def validate_config(cfg):
         worker_count(cfg["parallel"]["workers"], "parallel.workers")
     for key in ("iters", "cg_steps"):
         if key in cfg.get("altopt", {}):
-            _check_int(cfg["altopt"][key], f"altopt.{key}", 0)
+            check_count(cfg["altopt"][key], f"altopt.{key}", 0)
     if "seed" in cfg:
-        _check_int(cfg["seed"], "seed", 0)
+        check_count(cfg["seed"], "seed", 0)
     if cfg.get("time_budget") is not None:
-        _check_real(cfg["time_budget"], "time_budget", 0)
+        check_real(cfg["time_budget"], "time_budget", 0)
     if "warmup_step" in cfg:
-        _check_real(cfg["warmup_step"], "warmup_step", 0)
+        check_real(cfg["warmup_step"], "warmup_step", 0)
     if not isinstance(cfg.get("output_dir", "."), str):
         raise MacqpError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     # their entries are checked against the dataset once it is loaded
@@ -187,14 +166,14 @@ def _synth_args(s, name="dataset.synth.{}".format):
     for key in ("n", "ambient_dim", "intrinsic_dim"):
         if key not in s:
             raise MacqpError(f"dataset.synth requires '{key}'")
-        _check_int(s[key], name(key), 1)
+        check_count(s[key], name(key), 1)
     if s["intrinsic_dim"] >= s["ambient_dim"]:
         raise MacqpError(f"{name('intrinsic_dim')} must be below {name('ambient_dim')}, got "
                          f"{s['intrinsic_dim']} and {s['ambient_dim']}")
     noise, seed, n_val = s.get("noise", 0.0), s.get("seed", 0), s.get("n_val", 0)
-    _check_real(noise, name("noise"), 0)
-    _check_int(seed, name("seed"), 0)
-    _check_int(n_val, name("n_val"), 0)
+    check_real(noise, name("noise"), 0)
+    check_count(seed, name("seed"), 0)
+    check_count(n_val, name("n_val"), 0)
     return {"n": s["n"], "ambient_dim": s["ambient_dim"], "intrinsic_dim": s["intrinsic_dim"],
             "noise": noise, "seed": seed, "n_val": n_val}
 
@@ -215,10 +194,10 @@ def _layer_spec(layer, key):
     for dim in ("in_dim", "out_dim"):
         if dim not in layer:
             raise MacqpError(f"{key} requires '{dim}'")
-        _check_int(layer[dim], f"{key}.{dim}", 1)
+        check_count(layer[dim], f"{key}.{dim}", 1)
     for name in ("rbf_width", "ridge"):
         if name in layer:
-            _check_real(layer[name], f"{key}.{name}", 0)
+            check_real(layer[name], f"{key}.{name}", 0)
     if not isinstance(layer.get("bias", True), bool):
         raise MacqpError(f"{key}.bias must be true or false, got {layer['bias']!r}")
     try:
@@ -322,8 +301,6 @@ def run_experiment(cfg):
                 time_budget=time_budget, z_init=z0,
             )
         else:
-            if "selection" not in cfg:
-                raise MacqpError("mac_select requires a 'selection' section")
             sel_cfg = SelectionConfig(**cfg["selection"])
             net, Z, trace = mac_train_with_selection(
                 net, dataset, schedule, step_cfg, sel_cfg, workers=workers,

@@ -8,33 +8,33 @@ updates (decoupled per unit or per block) with per-point coordinate
 updates.
 """
 
-import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import fit_rbf_linear_pair, ridge_lsq
 from .kernels import sigmoid
+# TRACE_HEADER, TraceRow and TrainTrace are also imported from this module
 from .model import (
+    TRACE_HEADER,
     Layer,
     LayerKind,
     LayerWeights,
     MacqpError,
     NestedNet,
     NonFiniteError,
-    _check_counts,
-    _check_reals,
+    TraceRow,
+    TrainTrace,
     add_bias_col,
+    check_count,
+    check_real,
     forward_all,
     layer_apply,
     layer_jacobians,
     nested_objective,
-    ridge_penalty,
 )
 from .parallel import parallel_map
-
-TRACE_HEADER = "iter,seconds,mu,e1_train,e1_val,eq,constraint_viol,event"
 
 
 @dataclass
@@ -68,7 +68,8 @@ class PenaltySchedule:
     max_iters_per_stage: int = 50
 
     def __post_init__(self):
-        _check_reals(self, 0, "mu0", "growth", "stage_tolerance", "transient_reg")
+        for name in ("mu0", "growth", "stage_tolerance", "transient_reg"):
+            check_real(getattr(self, name), name, 0)
         # written so that NaN fails every test
         if not (self.mu0 > 0 and self.stage_tolerance > 0):
             raise ValueError("mu0 and stage_tolerance must be positive")
@@ -76,8 +77,8 @@ class PenaltySchedule:
             raise ValueError("growth must exceed 1")
         if not (self.transient_reg >= 0 and self.reg_drop_threshold >= 0):
             raise ValueError("transient_reg and reg_drop_threshold must be nonnegative")
-        _check_counts(self, 0, "max_stages")
-        _check_counts(self, 1, "max_iters_per_stage")
+        check_count(self.max_stages, "max_stages", 0)
+        check_count(self.max_iters_per_stage, "max_iters_per_stage", 1)
 
 
 @dataclass
@@ -86,59 +87,12 @@ class StepConfig:
     z_gn_iters: int = 1
     backtrack_factor: float = 0.5
     max_backtracks: int = 20
-    gn_damping: float = 1e-8
 
     def __post_init__(self):
-        _check_counts(self, 1, "w_gn_iters", "z_gn_iters", "max_backtracks")
+        for name in ("w_gn_iters", "z_gn_iters", "max_backtracks"):
+            check_count(getattr(self, name), name, 1)
         if not (0 < self.backtrack_factor < 1):
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not self.gn_damping >= 0:
-            raise ValueError("gn_damping must be nonnegative")
-
-
-@dataclass
-class TraceRow:
-    iteration: int
-    seconds: float
-    mu: float
-    e1_train: float
-    e1_val: float
-    eq: float
-    constraint_viol: float
-    event: str
-
-
-@dataclass
-class TrainTrace:
-    rows: list = field(default_factory=list)
-    selection_events: list = field(default_factory=list)
-
-    def add(self, iteration, seconds, mu, e1_train, e1_val, eq, viol, event):
-        if self.rows:
-            if iteration <= self.rows[-1].iteration:
-                raise MacqpError("trace iteration indices must increase")
-            seconds = max(seconds, self.rows[-1].seconds)
-        self.rows.append(
-            TraceRow(iteration, seconds, mu, e1_train, e1_val, eq, viol, event)
-        )
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER.split(","))
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.iteration,
-                        repr(r.seconds),
-                        repr(r.mu),
-                        repr(r.e1_train),
-                        repr(r.e1_val),
-                        repr(r.eq),
-                        repr(r.constraint_viol),
-                        r.event,
-                    ]
-                )
 
 
 def block_slices(net):
@@ -157,14 +111,13 @@ def _block_inputs(net, Z, X):
     return [X] + list(Z.coords)
 
 
-def transient_penalty(net, transient_reg):
-    if transient_reg <= 0:
-        return 0.0
-    return transient_reg * sum(
-        float(np.sum(l.weights.matrix**2))
-        for l in net.layers
-        if l.spec.kind != LayerKind.GAUSSIAN_RBF
-    )
+def qp_blocks(net, Z, data, mu):
+    """The split of E_Q at fixed coordinates into one part per block: for
+    each block, (its layer slice, inputs, targets, weight).  Block j fits
+    coordinate block j with weight mu; the last block fits Y with weight 1."""
+    slices = block_slices(net)
+    weights = [mu] * (len(slices) - 1) + [1.0]
+    return list(zip(slices, _block_inputs(net, Z, data.X), list(Z.coords) + [data.Y], weights))
 
 
 def block_outputs(net, Z, X):
@@ -199,7 +152,8 @@ def _block_output(layers, A_in, table=None, start=None):
 
 
 def qp_objective(net, Z, data, mu, transient_reg=0.0, outs=None):
-    """Penalized objective: last-block loss + (mu/2) constraint violations.
+    """Penalized objective: last-block loss + (mu/2) constraint violations
+    + weight penalties, summed over the blocks of qp_blocks in order.
 
     ``outs`` is block_outputs(net, Z, data.X), computed here if not given.
     """
@@ -209,11 +163,8 @@ def qp_objective(net, Z, data, mu, transient_reg=0.0, outs=None):
         raise MacqpError("auxiliary state does not match net placement")
     if outs is None:
         outs = block_outputs(net, Z, data.X)
-    total = 0.5 * float(np.sum((data.Y - outs[-1]) ** 2))
-    for z, out in zip(Z.coords, outs):
-        diff = z - out
-        total += 0.5 * mu * float(np.sum(diff**2))
-    total += ridge_penalty(net) + transient_penalty(net, transient_reg)
+    total = sum(_block_objective(net.layers[a:b], A, T, weight, transient_reg, out=out)
+                for ((a, b), A, T, weight), out in zip(qp_blocks(net, Z, data, mu), outs))
     if not np.isfinite(total):
         raise NonFiniteError("penalized objective is non-finite")
     return total
@@ -325,17 +276,12 @@ def _backtrack(evaluate, x, d, vals, found, cfg):
 W_GROUP_ELEMS = 1 << 18
 
 
-def _damping_levels(base_damping):
-    """The Levenberg damping levels a damped solve tries in turn."""
-    damp = 0.0
-    for _ in range(12):
-        yield damp
-        damp = base_damping if damp == 0.0 else damp * 10.0
-        if damp == 0.0:
-            damp = 1e-8
+# The Levenberg damping levels a damped solve tries in turn after the
+# undamped solve: 1e-8, 1e-7, ..., 1e2, each ten times the one before.
+DAMPING_LEVELS = np.cumprod([1e-8] + [10.0] * 10)
 
 
-def _damped_solve(H, g, base_damping):
+def _damped_solve(H, g):
     """Solve stacked symmetric systems H d = -g, H (n, m, m) and g (n, m).
 
     Each system escalates its own Levenberg damping until its step is
@@ -350,9 +296,7 @@ def _damped_solve(H, g, base_damping):
     d[~found] = 0.0
     scale = 1.0 + np.trace(H, axis1=1, axis2=2) / m
     diag = np.arange(m)
-    levels = _damping_levels(base_damping)
-    next(levels)  # the undamped level, solved above
-    for damp in levels:
+    for damp in DAMPING_LEVELS:
         idx = np.flatnonzero(~found)
         if idx.size == 0:
             break
@@ -406,7 +350,7 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
         R = T_l - P_l
         S = P_l * (1.0 - P_l)
         g = -weight * ((S * R) @ phi) + 2.0 * lam * W_l
-        d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g, cfg.gn_damping)
+        d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
 
         def evaluate(rows, cand):
             P_c = sigmoid(cand[0] @ phi.T)
@@ -484,20 +428,15 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     made at the block's current inputs reuses it; a fit at any other size
     makes its entry, starting k-means from a centers-only entry's centers.
     """
-    slices = block_slices(net)
-    ins = _block_inputs(net, Z, data.X)
-    targets = list(Z.coords) + [data.Y]
     new_layers = list(net.layers)
-    for j, sl in enumerate(slices):
-        weight = 1.0 if j == len(slices) - 1 else mu
+    for j, (sl, A, T, weight) in enumerate(qp_blocks(net, Z, data, mu)):
         table = None if tables is None else tables[j]
-        fitted = fit_block(net, sl, ins[j], targets[j], weight, cfg,
+        fitted = fit_block(net, sl, A, T, weight, cfg,
                            transient_reg=transient_reg, centers_by_size=table)
-        args = (ins[j], targets[j], weight, transient_reg)
-        before = _block_objective(net.layers[sl[0] : sl[1]], *args,
+        before = _block_objective(net.layers[sl[0] : sl[1]], A, T, weight, transient_reg,
                                   out=None if outs is None else outs[j])
-        out = _block_output(fitted, ins[j], table, start=sl[0])
-        if _block_objective(fitted, *args, out=out) <= before:
+        out = _block_output(fitted, A, table, start=sl[0])
+        if _block_objective(fitted, A, T, weight, transient_reg, out=out) <= before:
             new_layers[sl[0] : sl[1]] = fitted
             if outs is not None:
                 outs[j] = out

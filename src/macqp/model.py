@@ -8,6 +8,7 @@ pure: they never mutate a net, and updated nets are returned as new
 values.
 """
 
+import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -22,21 +23,26 @@ class MacqpError(Exception):
     """Base class for errors raised by this package."""
 
 
-def _check_counts(cfg, least, *names):
-    """ValueError unless each named field of cfg is an integer >= least."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+class ConfigError(MacqpError, ValueError):
+    """A setting of the wrong type or out of range."""
 
 
-def _check_reals(cfg, least, *names):
-    """ValueError unless each named field of cfg is a finite number >= least."""
-    for name in names:
-        value = getattr(cfg, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value) or value < least):
-            raise ValueError(f"{name} must be a finite number >= {least}, got {value!r}")
+def check_count(value, key, least):
+    """ConfigError naming ``key`` unless ``value`` is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(value, key, least):
+    """ConfigError naming ``key`` unless ``value`` is a finite number >=
+    least.  An integer too large for a float is not finite."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and value >= least)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key} must be a finite number >= {least}, got {value!r}")
 
 
 class DimensionMismatchError(MacqpError):
@@ -75,12 +81,12 @@ class LayerSpec:
             raise DimensionMismatchError(
                 f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}"
             )
+        check_real(self.rbf_width, "rbf_width", 0)
+        check_real(self.ridge, "ridge", 0)
         if self.kind == LayerKind.GAUSSIAN_RBF:
             if self.rbf_width <= 0:
                 raise ValueError("rbf_width must be positive for RBF layers")
             object.__setattr__(self, "bias", False)
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
 
     @property
     def weight_cols(self):
@@ -279,6 +285,64 @@ def nested_objective(net, data, prefix=None):
     if not np.isfinite(val):
         raise NonFiniteError("nested objective is non-finite")
     return val
+
+
+TRACE_HEADER = "iter,seconds,mu,e1_train,e1_val,eq,constraint_viol,event"
+
+
+@dataclass
+class TraceRow:
+    iteration: int
+    seconds: float
+    mu: float
+    e1_train: float
+    e1_val: float
+    eq: float
+    constraint_viol: float
+    event: str
+
+
+@dataclass
+class TrainTrace:
+    rows: list = field(default_factory=list)
+    selection_events: list = field(default_factory=list)
+
+    def add(self, iteration, seconds, mu, e1_train, e1_val, eq, viol, event):
+        if self.rows:
+            if iteration <= self.rows[-1].iteration:
+                raise MacqpError("trace iteration indices must increase")
+            seconds = max(seconds, self.rows[-1].seconds)
+        self.rows.append(
+            TraceRow(iteration, seconds, mu, e1_train, e1_val, eq, viol, event)
+        )
+
+    def add_nested(self, seconds, net, data, event, e1_train=None):
+        """Append the next row of an optimizer without coordinates: mu 0,
+        E_Q = E1 and violation 0.  E1 is computed unless given; without a
+        validation split it is also E1_val.  Returns E1."""
+        if e1_train is None:
+            e1_train = nested_objective(net, data)
+        e1_val = e1_train if data.val_X is None else nested_objective(net, data.eval_split())
+        self.add(len(self.rows) + 1, seconds, 0.0, e1_train, e1_val, e1_train, 0.0, event)
+        return e1_train
+
+    def to_csv(self, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRACE_HEADER.split(","))
+            for r in self.rows:
+                writer.writerow(
+                    [
+                        r.iteration,
+                        repr(r.seconds),
+                        repr(r.mu),
+                        repr(r.e1_train),
+                        repr(r.e1_val),
+                        repr(r.eq),
+                        repr(r.constraint_viol),
+                        r.event,
+                    ]
+                )
 
 
 def layer_jacobians(layer, z_in, out=None):

@@ -12,16 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import fit_rbf_linear_pair
-from .mac import _block_inputs, _block_objective, _block_output, block_slices, mac_train
-from .model import (
-    Layer,
-    LayerKind,
-    LayerWeights,
-    MacqpError,
-    NestedNet,
-    _check_counts,
-    _check_reals,
-)
+from .mac import _block_objective, _block_output, block_slices, mac_train, qp_blocks
+from .model import Layer, LayerKind, LayerWeights, MacqpError, NestedNet, check_count, check_real
 
 
 @dataclass
@@ -31,10 +23,10 @@ class SelectionConfig:
     cadence: int = 10
 
     def __post_init__(self):
-        _check_reals(self, 0, "epsilon_sq")
+        check_real(self.epsilon_sq, "epsilon_sq", 0)
         if self.epsilon_sq == 0:
             raise ValueError("epsilon_sq must be positive")
-        _check_counts(self, 1, "cadence")
+        check_count(self.cadence, "cadence", 1)
         cands = self.candidates_per_block
         if not (
             isinstance(cands, (list, tuple))
@@ -86,9 +78,7 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=N
     the current blocks are scored from ``outs``, a resized block's output
     replaces its entry, and candidates fit and score from the tables.
     """
-    slices = block_slices(net)
-    ins = _block_inputs(net, Z, data.X)
-    targets = list(Z.coords) + [data.Y]
+    blocks = qp_blocks(net, Z, data, mu)
     sel = selectable_blocks(net)
     if len(cfg.candidates_per_block) != len(sel):
         raise MacqpError(
@@ -96,30 +86,27 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=N
             f"{len(cfg.candidates_per_block)} candidate lists"
         )
 
-    def score(pair, j, weight, out):
-        """The block's part of E_Q plus the pair's parameter cost."""
-        fit = _block_objective(pair, ins[j], targets[j], weight, transient_reg, out=out)
+    def score(pair, j, out):
+        """Block j's part of E_Q plus the pair's parameter cost."""
+        fit = _block_objective(pair, *blocks[j][1:], transient_reg, out=out)
         return fit + 2.0 * cfg.epsilon_sq * sum(l.weights.matrix.size for l in pair)
 
     new_layers = list(net.copy().layers)
     for cands, j in zip(cfg.candidates_per_block, sel):
-        sl = slices[j]
-        weight = 1.0 if j == len(slices) - 1 else mu
+        sl, A, T, weight = blocks[j]
         table = None if tables is None else tables[j]
         rbf_cur, lin_cur = net.layers[sl[0]], net.layers[sl[0] + 1]
-        best_score = score((rbf_cur, lin_cur), j, weight, None if outs is None else outs[j])
+        best_score = score((rbf_cur, lin_cur), j, None if outs is None else outs[j])
         best_pair = None
         for m in cands:
             try:
                 tmpl_rbf, tmpl_lin = _candidate_pair(rbf_cur.spec, lin_cur.spec, m)
-                pair = fit_rbf_linear_pair(
-                    tmpl_rbf, tmpl_lin, ins[j], targets[j], weight,
-                    transient_reg=transient_reg, centers_by_size=table,
-                )
+                pair = fit_rbf_linear_pair(tmpl_rbf, tmpl_lin, A, T, weight,
+                                           transient_reg=transient_reg, centers_by_size=table)
             except MacqpError:
                 continue
-            out = _block_output(pair, ins[j], table, start=sl[0])
-            pair_score = score(pair, j, weight, out)
+            out = _block_output(pair, A, table, start=sl[0])
+            pair_score = score(pair, j, out)
             if pair_score < best_score:
                 best_score, best_pair, best_out = pair_score, pair, out
         if best_pair is not None:

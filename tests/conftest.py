@@ -84,21 +84,19 @@ def slow_layer_jacobian(layer, x):
     return J
 
 
-def _slow_damped_solve(H, g, base_damping):
+def _slow_damped_solve(H, g):
     """Solve H d = -g, escalating Levenberg damping until d is a descent step."""
+    from macqp.mac import DAMPING_LEVELS
+
     m = H.shape[0]
-    damp = 0.0
     scale = 1.0 + np.trace(H) / m
-    for _ in range(12):
+    for damp in [0.0, *DAMPING_LEVELS]:
         try:
             d = np.linalg.solve(H + damp * scale * np.eye(m), -g)
         except np.linalg.LinAlgError:
             d = None
         if d is not None and np.all(np.isfinite(d)) and float(np.dot(g, d)) < 0:
             return d
-        damp = base_damping if damp == 0.0 else damp * 10.0
-        if damp == 0.0:
-            damp = 1e-8
     return None
 
 
@@ -123,7 +121,7 @@ def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
             jac = (p * (1.0 - p))[:, None] * phi
             g = -weight * (jac.T @ (t - p)) + 2.0 * lam * w
             H = weight * (jac.T @ jac) + 2.0 * lam * np.eye(w.shape[0])
-            d = _slow_damped_solve(H, g, cfg.gn_damping)
+            d = _slow_damped_solve(H, g)
             if d is None:
                 break
             step = 1.0
@@ -221,7 +219,7 @@ def slow_z_step(net, Z, data, mu, cfg):
         f_cur = objective(x, y, flat)
         for _ in range(cfg.z_gn_iters):
             r, J = residual_and_jacobian(x, y, flat)
-            d = _slow_damped_solve(J.T @ J, J.T @ r, cfg.gn_damping)
+            d = _slow_damped_solve(J.T @ J, J.T @ r)
             if d is None:
                 break
             step = 1.0

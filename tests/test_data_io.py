@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import rbf_autoencoder, random_mixed_net
+from conftest import rbf_autoencoder, random_mixed_net, sigmoid_autoencoder
 from macqp.checkpoint import load_model, save_model
 from macqp.cli import main as cli_main
 from macqp.data import (
@@ -287,6 +287,24 @@ class TestInvalidModelFiles:
         self._rejected(tmp_path, capsys, p,
                        "layer 2's weights at byte offset 126: .*non-finite")
 
+    @pytest.mark.parametrize("net, offset, value, match", [
+        # the first layer's spec starts at byte 12: kind u8, two u32 widths,
+        # then rbf_width, ridge and the bias flag as f64 at 21, 29 and 37
+        ("sigmoid", 29, float("nan"),
+         r"layer 1's spec at byte offset 12: ridge must be a finite number >= 0, got nan"),
+        ("sigmoid", 37, 0.5, r"layer 1's bias flag at byte offset 37 is 0\.5, not 0\.0 or 1\.0"),
+        ("rbf", 21, float("inf"),
+         r"layer 1's spec at byte offset 12: rbf_width must be a finite number >= 0, got inf"),
+    ], ids=["nan_ridge", "bias_flag_one_half", "infinite_rbf_width"])
+    def test_bad_layer_values_rejected(self, tmp_path, capsys, net, offset, value, match):
+        p = tmp_path / "patched.macn"
+        save_model(rbf_autoencoder(2, 2, 1, 2) if net == "rbf"
+                   else sigmoid_autoencoder((3, 2, 3), seed=1), p)
+        raw = bytearray(p.read_bytes())
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        p.write_bytes(bytes(raw))
+        self._rejected(tmp_path, capsys, p, match)
+
 
 class TestPgm:
     def test_pixel_formula(self, tmp_path):
@@ -336,6 +354,10 @@ class TestHarness:
         cfg["schedule"]["mu_final"] = 7
         with pytest.raises(MacqpError, match="mu_final"):
             validate_config(cfg)
+        cfg = _mac_config(tmp_path)
+        cfg["step"] = {"gn_damping": 1e-8}
+        with pytest.raises(MacqpError, match=r"unknown config keys in step: \['gn_damping'\]"):
+            validate_config(cfg)
 
     @pytest.mark.parametrize("section, values", [
         ("schedule", {"growth": 0.5}),
@@ -376,6 +398,18 @@ class TestHarness:
         for key, value in values.items():
             if not (section == "selection" and _GOOD_SELECTION.get(key) == value):
                 assert key in str(exc.value)
+
+    def test_mac_select_without_selection_fails_before_data(self, tmp_path, monkeypatch):
+        import macqp.harness
+
+        def no_data(cfg):
+            raise AssertionError("dataset built")
+
+        monkeypatch.setattr(macqp.harness, "build_dataset", no_data)
+        cfg = dict(_mac_config(tmp_path), method="mac_select")
+        for run in (validate_config, run_experiment):
+            with pytest.raises(MacqpError, match="mac_select requires a 'selection' section"):
+                run(cfg)
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
     def test_invalid_worker_count_rejected(self, tmp_path, workers):
@@ -537,6 +571,11 @@ class TestCli:
         (lambda c: c.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
         (lambda c: c.update(time_budget="x"),
          "time_budget must be a finite number >= 0, got 'x'"),
+        # integers too large for a float
+        (lambda c: c["schedule"].update(mu0=10**399),
+         "invalid schedule section: mu0 must be a finite number >= 0, got 1000"),
+        (lambda c: c["architecture"]["layers"][0].update(ridge=10**399),
+         "architecture.layers[0].ridge must be a finite number >= 0, got 1000"),
     ])
     def test_train_rejects_bad_values_before_training(self, tmp_path, capsys, monkeypatch,
                                                       edit, message):

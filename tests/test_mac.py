@@ -123,6 +123,24 @@ class TestLiftAndQp:
                 qp_objective(net, Z, data, mu), _slow_qp(net, Z, data, mu), rtol=1e-11
             )
 
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf"])
+    def test_qp_is_the_block_order_sum_of_block_objectives(self, rng, kind):
+        if kind == "sigmoid":
+            net = sigmoid_autoencoder((6, 4, 2, 4, 6), seed=2, ridge=1e-3)
+        else:
+            net = rbf_autoencoder(6, 9, 2, 9, seed=2)
+        data = random_dataset(rng, net, n=11)
+        lifted = lift_to_feasible(net, data.X)
+        Z = AuxState([c + 0.1 * rng.normal(size=c.shape) for c in lifted.coords])
+        mu, transient = 3.7, 1e-4
+        bounds = [0] + list(net.placement) + [len(net.layers)]
+        ins, targets = [data.X] + Z.coords, Z.coords + [data.Y]
+        want = 0.0
+        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            weight = mu if j < len(Z.coords) else 1.0
+            want += _block_objective(net.layers[a:b], ins[j], targets[j], weight, transient)
+        assert qp_objective(net, Z, data, mu, transient) == want
+
     @pytest.mark.parametrize("mu", [-1.0, np.nan])
     def test_rejects_negative_or_nan_mu(self, rng, mu):
         net = random_mixed_net(rng)
@@ -715,7 +733,7 @@ class TestBatchedWStep:
         _, _, _, H = _singular_unit_problem(rng)
         g = rng.normal(size=H.shape[:2])
         before = [H.copy(), g.copy()]
-        _, found = macqp.mac._damped_solve(H, g, 1e-8)
+        _, found = macqp.mac._damped_solve(H, g)
         assert found.all()
         for a, b in zip((H, g), before):
             np.testing.assert_array_equal(a, b)
@@ -734,11 +752,11 @@ class TestBatchedWStep:
 
         monkeypatch.setattr(macqp.mac, "_stacked_solve", counted)
         ok = [0, 1, 2, 4, 5]
-        d, found = macqp.mac._damped_solve(H[ok], g[ok], 1e-8)
+        d, found = macqp.mac._damped_solve(H[ok], g[ok])
         assert solved == [5] and found.all()
         np.testing.assert_array_equal(d, stacked(H[ok], -g[ok, :, None])[:, :, 0])
         solved.clear()
-        _, found = macqp.mac._damped_solve(H, g, 1e-8)
+        _, found = macqp.mac._damped_solve(H, g)
         assert solved[0] == 6 and set(solved[1:]) == {1} and found.all()
 
     def test_one_point(self, rng):
@@ -764,8 +782,7 @@ class TestBatchedWStep:
 
 class TestStepConfig:
     @pytest.mark.parametrize("bad", [
-        {"gn_damping": -1e-8}, {"max_backtracks": 0}, {"gn_damping": float("nan")},
-        {"z_gn_iters": 1.5}, {"w_gn_iters": True},
+        {"max_backtracks": 0}, {"z_gn_iters": 1.5}, {"w_gn_iters": True},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -887,6 +904,25 @@ class TestMacTrain:
         for prev, cur in zip(trace.rows, trace.rows[1:]):
             if cur.event in ("wstep", "zstep") and prev.mu == cur.mu:
                 assert cur.eq <= prev.eq * (1 + 1e-10)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf_select"])
+    def test_wstep_rows_never_raise_eq(self, kind):
+        # a W-step row sums the block values the W-step's acceptance test
+        # compared, so it is no higher than the row before, with no tolerance
+        data = synth_manifold_dataset(40, 6, 1, 0.05, seed=4, n_val=20)
+        kwargs = {}
+        if kind == "sigmoid":
+            net = sigmoid_autoencoder((6, 4, 2, 4, 6), seed=6)
+        else:
+            from macqp.selection import SelectionConfig
+
+            net = rbf_autoencoder(6, 9, 2, 9, seed=3)
+            kwargs["sel_cfg"] = SelectionConfig([[3, 6, 9], [3, 6, 9]], 1e-4, cadence=2)
+        schedule = PenaltySchedule(max_stages=4, max_iters_per_stage=4)
+        _, _, trace = mac_train(net, data, schedule, StepConfig(), **kwargs)
+        pairs = [(p, c) for p, c in zip(trace.rows, trace.rows[1:]) if c.event == "wstep"]
+        assert len(pairs) >= 5
+        assert all(c.eq <= p.eq for p, c in pairs)
 
     @staticmethod
     def _count_calls(monkeypatch, *names):

@@ -11,16 +11,21 @@ from conftest import (
     slow_layer_map,
 )
 from macqp.model import (
+    ConfigError,
     Dataset,
     DimensionMismatchError,
     Layer,
     LayerKind,
     LayerSpec,
     LayerWeights,
+    MacqpError,
     NestedNet,
     NonFiniteError,
+    TrainTrace,
     backprop_gradient,
     bias_warmup_step,
+    check_count,
+    check_real,
     forward,
     forward_all,
     init_weights,
@@ -34,6 +39,53 @@ def _linear_identity_net(d):
     spec = LayerSpec(LayerKind.LINEAR_DENSE, d, d)
     W = np.hstack([np.eye(d), np.zeros((d, 1))])
     return Layer(spec, LayerWeights(W))
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("value", [-1, float("nan"), float("inf"), 10**400, True, "1"])
+    def test_check_real_rejects(self, value):
+        with pytest.raises(ConfigError, match="^k must be a finite number >= 0, got ") as exc:
+            check_real(value, "k", 0)
+        assert isinstance(exc.value, MacqpError) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("value", [0, 1.0, True, "2"])
+    def test_check_count_rejects(self, value):
+        with pytest.raises(ConfigError, match="^k must be an integer >= 1, got "):
+            check_count(value, "k", 1)
+
+    def test_valid_values_accepted(self):
+        check_real(10**300, "k", 0)
+        check_real(np.float64(0.5), "k", 0)
+        check_count(10**400, "k", 1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("rbf_width", float("inf")), ("rbf_width", float("nan")), ("ridge", float("nan")),
+        ("ridge", float("inf")), ("ridge", 10**400), ("ridge", -1e-3),
+    ])
+    @pytest.mark.parametrize("kind", [LayerKind.GAUSSIAN_RBF, LayerKind.SIGMOID_DENSE])
+    def test_layer_spec_rejects_non_finite_or_negative_values(self, kind, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number >= 0, got "):
+            LayerSpec(kind, 2, 3, **{"rbf_width": 1.0, name: value})
+
+
+class TestTrainTrace:
+    @pytest.mark.parametrize("n_val", [0, 4])
+    def test_add_nested_row(self, rng, n_val):
+        net = random_mixed_net(rng)
+        data = random_dataset(rng, net, n=12)
+        if n_val:
+            val = random_dataset(rng, net, n=n_val)
+            data = Dataset(data.X, data.Y, val.X, val.Y)
+        trace = TrainTrace()
+        e1 = trace.add_nested(0.5, net, data, "sgd_epoch")
+        trace.add_nested(0.25, net, data, "cg_iter", e1_train=7.0)
+        e1_val = nested_objective(net, data.eval_split())
+        assert e1 == nested_objective(net, data)
+        assert [(r.iteration, r.seconds, r.mu, r.e1_train, r.e1_val, r.eq,
+                 r.constraint_viol, r.event) for r in trace.rows] == [
+            (1, 0.5, 0.0, e1, e1_val, e1, 0.0, "sgd_epoch"),
+            (2, 0.5, 0.0, 7.0, e1_val if n_val else 7.0, 7.0, 0.0, "cg_iter"),
+        ]
 
 
 class TestForward:
