@@ -14,7 +14,7 @@ from .model import (
     init_weights,
     nested_objective,
 )
-from .mac import PenaltySchedule, StepConfig, mac_train, postprocess
+from .mac import PenaltySchedule, mac_train, postprocess
 from .baselines import CgConfig, SgdConfig, alt_opt_rbf_train, cg_train, sgd_train
 from .selection import SelectionConfig, aic_cost
 

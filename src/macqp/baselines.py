@@ -126,10 +126,6 @@ def kmeans(points, k, seed=0, iters=20, init=None):
     return centers
 
 
-def kmeans_objective(points, centers):
-    return float(np.sum(np.min(sq_dist(points, centers), axis=1)))
-
-
 def ridge_lsq(features, targets, lam, gram=None):
     """Solve (Phi^T Phi + lam I) W = Phi^T T by Cholesky factorization.
 

@@ -21,7 +21,6 @@ from .checkpoint import save_model
 from .mac import (
     AuxState,
     PenaltySchedule,
-    StepConfig,
     lift_to_feasible,
     mac_train,
     postprocess,
@@ -38,14 +37,14 @@ from .model import (
     init_weights,
     nested_objective,
 )
-from .parallel import resolve_workers, worker_count
+from .parallel import resolve_workers
 from .selection import SelectionConfig, mac_train_with_selection
 
 METHODS = ("mac", "mac_select", "sgd", "cg", "altopt")
 
 _TOP_KEYS = {
     "method", "seed", "output_dir", "dataset", "architecture", "schedule",
-    "step", "selection", "parallel", "sgd", "cg", "altopt", "warmup_step",
+    "selection", "parallel", "sgd", "cg", "altopt", "warmup_step",
     "recon_indices", "recon_shape", "time_budget",
 }
 _DATASET_KEYS = {"path", "format", "synth"}
@@ -59,7 +58,6 @@ _ALTOPT_KEYS = {"iters", "cg_steps"}
 # fields, and a value the type rejects fails the config at load time.
 _SECTION_TYPES = {
     "schedule": PenaltySchedule,
-    "step": StepConfig,
     "selection": SelectionConfig,
     "sgd": SgdConfig,
     "cg": CgConfig,
@@ -131,7 +129,7 @@ def validate_config(cfg):
             except (TypeError, ValueError) as exc:
                 raise MacqpError(f"invalid {key} section: {exc}") from None
     if "workers" in cfg.get("parallel", {}):
-        worker_count(cfg["parallel"]["workers"], "parallel.workers")
+        check_count(cfg["parallel"]["workers"], "parallel.workers", 1)
     for key in ("iters", "cg_steps"):
         if key in cfg.get("altopt", {}):
             check_count(cfg["altopt"][key], f"altopt.{key}", 0)
@@ -293,21 +291,20 @@ def run_experiment(cfg):
     trace = TrainTrace()
     if method in ("mac", "mac_select"):
         schedule = PenaltySchedule(**cfg.get("schedule", {}))
-        step_cfg = StepConfig(**cfg.get("step", {}))
         z0 = _initial_aux_state(net, dataset.X)
         if method == "mac":
             net, Z, trace = mac_train(
-                net, dataset, schedule, step_cfg, workers=workers,
+                net, dataset, schedule, workers=workers,
                 time_budget=time_budget, z_init=z0,
             )
         else:
             sel_cfg = SelectionConfig(**cfg["selection"])
             net, Z, trace = mac_train_with_selection(
-                net, dataset, schedule, step_cfg, sel_cfg, workers=workers,
+                net, dataset, schedule, sel_cfg, workers=workers,
                 time_budget=time_budget, z_init=z0,
             )
         t0 = time.perf_counter()
-        net = postprocess(net, Z, dataset, cfg=step_cfg)
+        net = postprocess(net, Z, dataset)
         post_s = time.perf_counter() - t0
     elif method == "sgd":
         net, trace = sgd_train(net, dataset, SgdConfig(**cfg.get("sgd", {})),

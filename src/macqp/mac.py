@@ -68,31 +68,15 @@ class PenaltySchedule:
     max_iters_per_stage: int = 50
 
     def __post_init__(self):
-        for name in ("mu0", "growth", "stage_tolerance", "transient_reg"):
+        for name in ("mu0", "growth", "stage_tolerance", "reg_drop_threshold", "transient_reg"):
             check_real(getattr(self, name), name, 0)
         # written so that NaN fails every test
         if not (self.mu0 > 0 and self.stage_tolerance > 0):
             raise ValueError("mu0 and stage_tolerance must be positive")
         if not self.growth > 1:
             raise ValueError("growth must exceed 1")
-        if not (self.transient_reg >= 0 and self.reg_drop_threshold >= 0):
-            raise ValueError("transient_reg and reg_drop_threshold must be nonnegative")
         check_count(self.max_stages, "max_stages", 0)
         check_count(self.max_iters_per_stage, "max_iters_per_stage", 1)
-
-
-@dataclass
-class StepConfig:
-    w_gn_iters: int = 3
-    z_gn_iters: int = 1
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 20
-
-    def __post_init__(self):
-        for name in ("w_gn_iters", "z_gn_iters", "max_backtracks"):
-            check_count(getattr(self, name), name, 1)
-        if not (0 < self.backtrack_factor < 1):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 def block_slices(net):
@@ -226,24 +210,28 @@ def _is_descent(g, d):
     return finite & (gd < 0)
 
 
-def _backtrack(evaluate, x, d, vals, found, cfg):
+# The trial step lengths of a line search, in the order tried: 1, 1/2,
+# 1/4, ..., 2^-19.
+BACKTRACK_STEPS = np.cumprod([1.0] + [0.5] * 19)
+
+
+def _backtrack(evaluate, x, d, vals, found):
     """Backtracking line search on stacked independent problems.
 
     Row i of the blocks ``x`` is one problem's value and row i of ``d`` its
     direction; ``found`` masks the rows with a direction.  Each row moves
-    to the first of the steps 1, b, b^2, ... (b = cfg.backtrack_factor, at
-    most cfg.max_backtracks) that lowers its objective, where its rows of
-    ``x`` and ``vals`` are overwritten.  ``evaluate(rows, cand)`` returns
-    arrays like ``vals``, the objective first, for problems ``rows`` at
-    candidate blocks ``cand``.  The pending rows test their next 1, 2, 4,
-    ... steps in one batch: a row's objective is fixed until it accepts,
-    so this picks the same step, and a row that accepts none costs
-    ceil(log2(max_backtracks + 1)) batches.  Returns the rows that moved.
-    A row's last bits can depend on the rows that share its batch: BLAS
+    to the first of the steps BACKTRACK_STEPS that lowers its objective,
+    where its rows of ``x`` and ``vals`` are overwritten.
+    ``evaluate(rows, cand)`` returns arrays like ``vals``, the objective
+    first, for problems ``rows`` at candidate blocks ``cand``.  The pending
+    rows test their next 1, 2, 4, ... steps in one batch: a row's objective
+    is fixed until it accepts, so this picks the same step, and a row that
+    accepts none costs ceil(log2(len(BACKTRACK_STEPS) + 1)) batches.
+    Returns the rows that moved.  A row's last bits can depend on the rows that share its batch: BLAS
     rounds a one-row product unlike a multi-row one, and at N = 500 also
     by the row count.
     """
-    steps = np.cumprod([1.0] + [cfg.backtrack_factor] * (cfg.max_backtracks - 1))
+    steps = BACKTRACK_STEPS
     accepted = np.zeros(found.shape, dtype=bool)
     pending, tried = np.flatnonzero(found), 0
     while pending.size and tried < steps.size:
@@ -279,6 +267,9 @@ W_GROUP_ELEMS = 1 << 18
 # The Levenberg damping levels a damped solve tries in turn after the
 # undamped solve: 1e-8, 1e-7, ..., 1e2, each ten times the one before.
 DAMPING_LEVELS = np.cumprod([1e-8] + [10.0] * 10)
+
+# Gauss-Newton iterations of a sigmoid layer's fit in one W-step.
+W_GN_ITERS = 3
 
 
 def _damped_solve(H, g):
@@ -329,7 +320,7 @@ def _sigmoid_unit_objectives(R, W, weight, lam):
     return 0.5 * weight * np.einsum("ij,ij->i", R, R) + lam * np.einsum("ij,ij->i", W, W)
 
 
-def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
+def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
     """Damped Gauss-Newton on every unit's least-squares subproblem at once.
 
     The units' problems are independent.  They are solved as one stack,
@@ -343,7 +334,7 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
     Tt = T.T
     P = sigmoid(W @ phi.T)  # (units, N); kept at the current weights
     live = np.arange(W.shape[0])
-    for _ in range(cfg.w_gn_iters):
+    for _ in range(W_GN_ITERS):
         if live.size == 0:
             break
         W_l, P_l, T_l = W[live], P[live], Tt[live]
@@ -357,7 +348,7 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
             return [_sigmoid_unit_objectives(T_l[rows] - P_c, cand[0], weight, lam), P_c]
 
         f_l = _sigmoid_unit_objectives(R, W_l, weight, lam)
-        accepted = _backtrack(evaluate, [W_l], [d], [f_l, P_l], found, cfg)
+        accepted = _backtrack(evaluate, [W_l], [d], [f_l, P_l], found)
         live = live[accepted]
         W[live], P[live] = W_l[accepted], P_l[accepted]
     return Layer(layer.spec, LayerWeights(W))
@@ -390,7 +381,7 @@ def _block_objective(layers, A_in, T, weight, transient_reg, out=None):
     return val
 
 
-def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=None):
+def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None):
     """Refit one inter-boundary block to targets T at fixed inputs.
 
     Returns replacement layers; the caller is responsible for rejecting a
@@ -403,7 +394,7 @@ def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=
     kinds = [l.spec.kind for l in layers]
     if kinds == [LayerKind.SIGMOID_DENSE]:
         lam = layers[0].spec.ridge + transient_reg
-        return [_fit_sigmoid_layer(layers[0], A_in, T, weight, lam, cfg)]
+        return [_fit_sigmoid_layer(layers[0], A_in, T, weight, lam)]
     if kinds == [LayerKind.LINEAR_DENSE]:
         lam = layers[0].spec.ridge + transient_reg
         return [_fit_linear_layer(layers[0], A_in, T, weight, lam)]
@@ -417,7 +408,7 @@ def fit_block(net, sl, A_in, T, weight, cfg, transient_reg=0.0, centers_by_size=
     )
 
 
-def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
+def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None):
     """Independent refit of every block at fixed coordinates; never increases E_Q.
 
     ``outs``, if given, is block_outputs(net, Z, data.X): the current
@@ -431,8 +422,8 @@ def w_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     new_layers = list(net.layers)
     for j, (sl, A, T, weight) in enumerate(qp_blocks(net, Z, data, mu)):
         table = None if tables is None else tables[j]
-        fitted = fit_block(net, sl, A, T, weight, cfg,
-                           transient_reg=transient_reg, centers_by_size=table)
+        fitted = fit_block(net, sl, A, T, weight, transient_reg=transient_reg,
+                           centers_by_size=table)
         before = _block_objective(net.layers[sl[0] : sl[1]], A, T, weight, transient_reg,
                                   out=None if outs is None else outs[j])
         out = _block_output(fitted, A, table, start=sl[0])
@@ -579,37 +570,28 @@ def _z_chain_solve(jacs, res, mu):
     return d
 
 
-def _z_tile_update(net, slices, f1, y, zs, mu, cfg):
-    """Gauss-Newton with backtracking on one tile of points.
+def _z_tile_update(net, slices, f1, y, zs, mu):
+    """One Gauss-Newton step with backtracking on one tile of points.
 
     ``f1`` is the first block's output at the tile's inputs.  Every point
-    follows its own step length and stopping, as if solved alone up to
-    rounding (see _backtrack): a point whose step is no descent direction
-    (its gradient is zero) or that finds no decreasing step keeps its
-    coordinates and leaves the iteration.
+    follows its own step length, as if solved alone up to rounding (see
+    _backtrack): a point whose step is no descent direction (its gradient
+    is zero) or that finds no decreasing step keeps its coordinates.
     """
     zs = [z.copy() for z in zs]
-    live = np.arange(f1.shape[0])
-    for _ in range(cfg.z_gn_iters):
-        if live.size == 0:
-            break
-        z_live, f1_l, y_l = [z[live] for z in zs], f1[live], y[live]
-        jacs, res, g, f_l = _z_gn_system(net, slices, f1_l, y_l, z_live, mu)
-        d = _z_chain_solve(jacs, res, mu)
-        found = _is_descent(g, d)
+    jacs, res, g, f = _z_gn_system(net, slices, f1, y, zs, mu)
+    d = _z_chain_solve(jacs, res, mu)
 
-        def evaluate(rows, cand):
-            return [_z_objective(net, slices, f1_l[rows], y_l[rows], cand, mu)]
+    def evaluate(rows, cand):
+        return [_z_objective(net, slices, f1[rows], y[rows], cand, mu)]
 
-        accepted = _backtrack(evaluate, z_live, d, [f_l], found, cfg)
-        live = live[accepted]
-        for z, zl in zip(zs, z_live):
-            z[live] = zl[accepted]
+    _backtrack(evaluate, zs, d, [f], _is_descent(g, d))
     return zs
 
 
-def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
-    """Per-point coordinate update by Gauss-Newton; never increases E_Q.
+def z_step(net, Z, data, mu, workers=1, f1=None):
+    """Per-point coordinate update by one Gauss-Newton step; never
+    increases E_Q.  To take more steps at fixed weights, call it again.
 
     mu must be positive and finite.  The points are solved in fixed tiles
     of _z_tile(net) points, each tile as one batch; workers take whole
@@ -631,7 +613,7 @@ def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
 
     def tile_task(lo, hi):
         zs = [c[lo:hi] for c in Z.coords]
-        return _z_tile_update(net, slices, F1[lo:hi], Y[lo:hi], zs, mu, cfg)
+        return _z_tile_update(net, slices, F1[lo:hi], Y[lo:hi], zs, mu)
 
     tile = _z_tile(net)
     tiles = [(lo, min(lo + tile, data.n)) for lo in range(0, data.n, tile)]
@@ -643,13 +625,12 @@ def z_step(net, Z, data, mu, cfg, workers=1, f1=None):
 # Driver
 
 
-def postprocess(net, Z, data, cfg=None):
+def postprocess(net, Z, data):
     """Forward-substitute the coordinates and refit the last block.
 
     Keeps every block but the last; the refit is rejected if a solver
     failure would increase the nested error.
     """
-    cfg = cfg or StepConfig()
     slices = block_slices(net)
     feats = data.X
     for a, b in slices[:-1]:
@@ -659,7 +640,7 @@ def postprocess(net, Z, data, cfg=None):
     prefix = (slices[-1][0], feats)
     e1_before = nested_objective(net, data, prefix=prefix)
     try:
-        fitted = fit_block(net, slices[-1], feats, data.Y, 1.0, cfg)
+        fitted = fit_block(net, slices[-1], feats, data.Y, 1.0)
     except MacqpError:
         return net.copy()
     cand = net.copy()
@@ -669,7 +650,7 @@ def postprocess(net, Z, data, cfg=None):
     return net.copy()
 
 
-def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None,
+def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
               sel_cfg=None, iteration_callback=None):
     """Alternating W/Z optimization along the growing-penalty path.
 
@@ -775,13 +756,12 @@ def mac_train(net, data, schedule, cfg, workers=1, time_budget=None, z_init=None
         if track_val:
             best = (net.copy(), Z.copy(), prev)
         for _ in range(schedule.max_iters_per_stage):
-            net = w_step(net, Z, data, mu, cfg, transient_reg=transient,
-                         outs=outs, tables=tables)
+            net = w_step(net, Z, data, mu, transient_reg=transient, outs=outs, tables=tables)
             e1 = None
             it += 1
             record("wstep")
             Z_before = Z
-            Z = z_step(net, Z, data, mu, cfg, workers=workers, f1=outs[0])
+            Z = z_step(net, Z, data, mu, workers=workers, f1=outs[0])
             refresh(moved_since(Z_before))
             it += 1
             row = record("zstep")

@@ -12,7 +12,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 
-from .model import MacqpError
+from .model import MacqpError, check_count
 
 # One executor per worker count, kept for the life of the process: a
 # training run calls parallel_map once per W- and Z-step.
@@ -20,24 +20,21 @@ _POOLS = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def worker_count(value, name):
-    """``value`` if it is a positive integer, else a MacqpError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise MacqpError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def parse_worker_count(text, name):
-    """A worker count written as text, checked as ``worker_count`` checks it."""
+    """A worker count written as text; a ConfigError names ``name`` unless
+    it is an integer >= 1."""
     text = text.strip()
-    return worker_count(int(text) if text.isdecimal() else text, name)
+    value = int(text) if text.isdecimal() else text
+    check_count(value, name, 1)
+    return value
 
 
 def resolve_workers(requested):
     """Worker count, honoring the MAC_WORKERS environment override."""
     env = os.environ.get("MAC_WORKERS")
     if env is None:
-        return worker_count(requested, "parallel.workers")
+        check_count(requested, "parallel.workers", 1)
+        return requested
     return parse_worker_count(env, "MAC_WORKERS")
 
 

@@ -42,7 +42,7 @@ class SelectionConfig:
 
 def aic_cost(net, epsilon_sq):
     """Model cost 2 * eps^2 * (free parameter count), additive over layers."""
-    return 2.0 * epsilon_sq * sum(l.weights.matrix.size for l in net.layers)
+    return 2.0 * epsilon_sq * net.num_params()
 
 
 def selectable_blocks(net):
@@ -72,8 +72,8 @@ def _candidate_pair(rbf_spec, lin_spec, m):
 def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     """Choose each selectable block's size by refit-and-score at fixed Z.
 
-    Keeps the current block unless some candidate scores at least as
-    well; candidate fits that fail are skipped.  The combined fit + cost
+    Keeps the current block unless some candidate scores strictly
+    better; candidate fits that fail are skipped.  The combined fit + cost
     objective never increases.  ``outs`` and ``tables`` are as in w_step:
     the current blocks are scored from ``outs``, a resized block's output
     replaces its entry, and candidates fit and score from the tables.
@@ -89,7 +89,7 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=N
     def score(pair, j, out):
         """Block j's part of E_Q plus the pair's parameter cost."""
         fit = _block_objective(pair, *blocks[j][1:], transient_reg, out=out)
-        return fit + 2.0 * cfg.epsilon_sq * sum(l.weights.matrix.size for l in pair)
+        return fit + aic_cost(NestedNet(list(pair)), cfg.epsilon_sq)
 
     new_layers = list(net.copy().layers)
     for cands, j in zip(cfg.candidates_per_block, sel):
@@ -117,10 +117,10 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=N
     return NestedNet(new_layers, list(net.placement))
 
 
-def mac_train_with_selection(net, data, schedule, step_cfg, sel_cfg, workers=1,
-                             time_budget=None, z_init=None):
+def mac_train_with_selection(net, data, schedule, sel_cfg, workers=1, time_budget=None,
+                             z_init=None):
     """Penalty-path training with a selection step every ``cadence`` iterations."""
     return mac_train(
-        net, data, schedule, step_cfg, workers=workers,
+        net, data, schedule, workers=workers,
         time_budget=time_budget, z_init=z_init, sel_cfg=sel_cfg,
     )

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+import macqp.mac
+from macqp.kernels import sq_dist
 from macqp.model import (
     Dataset,
     LayerKind,
@@ -100,10 +102,11 @@ def _slow_damped_solve(H, g):
     return None
 
 
-def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
-    """A sigmoid layer's W-step fit solved unit by unit: damped Gauss-Newton
-    on each unit's weighted least-squares problem plus lam * |w|^2, with
-    backtracking.  Returns the new weight matrix."""
+def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam):
+    """A sigmoid layer's W-step fit solved unit by unit: W_GN_ITERS damped
+    Gauss-Newton iterations on each unit's weighted least-squares problem
+    plus lam * |w|^2, backtracking over BACKTRACK_STEPS.  Returns the new
+    weight matrix."""
     phi = np.hstack([A_in, np.ones((A_in.shape[0], 1))]) if layer.spec.bias else A_in
 
     def sig(t):
@@ -116,7 +119,7 @@ def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
     rows = []
     for t, w in zip(T.T, layer.weights.matrix):
         f_cur = obj(t, w)
-        for _ in range(cfg.w_gn_iters):
+        for _ in range(macqp.mac.W_GN_ITERS):
             p = sig(phi @ w)
             jac = (p * (1.0 - p))[:, None] * phi
             g = -weight * (jac.T @ (t - p)) + 2.0 * lam * w
@@ -124,22 +127,20 @@ def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam, cfg):
             d = _slow_damped_solve(H, g)
             if d is None:
                 break
-            step = 1.0
             accepted = False
-            for _ in range(cfg.max_backtracks):
+            for step in macqp.mac.BACKTRACK_STEPS:
                 cand = w + step * d
                 f_new = obj(t, cand)
                 if f_new < f_cur:
                     w, f_cur, accepted = cand, f_new, True
                     break
-                step *= cfg.backtrack_factor
             if not accepted:
                 break
         rows.append(w)
     return np.vstack(rows)
 
 
-def slow_w_step(net, Z, data, mu, cfg, transient_reg=0.0):
+def slow_w_step(net, Z, data, mu, transient_reg=0.0):
     """W-step with every sigmoid layer fitted unit by unit; the other block
     kinds and the acceptance test are the package's own.  Returns the new
     weight matrices, one per layer."""
@@ -155,10 +156,10 @@ def slow_w_step(net, Z, data, mu, cfg, transient_reg=0.0):
         layers = net.layers[a:b]
         if [l.spec.kind for l in layers] == [LayerKind.SIGMOID_DENSE]:
             lam = layers[0].spec.ridge + transient_reg
-            W = slow_fit_sigmoid_layer(layers[0], ins[j], targets[j], weight, lam, cfg)
+            W = slow_fit_sigmoid_layer(layers[0], ins[j], targets[j], weight, lam)
             fitted = [Layer(layers[0].spec, LayerWeights(W))]
         else:
-            fitted = fit_block(net, (a, b), ins[j], targets[j], weight, cfg,
+            fitted = fit_block(net, (a, b), ins[j], targets[j], weight,
                                transient_reg=transient_reg)
         args = (ins[j], targets[j], weight, transient_reg)
         if _block_objective(fitted, *args) <= _block_objective(layers, *args):
@@ -166,10 +167,11 @@ def slow_w_step(net, Z, data, mu, cfg, transient_reg=0.0):
     return out
 
 
-def slow_z_step(net, Z, data, mu, cfg):
-    """Z-step solved point by point: damped Gauss-Newton on a dense stacked
-    residual (output rows, then sqrt(mu)-weighted constraint rows) and its
-    Jacobian, with backtracking.  Returns the new coordinate matrices."""
+def slow_z_step(net, Z, data, mu):
+    """Z-step solved point by point: one damped Gauss-Newton step on a dense
+    stacked residual (output rows, then sqrt(mu)-weighted constraint rows)
+    and its Jacobian, backtracking over BACKTRACK_STEPS.  Returns the new
+    coordinate matrices."""
     bounds = [0] + list(net.placement) + [len(net.layers)]
     blocks = [net.layers[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     widths = [c.shape[1] for c in Z.coords]
@@ -217,22 +219,14 @@ def slow_z_step(net, Z, data, mu, cfg):
         x, y = data.X[n], data.Y[n]
         flat = np.concatenate([c[n] for c in Z.coords])
         f_cur = objective(x, y, flat)
-        for _ in range(cfg.z_gn_iters):
-            r, J = residual_and_jacobian(x, y, flat)
-            d = _slow_damped_solve(J.T @ J, J.T @ r)
-            if d is None:
-                break
-            step = 1.0
-            accepted = False
-            for _ in range(cfg.max_backtracks):
+        r, J = residual_and_jacobian(x, y, flat)
+        d = _slow_damped_solve(J.T @ J, J.T @ r)
+        if d is not None:
+            for step in macqp.mac.BACKTRACK_STEPS:
                 cand = flat + step * d
-                f_new = objective(x, y, cand)
-                if f_new < f_cur:
-                    flat, f_cur, accepted = cand, f_new, True
+                if objective(x, y, cand) < f_cur:
+                    flat = cand
                     break
-                step *= cfg.backtrack_factor
-            if not accepted:
-                break
         for c, z in zip(coords, split(flat)):
             c[n] = z
     return coords
@@ -248,6 +242,12 @@ def slow_sigmoid(t):
     et = np.exp(t[~pos])
     out[~pos] = et / (1.0 + et)
     return out
+
+
+def kmeans_objective(points, centers):
+    """The k-means objective: each point's squared distance to its nearest
+    center, summed."""
+    return float(np.sum(np.min(sq_dist(points, centers), axis=1)))
 
 
 def slow_kmeans(points, k, seed=0, iters=20):

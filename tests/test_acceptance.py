@@ -20,6 +20,7 @@ import pytest
 
 from conftest import (
     fd_gradient,
+    kmeans_objective,
     random_dataset,
     random_mixed_net,
     rbf_autoencoder,
@@ -31,7 +32,6 @@ from macqp.baselines import (
     cg_train,
     fit_rbf_linear_pair,
     kmeans,
-    kmeans_objective,
     sgd_train,
 )
 from macqp.data import synth_manifold_dataset
@@ -40,7 +40,6 @@ from macqp.kernels import rbf_design
 from macqp.mac import (
     AuxState,
     PenaltySchedule,
-    StepConfig,
     _block_inputs,
     block_slices,
     constraint_residual_vectors,
@@ -103,7 +102,7 @@ def desk_run(desk_net, desk_data):
         max_stages=5, stage_tolerance=1e-6, max_iters_per_stage=10
     )
     net, Z, trace = mac_train(
-        desk_net, desk_data, schedule, StepConfig(),
+        desk_net, desk_data, schedule,
         iteration_callback=lambda n, z: snapshots.append((n.copy(), z.copy())),
     )
     return net, Z, trace, snapshots
@@ -119,7 +118,7 @@ def path_run():
     schedule = PenaltySchedule(
         max_stages=5, stage_tolerance=1e-13, max_iters_per_stage=60
     )
-    out, Z, trace = mac_train(net, data, schedule, StepConfig())
+    out, Z, trace = mac_train(net, data, schedule)
     return data, out, Z, trace
 
 
@@ -316,7 +315,7 @@ def test_criterion_7_selection(capsys):
             max_stages=3, stage_tolerance=1e-8, max_iters_per_stage=6
         )
         _, _, trace = mac_train(
-            run_net, run_data, schedule, StepConfig(), sel_cfg=sel_cfg
+            run_net, run_data, schedule, sel_cfg=sel_cfg
         )
         assert len(trace.selection_events) >= 5
         for ev in trace.selection_events:
@@ -330,7 +329,7 @@ def test_criterion_8_budget_comparison(capsys, desk_net, desk_data):
         max_stages=9, stage_tolerance=1e-4, max_iters_per_stage=5
     )
     mac_net, _, mac_trace = mac_train(
-        desk_net, desk_data, schedule, StepConfig(), time_budget=budget
+        desk_net, desk_data, schedule, time_budget=budget
     )
     mac_e1 = nested_objective(mac_net, desk_data)
     cg_net, _ = cg_train(

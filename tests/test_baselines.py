@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
-from conftest import rbf_autoencoder, sigmoid_autoencoder, slow_kmeans
+from conftest import kmeans_objective, rbf_autoencoder, sigmoid_autoencoder, slow_kmeans
 from macqp.baselines import (
     CgConfig,
     SgdConfig,
     alt_opt_rbf_train,
     cg_train,
     kmeans,
-    kmeans_objective,
     ridge_lsq,
     sgd_train,
 )
 from macqp.kernels import sq_dist
-from macqp.mac import AuxState, StepConfig, w_step
+from macqp.mac import AuxState, w_step
 from macqp.model import (
     Dataset,
     LayerKind,
@@ -133,7 +132,7 @@ class TestAltOpt:
         codes = forward_all(net, data.X)[1]
 
         after_alt, _ = alt_opt_rbf_train(net.copy(), data, iters=1, cg_steps=1)
-        after_mac = w_step(net, AuxState([codes]), data, 1.0, StepConfig())
+        after_mac = w_step(net, AuxState([codes]), data, 1.0)
         # only the decoder pair (layers 3 and 4) is refit the same way; the
         # alternation's later encoder update does not touch it
         for i in (2, 3):

@@ -355,8 +355,8 @@ class TestHarness:
         with pytest.raises(MacqpError, match="mu_final"):
             validate_config(cfg)
         cfg = _mac_config(tmp_path)
-        cfg["step"] = {"gn_damping": 1e-8}
-        with pytest.raises(MacqpError, match=r"unknown config keys in step: \['gn_damping'\]"):
+        cfg["step"] = {"z_gn_iters": 1}
+        with pytest.raises(MacqpError, match=r"unknown config keys in config: \['step'\]"):
             validate_config(cfg)
 
     @pytest.mark.parametrize("section, values", [
@@ -365,8 +365,8 @@ class TestHarness:
         ("schedule", {"max_iters_per_stage": 0}),
         ("schedule", {"reg_drop_threshold": -1.0}),
         ("schedule", {"reg_drop_threshold": float("nan")}),
-        ("step", {"max_backtracks": 0}),
-        ("step", {"z_gn_iters": 1.5}),
+        ("schedule", {"reg_drop_threshold": True}),
+        ("schedule", {"reg_drop_threshold": "x"}),
         ("selection", {"epsilon_sq": 1e-3}),
         ("sgd", {"minibatch": 0}),
         ("cg", {"line_search": "exact"}),
@@ -549,7 +549,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(_mac_config(tmp_path / "bench")))
         rc = cli_main(["bench-parallel", "--config", str(cfg_path), "--workers", workers])
         assert rc == 1
-        assert "error: --workers must be a positive integer" in capsys.readouterr().err
+        assert "error: --workers must be an integer >= 1, got " in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
 
     def test_train_rejects_bad_schedule_value(self, tmp_path, capsys):

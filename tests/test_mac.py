@@ -18,7 +18,6 @@ from macqp.mac import (
     Z_TILE,
     AuxState,
     PenaltySchedule,
-    StepConfig,
     _block_objective,
     _block_output,
     block_outputs,
@@ -160,7 +159,7 @@ class TestWStep:
         data = Dataset(rng.normal(size=(20, 4)), rng.normal(size=(20, 2)))
         Z = AuxState([rng.normal(size=(20, 3))])
         mu = 3.0
-        out = w_step(net, Z, data, mu, StepConfig())
+        out = w_step(net, Z, data, mu)
 
         # block 0: weight mu, ridge 0.01; block 1: weight 1, ridge 0.001
         for (phi_raw, T, weight, lam, idx) in (
@@ -180,7 +179,7 @@ class TestWStep:
         targets = forward_all(NestedNet([net.layers[0]]), X)[-1]
         Z = AuxState([targets])
         data = Dataset(X, rng.normal(size=(15, 2)))
-        out = w_step(net, Z, data, 2.0, StepConfig())
+        out = w_step(net, Z, data, 2.0)
         np.testing.assert_allclose(
             out.layers[0].weights.matrix, net.layers[0].weights.matrix,
             rtol=0, atol=1e-9,
@@ -195,7 +194,7 @@ class TestWStep:
         net = init_weights(specs, 0, placement=[])
         data = Dataset(rng.normal(size=(n, 3)), rng.normal(size=(n, 2)))
         Z = AuxState([])
-        out = w_step(net, Z, data, 1.0, StepConfig())
+        out = w_step(net, Z, data, 1.0)
         np.testing.assert_array_equal(out.layers[0].weights.matrix, data.X)
 
     def test_rbf_readout_refit_includes_transient_term(self, rng):
@@ -216,7 +215,7 @@ class TestWStep:
         # start from the readout that leaves the transient term out
         net.layers[0] = Layer(rbf.spec, LayerWeights(centers))
         net.layers[1] = Layer(lin.spec, LayerWeights(readout(2.0 * 1e-3 / mu)))
-        out = w_step(net, Z, data, mu, StepConfig(), transient_reg=transient)
+        out = w_step(net, Z, data, mu, transient_reg=transient)
 
         np.testing.assert_array_equal(out.layers[0].weights.matrix, centers)
         want = readout(2.0 * (1e-3 + transient) / mu)
@@ -236,7 +235,7 @@ class TestWStep:
             )
             mu = float(rng.uniform(0.5, 20.0))
             before = qp_objective(net, Z, data, mu)
-            after = qp_objective(w_step(net, Z, data, mu, StepConfig()), Z, data, mu)
+            after = qp_objective(w_step(net, Z, data, mu), Z, data, mu)
             assert after <= before * (1 + 1e-10)
 
 
@@ -252,7 +251,7 @@ class TestZStep:
         C = forward_all(NestedNet([first]), X)[-1]
         Z = AuxState([rng.normal(size=(12, m))])
         for mu in (0.1, 1.0, 50.0):
-            out = z_step(net, Z, data, mu, StepConfig())
+            out = z_step(net, Z, data, mu)
             want = (Y + mu * C) / (1.0 + mu)
             np.testing.assert_allclose(out.coords[0], want, rtol=0, atol=1e-8)
 
@@ -260,7 +259,7 @@ class TestZStep:
         net = sigmoid_autoencoder((5, 4, 3, 5), seed=9)
         data = Dataset(rng.uniform(size=(10, 5)), rng.uniform(size=(10, 5)))
         Z = lift_to_feasible(net, data.X)
-        out = z_step(net, Z, data, 1e12, StepConfig())
+        out = z_step(net, Z, data, 1e12)
         for z0, z1 in zip(Z.coords, out.coords):
             assert np.linalg.norm(z1 - z0) <= 1e-6 * max(np.linalg.norm(z0), 1e-30)
 
@@ -268,11 +267,11 @@ class TestZStep:
         net = sigmoid_autoencoder((5, 3, 5), seed=4)
         data = Dataset(rng.uniform(size=(11, 5)), rng.uniform(size=(11, 5)))
         Z = AuxState([rng.normal(size=(11, 3))])
-        out = z_step(net, Z, data, 2.0, StepConfig())
+        out = z_step(net, Z, data, 2.0)
         perm = rng.permutation(11)
         out_p = z_step(
             net, AuxState([Z.coords[0][perm]]),
-            Dataset(data.X[perm], data.Y[perm]), 2.0, StepConfig(),
+            Dataset(data.X[perm], data.Y[perm]), 2.0,
         )
         np.testing.assert_array_equal(out_p.coords[0], out.coords[0][perm])
 
@@ -285,8 +284,24 @@ class TestZStep:
         )
         for mu in (0.3, 3.0, 300.0):
             before = qp_objective(net, Z, data, mu)
-            after = qp_objective(net, z_step(net, Z, data, mu, StepConfig()), data, mu)
+            after = qp_objective(net, z_step(net, Z, data, mu), data, mu)
             assert after <= before * (1 + 1e-10)
+
+
+def _backtrack_steps(monkeypatch, count, factor=0.5):
+    """Make line searches try the ``count`` steps 1, factor, factor^2, ..."""
+    steps = np.cumprod([1.0] + [factor] * (count - 1))
+    monkeypatch.setattr(macqp.mac, "BACKTRACK_STEPS", steps)
+
+
+def _z_steps(net, Z, data, mu, times):
+    """The coordinates after ``times`` Z-steps at fixed weights, and the
+    point-by-point reference's after as many."""
+    got, ref = Z, Z
+    for _ in range(times):
+        got = z_step(net, got, data, mu)
+        ref = AuxState(slow_z_step(net, ref, data, mu))
+    return got.coords, ref.coords
 
 
 def _z_problem(rng, kind, n):
@@ -326,10 +341,8 @@ class TestBatchedZStep:
         monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
         net, data, Z = _z_problem(rng, kind, n)
         assert macqp.mac._z_tile(net) == Z_TILE
-        cfg = StepConfig(z_gn_iters=2)
         for mu in (0.5, 50.0) + ((1e4,) if kind == "path" else ()):
-            got = z_step(net, Z, data, mu, cfg).coords
-            ref = slow_z_step(net, Z, data, mu, cfg)
+            got, ref = _z_steps(net, Z, data, mu, 2)
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
     def test_point_without_descent_direction_keeps_its_coordinates(self, rng):
@@ -358,12 +371,12 @@ class TestBatchedZStep:
                 noise[3] = 0.0
                 coords.append(lifted + noise)
             Z = AuxState(coords)
-            got = z_step(net, Z, data, 2.0, StepConfig()).coords
+            got = z_step(net, Z, data, 2.0).coords
             for g_, z in zip(got, Z.coords):
                 np.testing.assert_array_equal(g_[3], z[3])
             others = np.arange(10) != 3
             assert np.all(np.any(np.hstack(got)[others] != np.hstack(Z.coords)[others], axis=1))
-            ref = slow_z_step(net, Z, data, 2.0, StepConfig())
+            ref = slow_z_step(net, Z, data, 2.0)
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
@@ -381,33 +394,33 @@ class TestBatchedZStep:
             d = macqp.mac._z_chain_solve(jacs, res, mu)
             assert all(np.all(np.isfinite(dj)) for dj in d)
             assert np.all(macqp.mac._is_descent(g, d))
-            got = z_step(net, Z, data, mu, StepConfig())
+            got = z_step(net, Z, data, mu)
             assert qp_objective(net, got, data, mu) <= qp_objective(net, Z, data, mu)
             if mu >= 1e-3:
-                ref = slow_z_step(net, Z, data, mu, StepConfig())
+                ref = slow_z_step(net, Z, data, mu)
                 assert max(np.max(np.abs(a - b)) for a, b in zip(got.coords, ref)) <= 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_mu_that_is_not_positive_and_finite(self, rng, mu):
         net, data, Z = _z_problem(rng, "sigmoid", 5)
         with pytest.raises(ValueError, match="mu must be positive and finite"):
-            z_step(net, Z, data, mu, StepConfig())
+            z_step(net, Z, data, mu)
 
-    def test_points_without_accepted_step_leave_the_others_unaffected(self, rng):
+    def test_points_without_accepted_step_leave_the_others_unaffected(self, rng,
+                                                                      monkeypatch):
         # narrow RBF widths and a single step length: on this problem some
-        # full Gauss-Newton steps overshoot, so those points stop, while the
-        # others iterate on from the objective value of their last step
+        # full Gauss-Newton steps overshoot, so those points keep their
+        # coordinates, while the others move on over three Z-steps
         net = rbf_autoencoder(4, 6, 2, 6, width1=0.3, width3=0.3, seed=2)
         X = rng.uniform(size=(Z_TILE + 4, 4))
         data = Dataset(X, X)
         Z = AuxState(
             [c + 0.5 * rng.normal(size=c.shape) for c in lift_to_feasible(net, X).coords]
         )
-        cfg = StepConfig(max_backtracks=1, z_gn_iters=3)
-        got = z_step(net, Z, data, 1.0, cfg).coords[0]
+        _backtrack_steps(monkeypatch, 1)
+        (got,), (ref,) = _z_steps(net, Z, data, 1.0, 3)
         moved = np.any(got != Z.coords[0], axis=1)
         assert 0 < moved.sum() < data.n
-        ref = slow_z_step(net, Z, data, 1.0, cfg)[0]
         assert np.max(np.abs(got - ref)) <= 1e-12
 
     @pytest.mark.parametrize("max_backtracks", [1, 3, 20])
@@ -430,11 +443,11 @@ class TestBatchedZStep:
             return objective(*args)
 
         monkeypatch.setattr(macqp.mac, "_z_objective", counting)
-        cfg = StepConfig(max_backtracks=max_backtracks)
-        got = z_step(net, Z, data, 0.1, cfg).coords
+        _backtrack_steps(monkeypatch, max_backtracks)
+        got = z_step(net, Z, data, 0.1).coords
         if max_backtracks == 20:
             assert len(rounds) >= 3
-        ref = slow_z_step(net, Z, data, 0.1, cfg)
+        ref = slow_z_step(net, Z, data, 0.1)
         assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
     def test_singular_point_leaves_its_tile_mates_unaffected(self, rng):
@@ -453,13 +466,12 @@ class TestBatchedZStep:
         f1 = _block_output(net.layers[slice(*slices[0])], X)
         jacs, *_ = macqp.mac._z_gn_system(net, slices, f1, X, [code], 1.0)
         assert not np.any(jacs[0][4])
-        got = z_step(net, Z, data, 1.0, StepConfig()).coords[0]
+        got = z_step(net, Z, data, 1.0).coords[0]
         assert np.all(np.any(got != code, axis=1))
         others = np.arange(7) != 4
-        rest = z_step(net, AuxState([code[others]]), Dataset(X[others], X[others]), 1.0,
-                      StepConfig()).coords[0]
+        rest = z_step(net, AuxState([code[others]]), Dataset(X[others], X[others]), 1.0).coords[0]
         assert np.max(np.abs(got[others] - rest)) <= 1e-12
-        ref = slow_z_step(net, Z, data, 1.0, StepConfig())[0]
+        ref = slow_z_step(net, Z, data, 1.0)[0]
         assert np.max(np.abs(got - ref)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
@@ -486,7 +498,7 @@ class TestBatchedZStep:
             return _block_output(layers, A_in, table, start)
 
         monkeypatch.setattr(macqp.mac, "_block_output", counting)
-        z_step(net, Z, data, 2.0, StepConfig(z_gn_iters=3))
+        z_step(net, Z, data, 2.0)
         assert calls.count(first) == 1
         assert len(calls) > 1
 
@@ -524,11 +536,10 @@ class TestZTile:
     def test_tiles_of_z_tile_points_agree_with_one_tile(self, rng, monkeypatch, kind):
         net, data, Z = _z_problem(rng, kind, 300)
         assert macqp.mac._z_tile(net) >= data.n
-        cfg = StepConfig(z_gn_iters=2)
         for mu in (0.5, 50.0):
-            whole = z_step(net, Z, data, mu, cfg).coords
+            whole = z_step(net, z_step(net, Z, data, mu), data, mu).coords
             monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
-            tiled = z_step(net, Z, data, mu, cfg).coords
+            tiled = z_step(net, z_step(net, Z, data, mu), data, mu).coords
             monkeypatch.undo()
             assert max(np.max(np.abs(a - b)) for a, b in zip(whole, tiled)) <= 1e-12
 
@@ -624,8 +635,8 @@ class TestBatchedWStep:
     def test_matches_unit_by_unit_reference(self, rng, n, d_in, units, weight):
         layer, A, T = _sigmoid_layer_problem(rng, n, d_in, units)
         for lam in (1e-4, 1e-2):
-            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
-            ref = slow_fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
+            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
+            ref = slow_fit_sigmoid_layer(layer, A, T, weight, lam)
             assert np.max(np.abs(got.weights.matrix - ref)) <= 1e-10
 
     @pytest.mark.parametrize("widths", [(4, 24, 2, 24, 4), (64, 32, 8, 32, 64)])
@@ -639,8 +650,8 @@ class TestBatchedWStep:
         ins = [X] + Z.coords
         targets = Z.coords + [X]
         for mu in (1.0, 1e2, 1e4):
-            got = w_step(net, Z, data, mu, StepConfig(), transient_reg=1e-4)
-            ref = slow_w_step(net, Z, data, mu, StepConfig(), transient_reg=1e-4)
+            got = w_step(net, Z, data, mu, transient_reg=1e-4)
+            ref = slow_w_step(net, Z, data, mu, transient_reg=1e-4)
             for j, (layer, W) in enumerate(zip(got.layers, ref)):
                 if layer.spec.kind != LayerKind.SIGMOID_DENSE:
                     assert np.max(np.abs(layer.weights.matrix - W)) <= 1e-10
@@ -651,27 +662,27 @@ class TestBatchedWStep:
 
     @pytest.mark.parametrize("max_backtracks", [1, 2, 3, 7, 20, 33])
     @pytest.mark.parametrize("factor", [0.5, 0.3, 0.9])
-    def test_backtracking_matches_reference(self, rng, max_backtracks, factor):
+    def test_backtracking_matches_reference(self, rng, monkeypatch, max_backtracks, factor):
         # the trial steps are tested in batches of 1, 2, 4, ... per unit;
         # each unit still takes the first step the sequential search takes,
         # or none within max_backtracks
-        cfg = StepConfig(max_backtracks=max_backtracks, backtrack_factor=factor)
+        _backtrack_steps(monkeypatch, max_backtracks, factor)
         for _ in range(3):
             layer, A, T = _backtracking_layer_problem(rng)
-            got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3, cfg).weights.matrix
-            ref = slow_fit_sigmoid_layer(layer, A, T, 1.0, 1e-3, cfg)
+            got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+            ref = slow_fit_sigmoid_layer(layer, A, T, 1.0, 1e-3)
             _assert_matches_reference(layer, got, ref, A, T, 1.0, 1e-3)
 
-    def _check_odd_unit(self, layer, A, T, weight, lam, cfg, k):
+    def _check_odd_unit(self, layer, A, T, weight, lam, k):
         """Unit k may not move; no unit's objective rises; the other units
         end exactly where a batch without unit k leaves them."""
-        got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam, cfg).weights.matrix
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam).weights.matrix
         W0 = layer.weights.matrix
         before = _unit_objectives(layer, W0, A, T, weight, lam)
         after = _unit_objectives(layer, got, A, T, weight, lam)
         assert np.all(after <= before)
         rest_layer, rest_T = _without_unit(layer, T, k)
-        rest = macqp.mac._fit_sigmoid_layer(rest_layer, A, rest_T, weight, lam, cfg)
+        rest = macqp.mac._fit_sigmoid_layer(rest_layer, A, rest_T, weight, lam)
         np.testing.assert_array_equal(np.delete(got, k, axis=0), rest.weights.matrix)
         return got
 
@@ -685,7 +696,7 @@ class TestBatchedWStep:
         W[2] = [0.5, -0.25, 1.125, -0.375]
         layer = Layer(layer.spec, LayerWeights(W))
         T[:, 2] = macqp.mac.sigmoid(add_bias_col(A) @ W[2])
-        got = self._check_odd_unit(layer, A, T, 1e2, 0.0, StepConfig(), 2)
+        got = self._check_odd_unit(layer, A, T, 1e2, 0.0, 2)
         np.testing.assert_array_equal(got[2], W[2])
         assert np.all(np.any(np.delete(got, 2, axis=0) != np.delete(W, 2, axis=0), axis=1))
 
@@ -694,7 +705,7 @@ class TestBatchedWStep:
         # still saturates the other way, and none of them lowers the
         # objective, so the unit stops where it started.
         layer, A, T = _saturated_unit_problem(rng)
-        got = self._check_odd_unit(layer, A, T, 1.0, 0.0, StepConfig(), 1)
+        got = self._check_odd_unit(layer, A, T, 1.0, 0.0, 1)
         np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
 
     @pytest.mark.parametrize("max_backtracks", [1, 3, 7, 20])
@@ -710,11 +721,11 @@ class TestBatchedWStep:
             return sigmoid(t)
 
         monkeypatch.setattr(macqp.mac, "sigmoid", counting)
-        cfg = StepConfig(max_backtracks=max_backtracks)
-        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0, cfg).weights.matrix
+        _backtrack_steps(monkeypatch, max_backtracks)
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0).weights.matrix
         np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
         rounds = int(np.ceil(np.log2(max_backtracks + 1)))
-        assert len(calls) <= 1 + cfg.w_gn_iters * rounds
+        assert len(calls) <= 1 + macqp.mac.W_GN_ITERS * rounds
 
     def test_singular_unit_leaves_the_others_unaffected(self, rng):
         # Unit 3's undamped Gauss-Newton matrix has two equal rows: the
@@ -725,7 +736,7 @@ class TestBatchedWStep:
             np.linalg.solve(H[3], np.ones(4))
         for i in (0, 1, 2, 4, 5):
             np.linalg.solve(H[i], np.ones(4))
-        got = self._check_odd_unit(layer, A, T, 1.0, 0.0, StepConfig(), 3)
+        got = self._check_odd_unit(layer, A, T, 1.0, 0.0, 3)
         assert np.all(np.any(got != layer.weights.matrix, axis=1))
 
     def test_damped_solve_leaves_its_systems_unchanged(self, rng):
@@ -763,40 +774,33 @@ class TestBatchedWStep:
         # N = 1: each unit's Gauss-Newton matrix is rank one plus the ridge
         layer, A, T = _sigmoid_layer_problem(rng, 1, 4, 6)
         for weight, lam in ((1.0, 1e-4), (1e4, 1e-2)):
-            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
+            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
             W0 = layer.weights.matrix
             before = _unit_objectives(layer, W0, A, T, weight, lam)
             after = _unit_objectives(layer, got.weights.matrix, A, T, weight, lam)
             assert np.all(after < before)
-            ref = slow_fit_sigmoid_layer(layer, A, T, weight, lam, StepConfig())
+            ref = slow_fit_sigmoid_layer(layer, A, T, weight, lam)
             assert np.max(np.abs(got.weights.matrix - ref)) <= 1e-10
 
     def test_unit_groups_do_not_change_the_result(self, rng, monkeypatch):
         layer, A, T = _sigmoid_layer_problem(rng, 500, 64, 32)
-        whole = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4, StepConfig())
+        whole = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4)
         for group_elems in (1, 5 * 65 * 500):
             monkeypatch.setattr(macqp.mac, "W_GROUP_ELEMS", group_elems)
-            grouped = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4, StepConfig())
+            grouped = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4)
             np.testing.assert_array_equal(grouped.weights.matrix, whole.weights.matrix)
-
-
-class TestStepConfig:
-    @pytest.mark.parametrize("bad", [
-        {"max_backtracks": 0}, {"z_gn_iters": 1.5}, {"w_gn_iters": True},
-    ])
-    def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ValueError):
-            StepConfig(**bad)
 
 
 class TestPenaltySchedule:
     @pytest.mark.parametrize("bad", [
         {"max_iters_per_stage": 0}, {"max_iters_per_stage": 2.0},
         {"reg_drop_threshold": -1.0}, {"reg_drop_threshold": float("nan")},
+        {"reg_drop_threshold": True}, {"reg_drop_threshold": "x"},
         {"growth": 0.5}, {"mu0": float("nan")}, {"max_stages": -1},
     ])
     def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # the message names the key
+        with pytest.raises(ValueError, match=next(iter(bad))):
             PenaltySchedule(**bad)
 
 
@@ -873,7 +877,7 @@ class TestMacTrain:
         net = sigmoid_autoencoder((5, 3, 5), seed=1)
         data = Dataset(rng.uniform(size=(10, 5)), rng.uniform(size=(10, 5)))
         out, Z, trace = mac_train(
-            net, data, PenaltySchedule(max_stages=0), StepConfig()
+            net, data, PenaltySchedule(max_stages=0)
         )
         assert trace.rows == []
         for a, b in zip(net.layers, out.layers):
@@ -884,7 +888,7 @@ class TestMacTrain:
         X = rng.uniform(size=(40, 6))
         data = Dataset(X, X)
         schedule = PenaltySchedule(max_stages=4, max_iters_per_stage=2)
-        _, _, trace = mac_train(net, data, schedule, StepConfig())
+        _, _, trace = mac_train(net, data, schedule)
         mus = sorted({r.mu for r in trace.rows})
         assert mus == [1.0, 10.0, 100.0, 1000.0]
 
@@ -893,7 +897,7 @@ class TestMacTrain:
         X = rng.uniform(size=(50, 8))
         data = Dataset(X, X)
         schedule = PenaltySchedule(max_stages=5, max_iters_per_stage=8)
-        _, _, trace = mac_train(net, data, schedule, StepConfig())
+        _, _, trace = mac_train(net, data, schedule)
 
         ends = [r.constraint_viol for r in trace.rows if r.event == "mu_increase"]
         assert len(ends) == 4
@@ -919,7 +923,7 @@ class TestMacTrain:
             net = rbf_autoencoder(6, 9, 2, 9, seed=3)
             kwargs["sel_cfg"] = SelectionConfig([[3, 6, 9], [3, 6, 9]], 1e-4, cadence=2)
         schedule = PenaltySchedule(max_stages=4, max_iters_per_stage=4)
-        _, _, trace = mac_train(net, data, schedule, StepConfig(), **kwargs)
+        _, _, trace = mac_train(net, data, schedule, **kwargs)
         pairs = [(p, c) for p, c in zip(trace.rows, trace.rows[1:]) if c.event == "wstep"]
         assert len(pairs) >= 5
         assert all(c.eq <= p.eq for p, c in pairs)
@@ -942,7 +946,7 @@ class TestMacTrain:
         net = sigmoid_autoencoder((5, 3, 5), seed=1)
         X = rng.uniform(size=(12, 5))
         schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=2)
-        _, _, trace = mac_train(net, Dataset(X, X), schedule, StepConfig())
+        _, _, trace = mac_train(net, Dataset(X, X), schedule)
         # E1 once per weight change, here once per W-step: a zstep or
         # mu_increase row repeats the row before's E1; E_Q once per row
         # plus once for the first stage
@@ -966,7 +970,7 @@ class TestMacTrain:
             fresh.append((nested_objective(net_, data),
                           nested_objective(net_, data.eval_split())))
 
-        _, _, trace = mac_train(net, data, schedule, StepConfig(),
+        _, _, trace = mac_train(net, data, schedule,
                                 iteration_callback=callback)
         # training and validation E1 after every W-step and every restore
         # (each mu_increase row follows one), and the first stage's start
@@ -981,7 +985,7 @@ class TestMacTrain:
         net = sigmoid_autoencoder((8, 5, 2, 5, 8), seed=6)
         data = synth_manifold_dataset(50, 8, 1, 0.01, seed=4)
         out, Z, trace = mac_train(
-            net, data, PenaltySchedule(max_stages=6, stage_tolerance=1e-4), StepConfig()
+            net, data, PenaltySchedule(max_stages=6, stage_tolerance=1e-4)
         )
         assert nested_objective(out, data) < 0.2 * nested_objective(net, data)
 

@@ -8,8 +8,8 @@ import pytest
 
 import macqp.mac
 from conftest import sigmoid_autoencoder
-from macqp.mac import AuxState, StepConfig, _z_tile, lift_to_feasible, w_step, z_step
-from macqp.model import Dataset, MacqpError
+from macqp.mac import AuxState, _z_tile, lift_to_feasible, w_step, z_step
+from macqp.model import ConfigError, Dataset, MacqpError
 from macqp.parallel import parallel_map, resolve_workers
 
 
@@ -88,6 +88,18 @@ class TestConfig:
             with pytest.raises(MacqpError, match="MAC_WORKERS"):
                 resolve_workers(2)
 
+    def test_errors_are_config_errors_quoting_the_value(self, monkeypatch):
+        monkeypatch.delenv("MAC_WORKERS", raising=False)
+        with pytest.raises(ConfigError) as err:
+            resolve_workers(0)
+        assert str(err.value) == "parallel.workers must be an integer >= 1, got 0"
+        monkeypatch.setenv("MAC_WORKERS", " four ")
+        with pytest.raises(ConfigError) as err:
+            resolve_workers(2)
+        assert str(err.value) == "MAC_WORKERS must be an integer >= 1, got 'four'"
+        monkeypatch.setenv("MAC_WORKERS", " 3 ")
+        assert resolve_workers(2) == 3
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MAC_WORKERS", "6")
         assert resolve_workers(2) == 6
@@ -113,18 +125,18 @@ class TestStepDeterminism:
         # change its rounding: one unit per group, groups of three units
         # (the last one short) and every unit in one group
         net, data, Z = self._problem(rng)
-        whole = w_step(net, Z, data, 2.0, StepConfig())
+        whole = w_step(net, Z, data, 2.0)
         elems = 9 * data.n  # one 8 -> 5 unit: 8 inputs and a bias, N points
         for group_elems in (1, 3 * elems):
             monkeypatch.setattr(macqp.mac, "W_GROUP_ELEMS", group_elems)
-            grouped = w_step(net, Z, data, 2.0, StepConfig())
+            grouped = w_step(net, Z, data, 2.0)
             for a, b in zip(whole.layers, grouped.layers):
                 np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
 
     def test_z_step_bit_identical_across_workers(self, rng):
         net, data, Z = self._problem(rng)
-        serial = z_step(net, Z, data, 2.0, StepConfig(), workers=1)
+        serial = z_step(net, Z, data, 2.0, workers=1)
         for w in (2, 4, 7):
-            par = z_step(net, Z, data, 2.0, StepConfig(), workers=w)
+            par = z_step(net, Z, data, 2.0, workers=w)
             for a, b in zip(serial.coords, par.coords):
                 np.testing.assert_array_equal(a, b)

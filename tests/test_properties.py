@@ -122,7 +122,6 @@ _BASE = {
         "placement": [1],
     },
     "schedule": {"max_stages": 3, "max_iters_per_stage": 3},
-    "step": {"w_gn_iters": 2},
     "selection": {"candidates_per_block": [[2, 4]], "epsilon_sq": 1e-4},
     "parallel": {"workers": 1},
     "sgd": {"minibatch": 10},

@@ -16,10 +16,11 @@ from macqp.kernels import rbf_design
 from macqp.mac import (
     AuxState,
     PenaltySchedule,
-    StepConfig,
     TrainTrace,
+    block_outputs,
     lift_to_feasible,
     mac_train,
+    qp_blocks,
     qp_objective,
 )
 from macqp.model import (
@@ -33,6 +34,7 @@ from macqp.model import (
 )
 from macqp.selection import (
     SelectionConfig,
+    _candidate_pair,
     aic_cost,
     mac_train_with_selection,
     selectable_blocks,
@@ -180,7 +182,7 @@ class TestSelectionStep:
         data = synth_manifold_dataset(60, 6, 1, 0.01, seed=2)
         net, Z, _ = mac_train(
             rbf_autoencoder(6, 4, 2, 4, seed=1), data,
-            PenaltySchedule(max_stages=2, max_iters_per_stage=2), StepConfig(),
+            PenaltySchedule(max_stages=2, max_iters_per_stage=2),
         )
         net = NestedNet(
             [Layer(replace(l.spec, ridge=0.1), l.weights)
@@ -192,6 +194,25 @@ class TestSelectionStep:
         out = selection_step(net, Z, data, mu, cfg)
         after = qp_objective(out, Z, data, mu) + aic_cost(out, cfg.epsilon_sq)
         assert after <= before
+
+    def test_keeps_the_current_block_on_a_tie(self, rng):
+        # each block is already the refit at its own size, so the one
+        # candidate scores exactly as the current block and must not
+        # replace it (nor its entry of ``outs``)
+        net, data, Z = self._setup(rng)
+        layers = list(net.layers)
+        for (a, _), A, T, weight in qp_blocks(net, Z, data, 2.0):
+            pair = _candidate_pair(layers[a].spec, layers[a + 1].spec,
+                                   layers[a].spec.out_dim)
+            layers[a:a + 2] = fit_rbf_linear_pair(*pair, A, T, weight)
+        net = NestedNet(layers, net.placement)
+        outs = block_outputs(net, Z, data.X)
+        kept = list(outs)
+        cfg = SelectionConfig([[6], [7]], epsilon_sq=0.02)
+        out = selection_step(net, Z, data, 2.0, cfg, outs=outs)
+        assert all(o is k for o, k in zip(outs, kept))
+        for a, b in zip(net.layers, out.layers):
+            np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
 
     def test_huge_epsilon_picks_smallest_candidates(self, rng):
         net, data, Z = self._setup(rng)
@@ -242,9 +263,9 @@ class TestMacTrainWithSelection:
         schedule = PenaltySchedule(max_stages=2, max_iters_per_stage=3)
         z0 = lift_to_feasible(net, X)
         sel_cfg = SelectionConfig([[4, 8], [4, 8]], epsilon_sq=0.05, cadence=10_000)
-        a, _, _ = mac_train(net, data, schedule, StepConfig(), z_init=z0)
+        a, _, _ = mac_train(net, data, schedule, z_init=z0)
         b, _, _ = mac_train_with_selection(
-            net, data, schedule, StepConfig(), sel_cfg, z_init=z0
+            net, data, schedule, sel_cfg, z_init=z0
         )
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.weights.matrix, lb.weights.matrix)
@@ -258,7 +279,7 @@ class TestMacTrainWithSelection:
         sel_cfg = SelectionConfig([[5, 10, 20], [5, 10, 20]],
                                   epsilon_sq=0.01, cadence=2)
         _, _, trace = mac_train_with_selection(
-            net, data, schedule, StepConfig(), sel_cfg,
+            net, data, schedule, sel_cfg,
             z_init=lift_to_feasible(net, X),
         )
         assert trace.selection_events
@@ -331,7 +352,7 @@ class TestFirstBlockCenterTable:
 
             monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", without_table)
             monkeypatch.setattr(macqp.selection, "fit_rbf_linear_pair", without_table)
-        out, Z, trace = mac_train(net, data, schedule, StepConfig(), sel_cfg=sel_cfg,
+        out, Z, trace = mac_train(net, data, schedule, sel_cfg=sel_cfg,
                                   z_init=AuxState([pca_embed(data.X, 2)]))
         monkeypatch.undo()
         return out, Z, trace, on_x
@@ -437,7 +458,7 @@ class TestSharedBlockEvaluations:
                 (macqp.mac, "constraint_residuals", ("outs",)),
             ):
                 monkeypatch.setattr(module, name, _without(getattr(module, name), *dropped))
-        out = mac_train(net, data, schedule, StepConfig(), **kwargs)
+        out = mac_train(net, data, schedule, **kwargs)
         monkeypatch.undo()
         return out
 
@@ -499,7 +520,7 @@ class TestSharedBlockEvaluations:
                 return _design(X, C, *args, **kw)
 
             monkeypatch.setattr(module, "rbf_design", counted)
-        mac_train(net, data, schedule, StepConfig(), **kwargs)
+        mac_train(net, data, schedule, **kwargs)
         assert len(centers_on_x) == 1 + 5
         assert len(set(centers_on_x)) == len(centers_on_x)
 
@@ -515,7 +536,7 @@ class TestSharedBlockEvaluations:
             return ridge(features, targets, lam, gram=gram)
 
         monkeypatch.setattr(macqp.baselines, "ridge_lsq", counted)
-        mac_train(net, data, schedule, StepConfig(), **kwargs)
+        mac_train(net, data, schedule, **kwargs)
         sizes = {m for m, _ in grams}
         assert sizes == {10, 20, 30, 40, 50}
         assert len(grams) > 2 * len(sizes)
@@ -542,7 +563,7 @@ class TestSharedBlockEvaluations:
         monkeypatch.setattr(macqp.mac, "w_step", step("w", macqp.mac.w_step))
         monkeypatch.setattr(macqp.selection, "selection_step",
                             step("select", macqp.selection.selection_step))
-        mac_train(net, data, schedule, StepConfig(), **kwargs)
+        mac_train(net, data, schedule, **kwargs)
         after_selection = [c for p, c in zip(calls, calls[1:])
                            if p[0] == "select" and c[0] == "w"]
         after_z_step = [c for p, c in zip(calls, calls[1:]) if p[0] == "w" and c[0] == "w"]
@@ -574,7 +595,7 @@ def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, p
 
     monkeypatch.setattr(macqp.baselines, "kmeans", spied)
     monkeypatch.setattr(TrainTrace, "add", add)
-    trace = mac_train(net, data, schedule, StepConfig(), **kwargs)[2]
+    trace = mac_train(net, data, schedule, **kwargs)[2]
     last = {}  # size -> centers of its last fit on the coordinates
     seen = {}  # (points, size) -> stage ends at its last fit
     warm = again = 0
