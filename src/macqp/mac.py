@@ -227,7 +227,9 @@ def _backtrack(evaluate, x, d, vals, found):
     rows test their next 1, 2, 4, ... steps in one batch: a row's objective
     is fixed until it accepts, so this picks the same step, and a row that
     accepts none costs ceil(log2(len(BACKTRACK_STEPS) + 1)) batches.
-    Returns the rows that moved.  A row's last bits can depend on the rows that share its batch: BLAS
+    Returns the rows that moved.
+
+    A row's last bits can depend on the rows that share its batch: BLAS
     rounds a one-row product unlike a multi-row one, and at N = 500 also
     by the row count.
     """
@@ -326,8 +328,11 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
     The units' problems are independent.  They are solved as one stack,
     but every unit follows its own damping, step length and stopping, as
     if solved alone up to rounding (see _backtrack): a unit that finds no
-    descent direction or no decreasing step keeps its weights and leaves
-    the iteration.
+    descent direction, or whose step's predicted decrease is below the
+    rounding of its objective, or that finds no decreasing step keeps its
+    weights and leaves the iteration.  The Gauss-Newton model predicts a
+    decrease of -g.d/2, and N eps f bounds the rounding of an objective f
+    summed over N points, so a unit steps only if -g.d > 2 N eps f.
     """
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
     W = layer.weights.matrix.copy()
@@ -342,12 +347,14 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
         S = P_l * (1.0 - P_l)
         g = -weight * ((S * R) @ phi) + 2.0 * lam * W_l
         d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
+        f_l = _sigmoid_unit_objectives(R, W_l, weight, lam)
+        rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_l
+        found &= -np.einsum("ij,ij->i", g, d) > rounding
 
         def evaluate(rows, cand):
             P_c = sigmoid(cand[0] @ phi.T)
             return [_sigmoid_unit_objectives(T_l[rows] - P_c, cand[0], weight, lam), P_c]
 
-        f_l = _sigmoid_unit_objectives(R, W_l, weight, lam)
         accepted = _backtrack(evaluate, [W_l], [d], [f_l, P_l], found)
         live = live[accepted]
         W[live], P[live] = W_l[accepted], P_l[accepted]
@@ -679,8 +686,10 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
     from seed 0.  When a Z-step or a restore changes the inputs of a block
     fed by coordinates, its table keeps only each size's centers: the
     next k-means at that size starts from them (warm start), as the
-    coordinates move little from one step to the next.  A size fitted for
-    the first time starts from seed 0.
+    coordinates move little from one step to the next.  A restore then
+    puts back the entries made at the restored coordinates, so no size is
+    clustered twice on the same inputs.  A size fitted for the first time
+    starts from seed 0.
     """
     net = net.copy()
     Z = z_init.copy() if z_init is not None else lift_to_feasible(net, data.X)
@@ -755,11 +764,16 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             prev = qp_objective(net, Z, data, mu, transient, outs=outs)
         if track_val:
             best = (net.copy(), Z.copy(), prev)
+            best_fits = None
         for _ in range(schedule.max_iters_per_stage):
             net = w_step(net, Z, data, mu, transient_reg=transient, outs=outs, tables=tables)
             e1 = None
             it += 1
             record("wstep")
+            if track_val and best_fits is None:
+                # best's tables, before a Z-step moves its coordinates; entries
+                # are replaced, never changed in place, so shallow copies keep them
+                best_fits = [dict(t) for t in tables]
             Z_before = Z
             Z = z_step(net, Z, data, mu, workers=workers, f1=outs[0])
             refresh(moved_since(Z_before))
@@ -790,6 +804,7 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             cur = stage_signal(row)
             if track_val and cur < best[2]:
                 best = (net.copy(), Z.copy(), cur)
+                best_fits = None
             if time_budget is not None and time.perf_counter() - t0 > time_budget:
                 stop = True
                 break
@@ -803,7 +818,9 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             Z_before = Z
             net, Z = best[0], best[1]
             e1 = None
-            moved_since(Z_before)
+            for j in moved_since(Z_before):
+                # the fits made at the restored coordinates hold again
+                tables[j].update((m, e) for m, e in best_fits[j].items() if e[1] is not None)
             refresh(range(len(slices)))
         if stop or stage == schedule.max_stages - 1:
             break

@@ -105,8 +105,9 @@ def _slow_damped_solve(H, g):
 def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam):
     """A sigmoid layer's W-step fit solved unit by unit: W_GN_ITERS damped
     Gauss-Newton iterations on each unit's weighted least-squares problem
-    plus lam * |w|^2, backtracking over BACKTRACK_STEPS.  Returns the new
-    weight matrix."""
+    plus lam * |w|^2, backtracking over BACKTRACK_STEPS.  A unit stops
+    when its step's predicted decrease is below the rounding of its
+    objective.  Returns the new weight matrix."""
     phi = np.hstack([A_in, np.ones((A_in.shape[0], 1))]) if layer.spec.bias else A_in
 
     def sig(t):
@@ -125,7 +126,10 @@ def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam):
             g = -weight * (jac.T @ (t - p)) + 2.0 * lam * w
             H = weight * (jac.T @ jac) + 2.0 * lam * np.eye(w.shape[0])
             d = _slow_damped_solve(H, g)
-            if d is None:
+            # a predicted decrease -g.d/2 below the rounding of f_cur, a
+            # sum over the points, cannot show
+            rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_cur
+            if d is None or -float(np.dot(g, d)) <= rounding:
                 break
             accepted = False
             for step in macqp.mac.BACKTRACK_STEPS:

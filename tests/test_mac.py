@@ -572,6 +572,29 @@ def _assert_matches_reference(layer, got, ref, A, T, weight, lam):
     assert np.all((diff <= 1e-10) | tie)
 
 
+def _fixed_point(layer, A, T, weight, lam):
+    """The layer refitted until a fit returns its weights unchanged."""
+    for _ in range(20):
+        new = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
+        if np.array_equal(new.weights.matrix, layer.weights.matrix):
+            return layer
+        layer = new
+    raise AssertionError("the fit did not reach a fixed point in 20 refits")
+
+
+def _count_sigmoid_calls(monkeypatch):
+    """Record the argument shape of every sigmoid call the W-step makes."""
+    calls = []
+    sigmoid = macqp.mac.sigmoid
+
+    def counting(t):
+        calls.append(t.shape)
+        return sigmoid(t)
+
+    monkeypatch.setattr(macqp.mac, "sigmoid", counting)
+    return calls
+
+
 def _saturated_unit_problem(rng):
     """A layer of 4 units whose unit 1 has pre-activations of 20 to 27, so
     outputs within 2e-9 of 1, at targets of 1/2."""
@@ -713,19 +736,50 @@ class TestBatchedWStep:
         # the saturated unit of the test above tries every step length in
         # ceil(log2(max_backtracks + 1)) rounds, one sigmoid call each
         layer, A, T = _saturated_unit_problem(rng)
-        calls = []
-        sigmoid = macqp.mac.sigmoid
-
-        def counting(t):
-            calls.append(t.shape)
-            return sigmoid(t)
-
-        monkeypatch.setattr(macqp.mac, "sigmoid", counting)
+        calls = _count_sigmoid_calls(monkeypatch)
         _backtrack_steps(monkeypatch, max_backtracks)
         got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0).weights.matrix
         np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
         rounds = int(np.ceil(np.log2(max_backtracks + 1)))
         assert len(calls) <= 1 + macqp.mac.W_GN_ITERS * rounds
+
+    # the path (N = 120) and desk (N = 500) sigmoid layer shapes
+    @pytest.mark.parametrize("n, d_in, units", [(120, 4, 24), (120, 24, 2), (500, 8, 32)])
+    @pytest.mark.parametrize("weight", [1.0, 1e4])
+    @pytest.mark.parametrize("lam", [1e-4, 0.0])
+    def test_refit_at_a_fixed_point_runs_no_line_search(self, rng, monkeypatch, n, d_in,
+                                                        units, weight, lam):
+        # at a fixed point of the fit every unit's predicted decrease is
+        # below the rounding of its objective: the refit evaluates the
+        # sigmoid once, at the starting weights, and returns them
+        layer, A, T = _sigmoid_layer_problem(rng, n, d_in, units)
+        layer = _fixed_point(layer, A, T, weight, lam)
+        calls = _count_sigmoid_calls(monkeypatch)
+        again = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(again.weights.matrix, layer.weights.matrix)
+
+    def test_unit_at_its_fixed_point_leaves_the_others_unaffected(self, rng):
+        # Unit 4 starts at its fixed point, the others where they began: its
+        # damped step is a descent direction whose predicted decrease is
+        # below the rounding of its objective, so it stops without a line
+        # search while the others take their steps.
+        weight, lam, k = 1e2, 1e-4, 4
+        layer, A, T = _sigmoid_layer_problem(rng, 120, 4, 8)
+        W = layer.weights.matrix.copy()
+        W[k] = _fixed_point(layer, A, T, weight, lam).weights.matrix[k]
+        layer = Layer(layer.spec, LayerWeights(W))
+        phi = add_bias_col(A)
+        p = macqp.mac.sigmoid(phi @ W[k])
+        s = p * (1.0 - p)
+        g = -weight * ((s * (T[:, k] - p)) @ phi) + 2.0 * lam * W[k]
+        H = macqp.mac._sigmoid_gn_matrices(phi, s[None], weight, lam)
+        d, found = macqp.mac._damped_solve(H, g[None])
+        f = _unit_objectives(layer, W, A, T, weight, lam)[k]
+        assert found[0] and 0 < -(g @ d[0]) <= 2.0 * 120 * np.finfo(np.float64).eps * f
+        got = self._check_odd_unit(layer, A, T, weight, lam, k)
+        np.testing.assert_array_equal(got[k], W[k])
+        assert np.all(np.any(np.delete(got, k, axis=0) != np.delete(W, k, axis=0), axis=1))
 
     def test_singular_unit_leaves_the_others_unaffected(self, rng):
         # Unit 3's undamped Gauss-Newton matrix has two equal rows: the

@@ -16,7 +16,6 @@ from macqp.kernels import rbf_design
 from macqp.mac import (
     AuxState,
     PenaltySchedule,
-    TrainTrace,
     block_outputs,
     lift_to_feasible,
     mac_train,
@@ -575,42 +574,49 @@ class TestSharedBlockEvaluations:
 @pytest.mark.parametrize("problem", [{}, {"seed": 2, "n_val": 30}],
                          ids=["no_split", "validation_split"])
 def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, problem):
-    # each coordinate-fed fit at size m starts from the centers last fitted
-    # at m, on the coordinates before a Z-step or a restore moved them; a
-    # size's first fit and every fit on data.X start from the seed
+    # each coordinate-fed fit at size m starts from the centers of m's last
+    # fit, made on the coordinates before a Z-step moved them; a restore
+    # brings back the fits made at the restored coordinates, so no size is
+    # clustered twice on the same points, stage ends included.  A size's
+    # first fit and every fit on data.X start from the seed
     net, data, schedule, kwargs = _rbf_select_problem(**problem)
-    runs = []  # (on data.X, points, size, start, centers, stage ends) per k-means run
-    stage_ends = [0]  # mu_increase rows so far; a restore comes just before one
-    kmeans_fn, add_fn = macqp.baselines.kmeans, TrainTrace.add
+    # ("w", points) per W-step; (on data.X, points, size, start, centers) per k-means run
+    events = []
+    kmeans_fn, w_step_fn = macqp.baselines.kmeans, macqp.mac.w_step
 
     def spied(points, k, *args, init=None, **kw):
         centers = kmeans_fn(points, k, *args, init=init, **kw)
-        runs.append((points is data.X, points.tobytes(), k,
-                     None if init is None else init.copy(), centers.copy(), stage_ends[0]))
+        events.append((points is data.X, points.tobytes(), k,
+                       None if init is None else init.copy(), centers.copy()))
         return centers
 
-    def add(trace, *args):
-        stage_ends[0] += args[-1] == "mu_increase"
-        return add_fn(trace, *args)
+    def w_step(net, Z, *args, **kw):
+        events.append(("w", Z.coords[0].tobytes()))
+        return w_step_fn(net, Z, *args, **kw)
 
     monkeypatch.setattr(macqp.baselines, "kmeans", spied)
-    monkeypatch.setattr(TrainTrace, "add", add)
+    monkeypatch.setattr(macqp.mac, "w_step", w_step)
     trace = mac_train(net, data, schedule, **kwargs)[2]
-    last = {}  # size -> centers of its last fit on the coordinates
-    seen = {}  # (points, size) -> stage ends at its last fit
-    warm = again = 0
-    for on_x, points, k, init, centers, ends in runs:
+    last = {}  # size -> centers its next fit on the coordinates starts from
+    fitted = {}  # (points, size) -> centers
+    warm = restored = 0
+    for event in events:
+        if event[0] == "w":  # after a restore, the restored fits' centers are back
+            for (points, k), centers in fitted.items():
+                if points == event[1] and not np.array_equal(last[k], centers):
+                    last[k] = centers
+                    restored += 1
+            continue
+        on_x, points, k, init, centers = event
+        assert (points, k) not in fitted
+        fitted[points, k] = centers
         if on_x or k not in last:
             assert init is None
         else:
             np.testing.assert_array_equal(init, last[k])
             warm += 1
-        if (points, k) in seen:  # only a restore brings coordinates back
-            assert ends > seen[points, k]
-            again += 1
-        seen[points, k] = ends
         if not on_x:
             last[k] = centers
     assert sorted(last) == [10, 20, 30, 40, 50]
     assert warm > 2 * len(last)
-    assert (again > 0) == _restored(trace) == bool(problem)
+    assert (restored > 0) == _restored(trace) == bool(problem)
