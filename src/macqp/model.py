@@ -353,6 +353,10 @@ def layer_jacobians(layer, z_in, out=None):
     ``out``, the layer's output at z_in as ``layer_apply`` computes it,
     saves computing the activations again; without it they are computed
     here the same way.
+
+    A batch's Jacobians are one C-ordered (n, out_dim, in_dim) array. The
+    Z-step multiplies them with matmul, whose rounding follows the layout
+    of its operands, so another layout would change the Z-step's bits.
     """
     spec = layer.spec
     z_in = np.asarray(z_in, dtype=np.float64)
@@ -366,12 +370,16 @@ def layer_jacobians(layer, z_in, out=None):
     else:
         a = layer_apply(layer, Z) if out is None else np.atleast_2d(out)
         if spec.kind == LayerKind.GAUSSIAN_RBF:
-            diff = Z[:, None, :] - W[None, :, :]
-            coef = (2.0 / spec.rbf_width**2) * a
-            j_in = -(coef[:, :, None] * diff)
+            # -(c * d) as (-c) * d: the same bits, -0.0 at a centre included
+            # (numpy 2.4.6's np.negative misreads 64-byte-strided columns)
+            coef = (-2.0 / spec.rbf_width**2) * a
+            j_in = np.empty((Z.shape[0], spec.out_dim, spec.in_dim))
+            for k in range(spec.in_dim):
+                col = j_in[:, :, k]
+                np.subtract(Z[:, k, None], W[:, k], out=col)
+                col *= coef
         else:
-            s = a * (1.0 - a)
-            j_in = s[:, :, None] * W[None, :, : spec.in_dim]
+            j_in = np.einsum("no,oi->noi", a * (1.0 - a), W[:, : spec.in_dim], order="C")
     return j_in[0] if z_in.ndim == 1 else j_in
 
 

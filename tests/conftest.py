@@ -86,6 +86,23 @@ def slow_layer_jacobian(layer, x):
     return J
 
 
+def broadcast_layer_jacobians(layer, Z, a):
+    """RBF or sigmoid input Jacobians of a batch Z, shape (n, out, in), by 3-D broadcasts.
+
+    ``a`` is the layer's output at Z. This is the bit-level specification of
+    ``model.layer_jacobians``, which must equal it bit for bit, signed zeros
+    included.
+    """
+    spec = layer.spec
+    W = layer.weights.matrix
+    if spec.kind == LayerKind.GAUSSIAN_RBF:
+        diff = Z[:, None, :] - W[None, :, :]
+        coef = (2.0 / spec.rbf_width**2) * a
+        return -(coef[:, :, None] * diff)
+    s = a * (1.0 - a)
+    return s[:, :, None] * W[None, :, : spec.in_dim]
+
+
 def _slow_damped_solve(H, g):
     """Solve H d = -g, escalating Levenberg damping until d is a descent step."""
     from macqp.mac import DAMPING_LEVELS

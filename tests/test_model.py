@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    broadcast_layer_jacobians,
     fd_gradient,
     random_dataset,
     random_mixed_net,
@@ -264,6 +265,39 @@ class TestLayerJacobians:
             np.testing.assert_allclose(
                 j_in[p], layer_jacobians(layer, Zb[p]), rtol=1e-13, atol=1e-15
             )
+
+    @pytest.mark.parametrize(
+        "n, out_dim, in_dim",
+        [(500, 40, 2), (64, 24, 2), (64, 2, 24), (64, 32, 8), (7, 5, 1), (3, 4, 16)],
+    )
+    @pytest.mark.parametrize("kind", [LayerKind.GAUSSIAN_RBF, LayerKind.SIGMOID_DENSE])
+    def test_bit_for_bit_the_broadcast_formulas(self, rng, kind, n, out_dim, in_dim):
+        # matmul rounds by operand layout, so the Z-step needs these exact
+        # bits in a C-ordered (n, out, in) array
+        spec = LayerSpec(
+            kind, in_dim, out_dim,
+            rbf_width=np.sqrt(in_dim) if kind == LayerKind.GAUSSIAN_RBF else 0.0,
+        )
+        layer = Layer(spec, LayerWeights(rng.normal(size=spec.weight_shape)))
+        Zb = rng.normal(size=(n, in_dim))
+        if kind == LayerKind.GAUSSIAN_RBF:
+            Zb[0] = layer.weights.matrix[0]  # on a centre: the entries are -0.0
+        a = layer_apply(layer, Zb)
+        expected = broadcast_layer_jacobians(layer, Zb, a)
+        for j_in in (layer_jacobians(layer, Zb), layer_jacobians(layer, Zb, out=a)):
+            assert j_in.shape == (n, out_dim, in_dim) and j_in.flags.c_contiguous
+            np.testing.assert_array_equal(j_in, expected)
+            np.testing.assert_array_equal(np.signbit(j_in), np.signbit(expected))
+        if kind == LayerKind.GAUSSIAN_RBF:
+            assert np.all(np.signbit(expected[0, 0])) and not np.any(expected[0, 0])
+        for z in (Zb[0], Zb[-1]):
+            # one vector's activations may round apart from the batch's
+            a_z = layer_apply(layer, z)
+            expected = broadcast_layer_jacobians(layer, z[None], a_z)[0]
+            for j_z in (layer_jacobians(layer, z), layer_jacobians(layer, z, out=a_z[0])):
+                assert j_z.shape == (out_dim, in_dim)
+                np.testing.assert_array_equal(j_z, expected)
+                np.testing.assert_array_equal(np.signbit(j_z), np.signbit(expected))
 
 
 class TestInitWeights:
