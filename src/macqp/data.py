@@ -80,10 +80,18 @@ def _load_f64bin(path):
     magic = bytes(reader.take(4, "the magic"))
     if magic != MACD_MAGIC:
         raise MacqpError(f"{path}: bad magic {magic!r}, expected {MACD_MAGIC!r}")
+    at = reader.pos
     n, d, dp = reader.unpack("<QII", "the header")
+    if 0 in (n, d, dp):
+        raise MacqpError(f"{path}: the header at byte offset {at} gives n = {n}, "
+                         f"d = {d}, d' = {dp}; none may be 0")
     X = reader.f64_matrix((n, d), "X")
     Y = reader.f64_matrix((n, dp), "Y")
     reader.finish()
+    for name, M in (("X", X), ("Y", Y)):
+        bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
+        if bad.size:
+            raise MacqpError(f"{path}: {name} has a non-finite entry in row {bad[0]} (from 0)")
     return Dataset(X, Y)
 
 
@@ -119,6 +127,9 @@ def _load_csv(path):
                     raise MacqpError(
                         f"{path}:{lineno}: non-numeric cell in column {colno}: {cell!r}"
                     ) from None
+                if not np.isfinite(vals[-1]):
+                    raise MacqpError(
+                        f"{path}:{lineno}: non-finite cell in column {colno}: {cell!r}")
             rows.append(vals)
     arr = np.asarray(rows, dtype=np.float64)
     if arr.size == 0:

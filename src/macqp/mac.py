@@ -226,7 +226,9 @@ def _backtrack(evaluate, x, d, vals, found):
     first, for problems ``rows`` at candidate blocks ``cand``.  The pending
     rows test their next 1, 2, 4, ... steps in one batch: a row's objective
     is fixed until it accepts, so this picks the same step, and a row that
-    accepts none costs ceil(log2(len(BACKTRACK_STEPS) + 1)) batches.
+    accepts none costs ceil(log2(len(BACKTRACK_STEPS) + 1)) batches.  When
+    every row has a direction, the first batch is x + d, without gathers,
+    and if every row accepts it, it is written back whole.
     Returns the rows that moved.
 
     A row's last bits can depend on the rows that share its batch: BLAS
@@ -238,15 +240,19 @@ def _backtrack(evaluate, x, d, vals, found):
     pending, tried = np.flatnonzero(found), 0
     while pending.size and tried < steps.size:
         s = min(tried + 1, steps.size - tried)  # 1, 2, 4, ... steps
-        idx = np.repeat(pending, s)  # row-major (row, step) order
+        every = tried == 0 and pending.size == found.size  # full steps of all rows
+        idx = pending if every else np.repeat(pending, s)  # row-major (row, step) order
         step = steps[tried : tried + s, None]
-        cand = [(xj[pending, None] + step * dj[pending, None]).reshape(idx.size, -1)
+        cand = [xj + dj if every else
+                (xj[pending, None] + step * dj[pending, None]).reshape(idx.size, -1)
                 for xj, dj in zip(x, d)]
         new = evaluate(idx, cand)
         better = new[0].reshape(pending.size, s) < vals[0][pending, None]
         hit = better.any(axis=1)
-        pick = np.flatnonzero(hit) * s + better.argmax(axis=1)[hit]
-        rows = pending[hit]
+        if every and hit.all():  # no gather or scatter
+            rows = pick = Ellipsis
+        else:
+            pick, rows = np.flatnonzero(hit) * s + better.argmax(axis=1)[hit], pending[hit]
         for old, c in zip(x + vals, cand + new):
             old[rows] = c[pick]
         accepted[rows] = True
@@ -332,22 +338,23 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
     rounding of its objective, or that finds no decreasing step keeps its
     weights and leaves the iteration.  The Gauss-Newton model predicts a
     decrease of -g.d/2, and N eps f bounds the rounding of an objective f
-    summed over N points, so a unit steps only if -g.d > 2 N eps f.
+    summed over N points, so a unit steps only if -g.d > 2 N eps f.  A
+    unit's predictions and objective then come from its line search.
     """
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
     W = layer.weights.matrix.copy()
     Tt = T.T
-    P = sigmoid(W @ phi.T)  # (units, N); kept at the current weights
+    P = sigmoid(W @ phi.T)  # (units, N); P and F kept at the current weights
+    F = _sigmoid_unit_objectives(Tt - P, W, weight, lam)
     live = np.arange(W.shape[0])
     for _ in range(W_GN_ITERS):
         if live.size == 0:
             break
-        W_l, P_l, T_l = W[live], P[live], Tt[live]
+        W_l, P_l, T_l, f_l = W[live], P[live], Tt[live], F[live]
         R = T_l - P_l
         S = P_l * (1.0 - P_l)
         g = -weight * ((S * R) @ phi) + 2.0 * lam * W_l
         d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
-        f_l = _sigmoid_unit_objectives(R, W_l, weight, lam)
         rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_l
         found &= -np.einsum("ij,ij->i", g, d) > rounding
 
@@ -357,7 +364,7 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
 
         accepted = _backtrack(evaluate, [W_l], [d], [f_l, P_l], found)
         live = live[accepted]
-        W[live], P[live] = W_l[accepted], P_l[accepted]
+        W[live], P[live], F[live] = W_l[accepted], P_l[accepted], f_l[accepted]
     return Layer(layer.spec, LayerWeights(W))
 
 
@@ -470,32 +477,33 @@ def _z_tile(net):
     return max(Z_TILE, Z_TILE_ELEMS // per_point)
 
 
-def _block_forward(net, sl, Z_in):
-    """Block outputs and input Jacobians (n, out, in) for a batch of inputs."""
+def _block_forward(net, sl, Z_in, out=None):
+    """Block outputs and input Jacobians (n, out, in) for a batch of inputs;
+    given the output as ``out``, the last layer is not applied again."""
     cur = Z_in
     jac = None
     for i in range(sl[0], sl[1]):
         layer = net.layers[i]
-        out = layer_apply(layer, cur, index=i + 1)
+        nxt = out if out is not None and i == sl[1] - 1 else layer_apply(layer, cur, index=i + 1)
         if jac is not None and layer.spec.kind == LayerKind.LINEAR_DENSE:
             jac = layer.weights.matrix[:, : layer.spec.in_dim] @ jac
         else:
-            j_layer = layer_jacobians(layer, cur, out=out)
+            j_layer = layer_jacobians(layer, cur, out=nxt)
             jac = j_layer if jac is None else j_layer @ jac
-        cur = out
+        cur = nxt
     return cur, jac
 
 
 def _z_objective(net, slices, f1, y, zs, mu):
-    """Each point's part of E_Q at coordinates zs, shape (n,).
+    """Each point's part of E_Q at coordinates zs, shape (n,), followed by
+    the outputs of the blocks fed by the coordinates, as one list.
 
     ``f1`` is the first block's output at the points' inputs, which the
     coordinates do not change.
     """
-    outs = [f1] + [_block_output(net.layers[a:b], z, start=a)
-                   for (a, b), z in zip(slices[1:], zs)]
-    res = [t - o for t, o in zip(list(zs) + [y], outs)]
-    return _z_objective_from_residuals(res, mu)
+    outs = [_block_output(net.layers[a:b], z, start=a) for (a, b), z in zip(slices[1:], zs)]
+    res = [t - o for t, o in zip(list(zs) + [y], [f1] + outs)]
+    return [_z_objective_from_residuals(res, mu)] + outs
 
 
 def _z_objective_from_residuals(res, mu):
@@ -506,20 +514,21 @@ def _z_objective_from_residuals(res, mu):
     return val + 0.5 * np.sum(res[-1] ** 2, axis=1)
 
 
-def _z_gn_system(net, slices, f1, y, zs, mu):
+def _z_gn_system(net, slices, f1, y, zs, mu, outs=None):
     """Each point's linearised subproblem, with a leading point axis.
 
     Returns the Jacobians, the residuals, the gradient blocks and each
-    point's objective, equal to _z_objective at zs.  jacs[j] is the
+    point's objective, _z_objective's first entry at zs.  jacs[j] is the
     Jacobian of block j+1 w.r.t. coordinate block j at zs[j]; res[0..K-1]
     are the constraint residuals and res[K] the output residual.  ``f1``
-    is the first block's output at the points' inputs.
+    is the first block's output at the points' inputs; ``outs``, if given,
+    holds the outputs of blocks 1..K at zs, which are then not recomputed.
     """
     K = len(zs)
     res = [zs[0] - f1]
     jacs = []
     for j in range(1, K + 1):
-        out, A = _block_forward(net, slices[j], zs[j - 1])
+        out, A = _block_forward(net, slices[j], zs[j - 1], None if outs is None else outs[j - 1])
         res.append((zs[j] if j < K else y) - out)
         jacs.append(A)
     g = []
@@ -577,26 +586,26 @@ def _z_chain_solve(jacs, res, mu):
     return d
 
 
-def _z_tile_update(net, slices, f1, y, zs, mu):
+def _z_tile_update(net, slices, outs, y, zs, mu):
     """One Gauss-Newton step with backtracking on one tile of points.
 
-    ``f1`` is the first block's output at the tile's inputs.  Every point
-    follows its own step length, as if solved alone up to rounding (see
-    _backtrack): a point whose step is no descent direction (its gradient
-    is zero) or that finds no decreasing step keeps its coordinates.
+    ``outs`` holds the tile's block outputs (block_outputs) at its inputs
+    and coordinates ``zs``.  Every point follows its own step length, as if
+    solved alone up to rounding (see _backtrack): a point whose step is no
+    descent direction (its gradient is zero) or that finds no decreasing
+    step keeps its coordinates.  ``zs`` and ``outs[1:]`` are updated in
+    place to the accepted coordinates and their block outputs.
     """
-    zs = [z.copy() for z in zs]
-    jacs, res, g, f = _z_gn_system(net, slices, f1, y, zs, mu)
+    jacs, res, g, f = _z_gn_system(net, slices, outs[0], y, zs, mu, outs[1:])
     d = _z_chain_solve(jacs, res, mu)
 
     def evaluate(rows, cand):
-        return [_z_objective(net, slices, f1[rows], y[rows], cand, mu)]
+        return _z_objective(net, slices, outs[0][rows], y[rows], cand, mu)
 
-    _backtrack(evaluate, zs, d, [f], _is_descent(g, d))
-    return zs
+    _backtrack(evaluate, zs, d, [f] + outs[1:], _is_descent(g, d))
 
 
-def z_step(net, Z, data, mu, workers=1, f1=None):
+def z_step(net, Z, data, mu, workers=1, outs=None):
     """Per-point coordinate update by one Gauss-Newton step; never
     increases E_Q.  To take more steps at fixed weights, call it again.
 
@@ -605,27 +614,28 @@ def z_step(net, Z, data, mu, workers=1, f1=None):
     tiles.  Each point's step takes one small solve (_z_chain_solve), for
     any number of coordinate blocks.  Its Gauss-Newton matrix is at least
     mu I, so the step is finite, and a descent direction wherever the
-    gradient is nonzero: the Z-step needs no damping.  The first block's
-    output depends on the weights and inputs only, so it is computed once
-    for all points, unless given as ``f1``.
+    gradient is nonzero: the Z-step needs no damping.  The step starts
+    from ``outs``, block_outputs(net, Z, data.X), computed here if not
+    given.  Its entries 1.. are replaced in place by the outputs at the new
+    coordinates, as the line search computed them; the rows of points that
+    took no step are kept.
     """
     if not 0 < mu < np.inf:  # written so that NaN fails
         raise ValueError(f"mu must be positive and finite, got {mu}")
     slices = block_slices(net)
     if len(slices) < 2:
         return Z.copy()
-    a, b = slices[0]
-    F1 = _block_output(net.layers[a:b], data.X, start=a) if f1 is None else f1
-    Y = data.Y
+    outs = block_outputs(net, Z, data.X) if outs is None else outs
+    coords = [c.copy() for c in Z.coords]
+    outs[1:] = [o.copy() for o in outs[1:]]  # written below; the given ones may be shared
 
-    def tile_task(lo, hi):
-        zs = [c[lo:hi] for c in Z.coords]
-        return _z_tile_update(net, slices, F1[lo:hi], Y[lo:hi], zs, mu)
+    def tile_task(r):
+        _z_tile_update(net, slices, [o[r] for o in outs], data.Y[r], [c[r] for c in coords], mu)
 
     tile = _z_tile(net)
-    tiles = [(lo, min(lo + tile, data.n)) for lo in range(0, data.n, tile)]
-    parts = parallel_map([lambda t=t: tile_task(*t) for t in tiles], workers)
-    return AuxState([np.vstack([p[j] for p in parts]) for j in range(len(Z.coords))])
+    parallel_map([lambda r=slice(lo, lo + tile): tile_task(r)
+                  for lo in range(0, data.n, tile)], workers)
+    return AuxState(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -670,26 +680,26 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
     given, a per-block architecture-selection step runs every
     ``sel_cfg.cadence`` iterations.
 
-    Each block is evaluated once per change.  The call keeps every
-    block's current output (block_outputs) and refreshes only the blocks
-    a step changed: the accepted refits of a W-step, the blocks fed by
-    coordinates after a Z-step, the resized blocks of a selection step,
-    and every block when the best iterate is restored.  The trace rows,
-    the Z-step (the first block's output) and the W- and selection steps
-    (the current blocks' objective) read these outputs.  A row computes
-    E1 only after the weights changed (a W-step, a selection step or a
-    restore); a zstep or mu_increase row repeats the last values.  Each
-    block also has a {size: (centers, design matrix, Gram matrix)} table
-    of RBF fits at its inputs, shared by the W- and selection steps, so
-    a size is clustered once per inputs.  The first block's inputs are
-    data.X, so its table lasts the whole call, and its k-means runs start
-    from seed 0.  When a Z-step or a restore changes the inputs of a block
-    fed by coordinates, its table keeps only each size's centers: the
-    next k-means at that size starts from them (warm start), as the
-    coordinates move little from one step to the next.  A restore then
-    puts back the entries made at the restored coordinates, so no size is
-    clustered twice on the same inputs.  A size fitted for the first time
-    starts from seed 0.
+    Each block is evaluated once per change.  The call keeps every block's
+    current output (block_outputs) and refreshes only the blocks a step
+    changed: the accepted refits of a W-step, the resized blocks of a
+    selection step, and every block when the best iterate is restored.
+    The Z-step starts from these outputs and hands back those of the
+    blocks fed by coordinates at its accepted points.  The trace rows and
+    the W- and selection steps (the current blocks' objective) read them
+    too.  A row computes E1 only after the weights changed (a W-step, a
+    selection step or a restore); a zstep or mu_increase row repeats the
+    last values.  Each block also has a {size: (centers, design matrix,
+    Gram matrix)} table of RBF fits at its inputs, shared by the W- and
+    selection steps, so a size is clustered once per inputs.  The first
+    block's inputs are data.X, so its table lasts the whole call, and its
+    k-means runs start from seed 0.  When a Z-step or a restore changes
+    the inputs of a block fed by coordinates, its table keeps only each
+    size's centers: the next k-means at that size starts from them (warm
+    start), as the coordinates move little from one step to the next.  A
+    restore then puts back the entries made at the restored coordinates,
+    so no size is clustered twice on the same inputs.  A size fitted for
+    the first time starts from seed 0.
     """
     net = net.copy()
     Z = z_init.copy() if z_init is not None else lift_to_feasible(net, data.X)
@@ -722,13 +732,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             for m, entry in tables[j].items():
                 tables[j][m] = (entry[0], None, None)
         return moved
-
-    def refresh(blocks):
-        """Recompute the outputs of ``blocks`` at the current net and Z."""
-        ins = _block_inputs(net, Z, data.X)
-        for j in blocks:
-            a, b = slices[j]
-            outs[j] = _block_output(net.layers[a:b], ins[j], tables[j], start=a)
 
     # (e1_train, e1_val) at the current weights; None once a W-step, a
     # selection step or a restore changes them, until the next row
@@ -775,8 +778,8 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
                 # are replaced, never changed in place, so shallow copies keep them
                 best_fits = [dict(t) for t in tables]
             Z_before = Z
-            Z = z_step(net, Z, data, mu, workers=workers, f1=outs[0])
-            refresh(moved_since(Z_before))
+            Z = z_step(net, Z, data, mu, workers=workers, outs=outs)
+            moved_since(Z_before)
             it += 1
             row = record("zstep")
             if iteration_callback is not None:
@@ -821,7 +824,8 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             for j in moved_since(Z_before):
                 # the fits made at the restored coordinates hold again
                 tables[j].update((m, e) for m, e in best_fits[j].items() if e[1] is not None)
-            refresh(range(len(slices)))
+            outs[:] = [_block_output(net.layers[a:b], A, t, start=a) for (a, b), A, t
+                       in zip(slices, _block_inputs(net, Z, data.X), tables)]
         if stop or stage == schedule.max_stages - 1:
             break
         mu *= schedule.growth

@@ -94,6 +94,43 @@ class TestDatasetFormats:
         save_model(net, p)
         assert nested_objective(load_model(p), data) == nested_objective(net, data)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"x0,x1,y0\n1.0,2.0,3.0\n4.0,5.0,{cell}\n")
+        with pytest.raises(MacqpError,
+                           match=f"nonfinite.csv:3: non-finite cell in column 3: '{cell}'"):
+            load_dataset(p, "csv")
+
+    @staticmethod
+    def _raw_macd(path, shape, X, Y):
+        path.write_bytes(b"MACD" + struct.pack("<QII", *shape)
+                         + np.asarray(X, dtype="<f8").tobytes()
+                         + np.asarray(Y, dtype="<f8").tobytes())
+        return path
+
+    @pytest.mark.parametrize("name, row, value", [("X", 0, np.nan), ("X", 2, np.inf),
+                                                  ("Y", 1, -np.inf)])
+    def test_f64bin_non_finite_entry_names_path_matrix_and_row(self, tmp_path, name, row,
+                                                               value):
+        X, Y = np.ones((3, 2)), np.ones((3, 1))
+        (X if name == "X" else Y)[row, -1] = value
+        p = self._raw_macd(tmp_path / "nonfinite.macd", (3, 2, 1), X, Y)
+        with pytest.raises(MacqpError,
+                           match=f"nonfinite.macd: {name} has a non-finite entry in row {row} "):
+            load_dataset(p, "f64bin")
+
+    @pytest.mark.parametrize("shape", [(0, 2, 1), (3, 0, 1), (3, 2, 0)])
+    def test_f64bin_empty_shape_names_path_and_header(self, tmp_path, shape):
+        # the header follows the 4-byte magic; a width of 0 would load as an
+        # (n, 0) matrix and fail only once training starts
+        n, d, dp = shape
+        p = self._raw_macd(tmp_path / "empty.macd", shape, np.ones((n, d)), np.ones((n, dp)))
+        with pytest.raises(MacqpError, match=(
+                f"empty.macd: the header at byte offset 4 gives n = {n}, d = {d}, "
+                f"d' = {dp}; none may be 0")):
+            load_dataset(p, "f64bin")
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.macd"
         p.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -477,14 +477,18 @@ class TestBatchedZStep:
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed"])
     def test_gn_system_objective_equals_z_objective_bitwise(self, rng, kind):
         # each line search starts from the objective the Gauss-Newton system
-        # builds from its residuals, not from a second forward pass
+        # builds from its residuals, not from a second forward pass; the
+        # outputs handed back with the objective are the blocks' own
         net, data, Z = _z_problem(rng, kind, Z_TILE + 5)
         slices = block_slices(net)
         f1 = _block_output(net.layers[slice(*slices[0])], data.X)
         for mu in (0.0, 1.0, 1e3):
             *_, f = macqp.mac._z_gn_system(net, slices, f1, data.Y, Z.coords, mu)
-            want = macqp.mac._z_objective(net, slices, f1, data.Y, Z.coords, mu)
+            want, *outs = macqp.mac._z_objective(net, slices, f1, data.Y, Z.coords, mu)
             np.testing.assert_array_equal(f, want)
+            assert len(outs) == len(Z.coords)
+            for (a, b), z, out in zip(slices[1:], Z.coords, outs, strict=True):
+                np.testing.assert_array_equal(out, _block_output(net.layers[a:b], z))
 
     def test_first_block_evaluated_once_per_z_step(self, rng, monkeypatch):
         # the first block's output does not depend on the coordinates
@@ -501,6 +505,63 @@ class TestBatchedZStep:
         z_step(net, Z, data, 2.0)
         assert calls.count(first) == 1
         assert len(calls) > 1
+
+    @pytest.mark.parametrize("tiles", [1, 3])
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
+    def test_hands_back_the_block_outputs_at_the_new_coordinates(self, rng, monkeypatch,
+                                                                 kind, tiles):
+        # one tile evaluates its points' outputs in the batch that
+        # block_outputs evaluates; three tiles of Z_TILE points round by tile
+        monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
+        net, data, Z = _z_problem(rng, kind, Z_TILE - 4 if tiles == 1 else 2 * Z_TILE + 5)
+        for mu in (0.5, 50.0):
+            outs = block_outputs(net, Z, data.X)
+            first = outs[0]
+            got = z_step(net, Z, data, mu, outs=outs)
+            assert outs[0] is first
+            np.testing.assert_array_equal(first, block_outputs(net, Z, data.X)[0])
+            for a, b in zip(got.coords, z_step(net, Z, data, mu).coords, strict=True):
+                np.testing.assert_array_equal(a, b)
+            want = block_outputs(net, got, data.X)
+            assert len(outs) == len(want)
+            for out, ref in zip(outs[1:], want[1:]):
+                if tiles == 1:
+                    np.testing.assert_array_equal(out, ref)
+                else:
+                    np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0)
+            Z = got
+
+    def test_given_outputs_are_not_written_into(self, rng):
+        # mac_train's outputs may be arrays that a k-means table also holds
+        net, data, Z = _z_problem(rng, "mixed", 30)
+        outs = block_outputs(net, Z, data.X)
+        given = list(outs)
+        kept = [o.copy() for o in outs]
+        z_step(net, Z, data, 2.0, outs=outs)
+        assert all(o is not g for o, g in zip(outs[1:], given[1:]))
+        for g, k in zip(given, kept):
+            np.testing.assert_array_equal(g, k)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
+    def test_block_forward_from_its_own_output_bitwise(self, rng, kind, monkeypatch):
+        # given the block's output, the block forward pass applies every
+        # layer but the last and returns the same output and Jacobian
+        net, data, Z = _z_problem(rng, kind, 37)
+        for sl, z in zip(block_slices(net)[1:], Z.coords):
+            out, jac = macqp.mac._block_forward(net, sl, z)
+            applied = []
+            layer_apply = macqp.mac.layer_apply
+
+            def counting(layer, Z_in, index=None):
+                applied.append(index)
+                return layer_apply(layer, Z_in, index=index)
+
+            monkeypatch.setattr(macqp.mac, "layer_apply", counting)
+            got, got_jac = macqp.mac._block_forward(net, sl, z, out=out)
+            monkeypatch.undo()
+            assert got is out
+            assert applied == list(range(sl[0] + 1, sl[1]))
+            np.testing.assert_array_equal(got_jac, jac)
 
     def test_block_errors_name_the_layer_by_its_place_in_the_net(self, rng):
         # the second block starts at the net's third layer
@@ -542,6 +603,59 @@ class TestZTile:
             tiled = z_step(net, z_step(net, Z, data, mu), data, mu).coords
             monkeypatch.undo()
             assert max(np.max(np.abs(a - b)) for a, b in zip(whole, tiled)) <= 1e-12
+
+
+class TestBacktrack:
+    """The line search's batches on stacked quadratics 0.5 |x - t|^2 per row."""
+
+    @staticmethod
+    def _search(x, d, t, found=None):
+        calls = []
+
+        def evaluate(rows, cand):
+            calls.append(np.array(rows))
+            return [0.5 * np.sum((cand[0] - t[rows]) ** 2, axis=1)]
+
+        vals = [0.5 * np.sum((x - t) ** 2, axis=1)]
+        found = np.ones(x.shape[0], dtype=bool) if found is None else found
+        accepted = macqp.mac._backtrack(evaluate, [x], [d], vals, found)
+        return accepted, vals[0], calls
+
+    def test_every_row_taking_its_full_step_is_one_batch_of_all_rows(self, rng):
+        x, t = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+        d = t - x
+        want = x + d
+        accepted, f, calls = self._search(x, d, t)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.arange(9))
+        assert accepted.all()
+        np.testing.assert_array_equal(x, want)
+        np.testing.assert_array_equal(f, 0.5 * np.sum((want - t) ** 2, axis=1))
+
+    def test_one_row_rejecting_its_full_step_costs_the_usual_batches(self, rng):
+        # row 4's full step overshoots t by twice its distance, raising its
+        # objective 4-fold; its next batch tries the steps 1/2 and 1/4, and
+        # takes 1/2, which lowers it 4-fold
+        x, t = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+        d = t - x
+        d[4] *= 3.0
+        start = x.copy()
+        accepted, f, calls = self._search(x, d, t)
+        assert [c.tolist() for c in calls] == [list(range(9)), [4, 4]]
+        assert accepted.all()
+        np.testing.assert_array_equal(np.delete(x, 4, 0), np.delete(start + d, 4, 0))
+        np.testing.assert_array_equal(x[4], start[4] + 0.5 * d[4])
+
+    def test_a_row_without_direction_keeps_the_gathered_batch(self, rng):
+        x, t = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+        d = t - x
+        found = np.arange(9) != 2
+        start = x.copy()
+        accepted, _, calls = self._search(x, d, t, found)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.flatnonzero(found))
+        np.testing.assert_array_equal(accepted, found)
+        np.testing.assert_array_equal(x[2], start[2])
 
 
 def _sigmoid_layer_problem(rng, n, d_in, units):
@@ -758,6 +872,37 @@ class TestBatchedWStep:
         again = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
         assert len(calls) == 1
         np.testing.assert_array_equal(again.weights.matrix, layer.weights.matrix)
+
+    @pytest.mark.parametrize("problem", ["plain", "backtracking"])
+    def test_unit_objectives_computed_once_per_batch(self, rng, monkeypatch, problem):
+        # once at the starting weights, then once per line-search batch:
+        # a unit's objective at its accepted step comes from its batch
+        if problem == "plain":
+            layer, A, T = _sigmoid_layer_problem(rng, 120, 4, 24)
+        else:
+            layer, A, T = _backtracking_layer_problem(rng)
+        objectives, batches = [], []
+        unit_objectives, backtrack = (macqp.mac._sigmoid_unit_objectives,
+                                      macqp.mac._backtrack)
+
+        def counting_objectives(*args):
+            objectives.append(args[0].shape[0])
+            return unit_objectives(*args)
+
+        def counting_backtrack(evaluate, *args):
+            def counted(rows, cand):
+                batches.append(len(rows))
+                return evaluate(rows, cand)
+            return backtrack(counted, *args)
+
+        monkeypatch.setattr(macqp.mac, "_sigmoid_unit_objectives", counting_objectives)
+        monkeypatch.setattr(macqp.mac, "_backtrack", counting_backtrack)
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+        monkeypatch.undo()
+        assert len(batches) >= macqp.mac.W_GN_ITERS + (problem == "backtracking")
+        assert objectives == [layer.spec.out_dim] + batches
+        ref = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+        np.testing.assert_array_equal(got, ref)
 
     def test_unit_at_its_fixed_point_leaves_the_others_unaffected(self, rng):
         # Unit 4 starts at its fixed point, the others where they began: its
@@ -1034,6 +1179,40 @@ class TestMacTrain:
         # a zstep row's repeated E1 is that of its weights, bit for bit
         zrows = [r for r in trace.rows if r.event == "zstep"]
         assert [(r.e1_train, r.e1_val) for r in zrows] == fresh
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf"])
+    def test_no_block_evaluated_between_a_z_step_and_its_row(self, monkeypatch, kind):
+        # the Z-step hands back the outputs of the blocks fed by coordinates
+        if kind == "sigmoid":
+            net = sigmoid_autoencoder((6, 4, 2, 4, 6), seed=6)
+        else:
+            net = rbf_autoencoder(6, 9, 2, 9, width1=1.0, width3=1.0, seed=2)
+        data = synth_manifold_dataset(40, 6, 1, 0.05, seed=4, n_val=20)
+        log = []
+        z_step_fn, block_output, add = (macqp.mac.z_step, macqp.mac._block_output,
+                                        macqp.mac.TrainTrace.add)
+
+        def logged_z_step(*args, **kwargs):
+            out = z_step_fn(*args, **kwargs)
+            log.append("z_step")
+            return out
+
+        def logged_block_output(*args, **kwargs):
+            log.append("block")
+            return block_output(*args, **kwargs)
+
+        def logged_add(trace, *args):
+            log.append(args[-1])
+            return add(trace, *args)
+
+        monkeypatch.setattr(macqp.mac, "z_step", logged_z_step)
+        monkeypatch.setattr(macqp.mac, "_block_output", logged_block_output)
+        monkeypatch.setattr(macqp.mac.TrainTrace, "add", logged_add)
+        schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=3, stage_tolerance=1e-6)
+        mac_train(net, data, schedule)
+        after = [b for a, b in zip(log, log[1:]) if a == "z_step"]
+        assert len(after) >= 5 and set(after) == {"zstep"}
+        assert "block" in log
 
     def test_reduces_nested_error(self, rng):
         net = sigmoid_autoencoder((8, 5, 2, 5, 8), seed=6)

@@ -450,7 +450,7 @@ class TestSharedBlockEvaluations:
         if recompute:
             for module, name, dropped in (
                 (macqp.mac, "w_step", ("outs", "tables")),
-                (macqp.mac, "z_step", ("f1",)),
+                (macqp.mac, "z_step", ("outs",)),
                 (macqp.selection, "selection_step", ("outs", "tables")),
                 (macqp.mac, "nested_objective", ("prefix",)),
                 (macqp.mac, "qp_objective", ("outs",)),
