@@ -127,10 +127,13 @@ def kmeans(points, k, seed=0, iters=20, init=None):
 
 
 def ridge_lsq(features, targets, lam, gram=None):
-    """Solve (Phi^T Phi + lam I) W = Phi^T T by Cholesky factorization.
+    """Solve (Phi^T Phi + lam I) W = Phi^T T.
 
-    ``gram``, if given, is Phi^T Phi, which is then not formed again; it
-    is left unchanged.
+    With lam > 0 by Cholesky factorization; ``gram``, if given, is
+    Phi^T Phi, which is then not formed again; it is left unchanged.
+    With lam = 0 W is the minimum-norm least-squares solution, by SVD of
+    Phi (``gram`` is not read): Phi^T Phi can be singular, or singular to
+    rounding, as for saturated units or coincident RBF centers.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
@@ -138,20 +141,15 @@ def ridge_lsq(features, targets, lam, gram=None):
     targets = np.atleast_2d(targets.T).T if squeeze else targets
     if lam < 0:
         raise ValueError("ridge lambda must be nonnegative")
+    if lam == 0:
+        W = np.linalg.lstsq(features, targets, rcond=None)[0]
+        return W[:, 0] if squeeze else W
     A = features.T @ features if gram is None else gram.copy()
-    rhs = features.T @ targets
-    m = A.shape[0]
-    A[np.diag_indices(m)] += lam
+    A[np.diag_indices(A.shape[0])] += lam
     try:
-        W = _cholesky_solve(A, rhs)
+        W = _cholesky_solve(A, features.T @ targets)
     except np.linalg.LinAlgError:
-        if lam > 0:
-            raise MacqpError("ridge system is singular") from None
-        A[np.diag_indices(m)] += 1e-12
-        try:
-            W = _cholesky_solve(A, rhs)
-        except np.linalg.LinAlgError:
-            raise MacqpError("least-squares system is singular") from None
+        raise MacqpError("ridge system is singular") from None
     return W[:, 0] if squeeze else W
 
 

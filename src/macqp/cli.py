@@ -103,7 +103,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MacqpError as exc:
+    except (MacqpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

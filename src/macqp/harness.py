@@ -26,9 +26,12 @@ from .mac import (
     postprocess,
 )
 from .model import (
+    Layer,
     LayerKind,
     LayerSpec,
+    LayerWeights,
     MacqpError,
+    NestedNet,
     TrainTrace,
     bias_warmup_step,
     check_count,
@@ -38,7 +41,7 @@ from .model import (
     nested_objective,
 )
 from .parallel import resolve_workers
-from .selection import SelectionConfig, mac_train_with_selection
+from .selection import SelectionConfig, mac_train_with_selection, selectable_blocks
 
 METHODS = ("mac", "mac_select", "sgd", "cg", "altopt")
 
@@ -81,7 +84,11 @@ def load_config(path_or_dict):
         cfg = path_or_dict
     else:
         with open(path_or_dict) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MacqpError(f"{path_or_dict}: invalid JSON at line {exc.lineno} "
+                                 f"column {exc.colno}: {exc.msg}") from None
     validate_config(cfg)
     return cfg
 
@@ -113,7 +120,7 @@ def validate_config(cfg):
             raise MacqpError("dataset needs either 'synth' or 'path' + 'format'")
         if not isinstance(ds["path"], str) or not os.path.exists(ds["path"]):
             raise MacqpError(f"dataset file not found: {ds['path']!r}")
-    build_architecture(cfg)
+    specs, placement = build_architecture(cfg)
     if method == "mac_select" and "selection" not in cfg:
         raise MacqpError("mac_select requires a 'selection' section")
     for key, allowed in (("parallel", _PARALLEL_KEYS), ("altopt", _ALTOPT_KEYS)):
@@ -128,6 +135,8 @@ def validate_config(cfg):
                 section_type(**cfg[key])
             except (TypeError, ValueError) as exc:
                 raise MacqpError(f"invalid {key} section: {exc}") from None
+    if method == "mac_select":
+        _check_candidate_lists(cfg["selection"]["candidates_per_block"], specs, placement)
     if "workers" in cfg.get("parallel", {}):
         check_count(cfg["parallel"]["workers"], "parallel.workers", 1)
     for key in ("iters", "cg_steps"):
@@ -144,6 +153,19 @@ def validate_config(cfg):
     # their entries are checked against the dataset once it is loaded
     if not isinstance(cfg.get("recon_indices", []), list):
         raise MacqpError(f"recon_indices must be a list, got {cfg['recon_indices']!r}")
+
+
+def _check_candidate_lists(cands, specs, placement):
+    """One candidate list per block that selection can resize."""
+    # the rule reads the specs and placement only; zero weights make the net
+    net = NestedNet([Layer(s, LayerWeights(np.zeros(s.weight_shape))) for s in specs],
+                    placement)
+    count = len(selectable_blocks(net))
+    if len(cands) != count:
+        raise MacqpError(
+            f"selection.candidates_per_block has {len(cands)} lists, but the architecture "
+            f"has {count} selectable (gaussian_rbf + linear_dense) blocks"
+        )
 
 
 def override_workers(cfg, workers):

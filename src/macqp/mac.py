@@ -177,27 +177,7 @@ def multiplier_estimates(net, Z, X, mu):
 
 
 # ---------------------------------------------------------------------------
-# Stacked solves, descent test and backtracking, shared by the W- and Z-steps
-
-
-def _stacked_solve(A, B):
-    """np.linalg.solve over a stack of systems A X = B, B of shape (n, m, k).
-
-    One singular matrix fails a stacked solve as a whole, so then the
-    systems are solved one at a time and a singular one gets NaN.  Only a
-    W-step matrix can be singular: the Z-step solves systems of the form
-    identity plus a positive semidefinite product.
-    """
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        X = np.full_like(B, np.nan)
-        for i in range(B.shape[0]):
-            try:
-                X[i] = np.linalg.solve(A[i], B[i])
-            except np.linalg.LinAlgError:
-                pass
-        return X
+# Descent test and backtracking, shared by the W- and Z-steps
 
 
 def _is_descent(g, d):
@@ -272,40 +252,38 @@ def _backtrack(evaluate, x, d, vals, found):
 W_GROUP_ELEMS = 1 << 18
 
 
-# The Levenberg damping levels a damped solve tries in turn after the
-# undamped solve: 1e-8, 1e-7, ..., 1e2, each ten times the one before.
-DAMPING_LEVELS = np.cumprod([1e-8] + [10.0] * 10)
-
 # Gauss-Newton iterations of a sigmoid layer's fit in one W-step.
 W_GN_ITERS = 3
 
 
-def _damped_solve(H, g):
-    """Solve stacked symmetric systems H d = -g, H (n, m, m) and g (n, m).
+def _gn_solve(H, g):
+    """Gauss-Newton steps d = -H^-1 g of stacked symmetric positive
+    semidefinite systems, H (n, m, m) and g (n, m).
 
-    Each system escalates its own Levenberg damping until its step is
-    finite and a descent direction.  Returns the steps and a mask of the
-    systems that found one.
+    One singular matrix fails a stacked solve as a whole, so then the
+    systems are solved one at a time.  A system whose step is not finite
+    and a descent direction (H singular) takes the minimum-norm step
+    -pinv(H) g instead.  For a sigmoid unit, H = c J^T J + 2 lam I and
+    g = -c J^T r + 2 lam w, that is a descent direction whenever g is
+    nonzero: with lam > 0, H is nonsingular, and with lam = 0, g lies in
+    the range of H.  Returns the steps and a mask of the descent
+    directions.
     """
-    m = g.shape[1]
-    d = _stacked_solve(H, -g[:, :, None])[:, :, 0]  # undamped: the systems as built
+    B = -g[:, :, None]
+    try:
+        d = np.linalg.solve(H, B)[:, :, 0]
+    except np.linalg.LinAlgError:
+        d = np.full_like(g, np.nan)
+        for i in range(g.shape[0]):
+            try:
+                d[i] = np.linalg.solve(H[i], B[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
     found = _is_descent([g], [d])
-    if found.all():
-        return d, found
-    d[~found] = 0.0
-    scale = 1.0 + np.trace(H, axis1=1, axis2=2) / m
-    diag = np.arange(m)
-    for damp in DAMPING_LEVELS:
+    if not found.all():
         idx = np.flatnonzero(~found)
-        if idx.size == 0:
-            break
-        H_l = H[idx]  # a copy: the shift goes in in place
-        H_l[:, diag, diag] += (damp * scale[idx])[:, None]
-        g_l = g[idx]
-        d_l = _stacked_solve(H_l, -g_l[:, :, None])[:, :, 0]
-        ok = _is_descent([g_l], [d_l])
-        d[idx[ok]] = d_l[ok]
-        found[idx[ok]] = True
+        d[idx] = (np.linalg.pinv(H[idx], hermitian=True) @ B[idx])[:, :, 0]
+        found[idx] = _is_descent([g[idx]], [d[idx]])
     return d, found
 
 
@@ -329,17 +307,19 @@ def _sigmoid_unit_objectives(R, W, weight, lam):
 
 
 def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
-    """Damped Gauss-Newton on every unit's least-squares subproblem at once.
+    """Gauss-Newton on every unit's least-squares subproblem at once.
 
     The units' problems are independent.  They are solved as one stack,
-    but every unit follows its own damping, step length and stopping, as
-    if solved alone up to rounding (see _backtrack): a unit that finds no
-    descent direction, or whose step's predicted decrease is below the
-    rounding of its objective, or that finds no decreasing step keeps its
-    weights and leaves the iteration.  The Gauss-Newton model predicts a
-    decrease of -g.d/2, and N eps f bounds the rounding of an objective f
-    summed over N points, so a unit steps only if -g.d > 2 N eps f.  A
-    unit's predictions and objective then come from its line search.
+    but every unit follows its own step length and stopping, as if solved
+    alone up to rounding (see _backtrack).  A unit whose Gauss-Newton
+    matrix is singular takes the minimum-norm step (see _gn_solve).  A
+    unit that finds no descent direction (its gradient is zero), or whose
+    step's predicted decrease is below the rounding of its objective, or
+    that finds no decreasing step keeps its weights and leaves the
+    iteration.  The Gauss-Newton model predicts a decrease of -g.d/2, and
+    N eps f bounds the rounding of an objective f summed over N points, so
+    a unit steps only if -g.d > 2 N eps f.  A unit's predictions and
+    objective then come from its line search.
     """
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
     W = layer.weights.matrix.copy()
@@ -354,7 +334,7 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
         R = T_l - P_l
         S = P_l * (1.0 - P_l)
         g = -weight * ((S * R) @ phi) + 2.0 * lam * W_l
-        d, found = _damped_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
+        d, found = _gn_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
         rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_l
         found &= -np.einsum("ij,ij->i", g, d) > rounding
 
@@ -370,11 +350,7 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
 
 def _fit_linear_layer(layer, A_in, T, weight, lam):
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
-    if lam > 0:
-        W = ridge_lsq(phi, T, 2.0 * lam / weight)
-    else:  # by SVD: saturated units can make phi^T phi singular to rounding
-        W = np.linalg.lstsq(phi, T, rcond=None)[0]
-    return Layer(layer.spec, LayerWeights(W.T))
+    return Layer(layer.spec, LayerWeights(ridge_lsq(phi, T, 2.0 * lam / weight).T))
 
 
 def _block_objective(layers, A_in, T, weight, transient_reg, out=None):
@@ -572,13 +548,13 @@ def _z_chain_solve(jacs, res, mu):
         S = B @ PBt
         diag = np.arange(out)
         S[:, diag, diag] += 1.0
-        c = Bt @ _stacked_solve(S, v)
+        c = Bt @ np.linalg.solve(S, v)
     else:
         # the same c by the push-through identity, with a width-sized solve
         M = PBt @ B
         diag = np.arange(width)
         M[:, diag, diag] += 1.0
-        c = Bt @ (v - B @ _stacked_solve(M, PBt @ v))
+        c = Bt @ (v - B @ np.linalg.solve(M, PBt @ v))
     d = [m[-1] + (P[-1] @ c)[:, :, 0]]
     for A, mj, Pj in zip(jacs[-2::-1], m[-2::-1], P[-2::-1]):
         c = A.transpose(0, 2, 1) @ c
@@ -613,8 +589,8 @@ def z_step(net, Z, data, mu, workers=1, outs=None):
     of _z_tile(net) points, each tile as one batch; workers take whole
     tiles.  Each point's step takes one small solve (_z_chain_solve), for
     any number of coordinate blocks.  Its Gauss-Newton matrix is at least
-    mu I, so the step is finite, and a descent direction wherever the
-    gradient is nonzero: the Z-step needs no damping.  The step starts
+    mu I, so its systems are nonsingular and the step is a descent
+    direction wherever the gradient is nonzero.  The step starts
     from ``outs``, block_outputs(net, Z, data.X), computed here if not
     given.  Its entries 1.. are replaced in place by the outputs at the new
     coordinates, as the line search computed them; the rows of points that
@@ -668,7 +644,7 @@ def postprocess(net, Z, data):
 
 
 def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
-              sel_cfg=None, iteration_callback=None):
+              sel_cfg=None):
     """Alternating W/Z optimization along the growing-penalty path.
 
     With a validation split, iterations within each mu stage run until
@@ -782,8 +758,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             moved_since(Z_before)
             it += 1
             row = record("zstep")
-            if iteration_callback is not None:
-                iteration_callback(net, Z)
 
             if sel_cfg is not None:
                 iters_since_selection += 1

@@ -82,8 +82,8 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=N
     sel = selectable_blocks(net)
     if len(cfg.candidates_per_block) != len(sel):
         raise MacqpError(
-            f"{len(sel)} selectable blocks but "
-            f"{len(cfg.candidates_per_block)} candidate lists"
+            f"candidates_per_block has {len(cfg.candidates_per_block)} lists, but the net "
+            f"has {len(sel)} selectable blocks"
         )
 
     def score(pair, j, out):

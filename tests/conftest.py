@@ -103,24 +103,20 @@ def broadcast_layer_jacobians(layer, Z, a):
     return s[:, :, None] * W[None, :, : spec.in_dim]
 
 
-def _slow_damped_solve(H, g):
-    """Solve H d = -g, escalating Levenberg damping until d is a descent step."""
-    from macqp.mac import DAMPING_LEVELS
-
-    m = H.shape[0]
-    scale = 1.0 + np.trace(H) / m
-    for damp in [0.0, *DAMPING_LEVELS]:
-        try:
-            d = np.linalg.solve(H + damp * scale * np.eye(m), -g)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is not None and np.all(np.isfinite(d)) and float(np.dot(g, d)) < 0:
-            return d
-    return None
+def _slow_gn_solve(H, g):
+    """Solve H d = -g; if that fails or gives no descent step, d = -pinv(H) g.
+    Returns None unless d is a descent step."""
+    try:
+        d = np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        d = None
+    if d is None or not np.all(np.isfinite(d)) or float(np.dot(g, d)) >= 0:
+        d = -np.linalg.pinv(H, hermitian=True) @ g
+    return d if float(np.dot(g, d)) < 0 else None
 
 
 def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam):
-    """A sigmoid layer's W-step fit solved unit by unit: W_GN_ITERS damped
+    """A sigmoid layer's W-step fit solved unit by unit: W_GN_ITERS
     Gauss-Newton iterations on each unit's weighted least-squares problem
     plus lam * |w|^2, backtracking over BACKTRACK_STEPS.  A unit stops
     when its step's predicted decrease is below the rounding of its
@@ -142,7 +138,7 @@ def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam):
             jac = (p * (1.0 - p))[:, None] * phi
             g = -weight * (jac.T @ (t - p)) + 2.0 * lam * w
             H = weight * (jac.T @ jac) + 2.0 * lam * np.eye(w.shape[0])
-            d = _slow_damped_solve(H, g)
+            d = _slow_gn_solve(H, g)
             # a predicted decrease -g.d/2 below the rounding of f_cur, a
             # sum over the points, cannot show
             rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_cur
@@ -189,7 +185,7 @@ def slow_w_step(net, Z, data, mu, transient_reg=0.0):
 
 
 def slow_z_step(net, Z, data, mu):
-    """Z-step solved point by point: one damped Gauss-Newton step on a dense
+    """Z-step solved point by point: one Gauss-Newton step on a dense
     stacked residual (output rows, then sqrt(mu)-weighted constraint rows)
     and its Jacobian, backtracking over BACKTRACK_STEPS.  Returns the new
     coordinate matrices."""
@@ -241,7 +237,7 @@ def slow_z_step(net, Z, data, mu):
         flat = np.concatenate([c[n] for c in Z.coords])
         f_cur = objective(x, y, flat)
         r, J = residual_and_jacobian(x, y, flat)
-        d = _slow_damped_solve(J.T @ J, J.T @ r)
+        d = _slow_gn_solve(J.T @ J, J.T @ r)
         if d is not None:
             for step in macqp.mac.BACKTRACK_STEPS:
                 cand = flat + step * d

@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import macqp.mac
 from conftest import (
     fd_gradient,
     kmeans_objective,
@@ -101,10 +102,16 @@ def desk_run(desk_net, desk_data):
     schedule = PenaltySchedule(
         max_stages=5, stage_tolerance=1e-6, max_iters_per_stage=10
     )
-    net, Z, trace = mac_train(
-        desk_net, desk_data, schedule,
-        iteration_callback=lambda n, z: snapshots.append((n.copy(), z.copy())),
-    )
+    z_step = macqp.mac.z_step
+
+    def snapshot_z_step(net, *args, **kwargs):
+        Z = z_step(net, *args, **kwargs)
+        snapshots.append((net.copy(), Z.copy()))
+        return Z
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(macqp.mac, "z_step", snapshot_z_step)
+        net, Z, trace = mac_train(desk_net, desk_data, schedule)
     return net, Z, trace, snapshots
 
 

@@ -405,19 +405,31 @@ class TestRidgeLsq:
         np.testing.assert_array_equal(ridge_lsq(phi, T, lam, gram=gram),
                                       ridge_lsq(phi, T, lam))
         np.testing.assert_array_equal(gram, kept)
-        # the solve reads the Gram matrix it is given, not the features
-        want = np.linalg.solve(2.0 * gram + lam * np.eye(7), phi.T @ T)
-        np.testing.assert_allclose(ridge_lsq(phi, T, lam, gram=2.0 * gram), want,
-                                   rtol=1e-10, atol=1e-12)
+        got = ridge_lsq(phi, T, lam, gram=2.0 * gram)
+        if lam > 0:
+            # the solve reads the Gram matrix it is given, not the features
+            want = np.linalg.solve(2.0 * gram + lam * np.eye(7), phi.T @ T)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        else:
+            # the zero-ridge solve reads the features only
+            np.testing.assert_array_equal(got, np.linalg.lstsq(phi, T, rcond=None)[0])
 
-    def test_singular_systems_raise(self):
-        # entries 2^42 and a rank-one Gram matrix: adding 1e-6 or 1e-12 to
-        # the diagonal is lost in rounding, so the factorization fails
+    def test_singular_ridge_system_raises(self):
+        # entries 2^42 and a rank-one Gram matrix: adding 1e-6 to the
+        # diagonal is lost in rounding, so the factorization fails
         phi = np.full((4, 2), 2.0**20)
-        T = np.ones((4, 1))
         with pytest.raises(MacqpError, match="ridge system is singular"):
-            ridge_lsq(phi, T, 1e-6)
-        with pytest.raises(MacqpError, match="least-squares system is singular"):
-            ridge_lsq(phi, T, 0.0)
-        # at unit scale the 1e-12 retry makes the zero-ridge system solvable
-        assert np.all(np.isfinite(ridge_lsq(np.ones((4, 2)), T, 0.0)))
+            ridge_lsq(phi, np.ones((4, 1)), 1e-6)
+
+    @pytest.mark.parametrize("case", ["full_rank", "rank_one_2^20", "rank_one", "one_target"])
+    def test_zero_ridge_is_minimum_norm_lstsq(self, rng, case):
+        # bit for bit np.linalg.lstsq, with or without a Gram matrix, also
+        # where phi^T phi is singular
+        phi = {"full_rank": rng.normal(size=(40, 7)),
+               "rank_one_2^20": np.full((4, 2), 2.0**20),
+               "rank_one": np.ones((4, 2)),
+               "one_target": rng.normal(size=(40, 7))}[case]
+        T = rng.normal(size=(phi.shape[0],) if case == "one_target" else (phi.shape[0], 3))
+        want = np.linalg.lstsq(phi, T, rcond=None)[0]
+        for gram in (None, phi.T @ phi):
+            np.testing.assert_array_equal(ridge_lsq(phi, T, 0.0, gram=gram), want)

@@ -377,6 +377,19 @@ def _mac_config(out_dir, workers=1):
     }
 
 
+def _rbf_select_arch():
+    """The RBF autoencoder of the rbf_select benchmark: two RBF + linear blocks."""
+    def rbf(i, o):
+        return {"kind": "gaussian_rbf", "in_dim": i, "out_dim": o, "rbf_width": 2.0}
+
+    def linear(i, o):
+        return {"kind": "linear_dense", "in_dim": i, "out_dim": o, "ridge": 1e-6,
+                "bias": False}
+
+    return {"layers": [rbf(16, 40), linear(40, 2), rbf(2, 40), linear(40, 16)],
+            "placement": "coding"}
+
+
 # a valid selection section, into which the selection cases put one bad value
 _GOOD_SELECTION = {"candidates_per_block": [[5]], "epsilon_sq": 1e-3}
 
@@ -447,6 +460,45 @@ class TestHarness:
         for run in (validate_config, run_experiment):
             with pytest.raises(MacqpError, match="mac_select requires a 'selection' section"):
                 run(cfg)
+
+    @pytest.mark.parametrize("arch, lists, count", [
+        # two RBF + linear blocks, one list
+        (_rbf_select_arch(), [[10, 20]], 2),
+        # a sigmoid net has no block selection can resize
+        (_mac_config(".")["architecture"], [[5]], 0),
+    ], ids=["rbf", "sigmoid"])
+    def test_candidate_list_count_checked_at_load(self, tmp_path, monkeypatch, arch, lists,
+                                                  count):
+        import macqp.harness
+
+        def no_data(cfg):
+            raise AssertionError("dataset built")
+
+        monkeypatch.setattr(macqp.harness, "build_dataset", no_data)
+        cfg = dict(_mac_config(tmp_path), method="mac_select", architecture=arch,
+                   selection=dict(_GOOD_SELECTION, candidates_per_block=lists))
+        del cfg["recon_shape"]
+        message = (rf"selection.candidates_per_block has {len(lists)} lists, but the "
+                   rf"architecture has {count} selectable")
+        for run in (validate_config, run_experiment):
+            with pytest.raises(MacqpError, match=message):
+                run(cfg)
+        cfg["selection"]["candidates_per_block"] = lists * count
+        validate_config(cfg)
+
+    def test_altopt_with_ridge_free_readouts_runs(self, tmp_path):
+        # at the first decoder fit the codes make a singular Gram matrix; the
+        # ridge-free readout takes the minimum-norm least-squares solution
+        arch = _rbf_select_arch()
+        for layer in arch["layers"]:
+            layer.pop("ridge", None)
+        cfg = {"method": "altopt", "seed": 3, "warmup_step": 0, "output_dir": str(tmp_path),
+               "dataset": {"synth": {"n": 500, "ambient_dim": 16, "intrinsic_dim": 1,
+                                     "noise": 0.01, "seed": 7}},
+               "architecture": arch, "altopt": {"iters": 1}}
+        res = run_experiment(cfg)
+        assert [r.event for r in res["trace"].rows] == ["altopt_iter"] * 2
+        assert np.isfinite(res["e1_train"])
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
     def test_invalid_worker_count_rejected(self, tmp_path, workers):
@@ -628,6 +680,26 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["train", "--config", str(cfg_path)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_train_invalid_json_names_path_line_and_column(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{\n  "method": "mac"\n  "seed": 1\n}\n')
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg_path}: invalid JSON at line 3 "
+                                           "column 3: Expecting ',' delimiter\n")
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["train", "--config", "{tmp}/cfg.json"], "{tmp}/cfg.json"),
+        (["eval", "--model", "{tmp}/model.macn", "--data", "{tmp}/ds.macd"],
+         "{tmp}/model.macn"),
+        (["synth", "--out", "{tmp}/no_dir/ds.macd", "--n", "5"], "{tmp}/no_dir/ds.macd"),
+    ], ids=["train-config", "eval-model", "synth-out"])
+    def test_missing_file_is_an_error_line(self, tmp_path, capsys, argv, missing):
+        rc = cli_main([a.format(tmp=tmp_path) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert missing.format(tmp=tmp_path) in err and err.count("\n") == 1
 
     def test_train_error_exits_nonzero(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -919,7 +919,7 @@ class TestBatchedWStep:
         s = p * (1.0 - p)
         g = -weight * ((s * (T[:, k] - p)) @ phi) + 2.0 * lam * W[k]
         H = macqp.mac._sigmoid_gn_matrices(phi, s[None], weight, lam)
-        d, found = macqp.mac._damped_solve(H, g[None])
+        d, found = macqp.mac._gn_solve(H, g[None])
         f = _unit_objectives(layer, W, A, T, weight, lam)[k]
         assert found[0] and 0 < -(g @ d[0]) <= 2.0 * 120 * np.finfo(np.float64).eps * f
         got = self._check_odd_unit(layer, A, T, weight, lam, k)
@@ -928,8 +928,8 @@ class TestBatchedWStep:
 
     def test_singular_unit_leaves_the_others_unaffected(self, rng):
         # Unit 3's undamped Gauss-Newton matrix has two equal rows: the
-        # stacked solve fails, the units are solved one by one, and damping
-        # finds unit 3 a step while the others take theirs.
+        # stacked solve fails, the units are solved one by one, and unit 3
+        # takes its minimum-norm step while the others take theirs.
         layer, A, T, H = _singular_unit_problem(rng)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(H[3], np.ones(4))
@@ -938,36 +938,56 @@ class TestBatchedWStep:
         got = self._check_odd_unit(layer, A, T, 1.0, 0.0, 3)
         assert np.all(np.any(got != layer.weights.matrix, axis=1))
 
-    def test_damped_solve_leaves_its_systems_unchanged(self, rng):
-        # the damping shift is added to copies, never to the systems as built
+    def test_singular_unit_takes_the_minimum_norm_step(self, rng):
+        layer, A, T, H = _singular_unit_problem(rng)
+        phi = add_bias_col(A)
+        P = macqp.mac.sigmoid(layer.weights.matrix @ phi.T)
+        g = -((P * (1.0 - P) * (T.T - P)) @ phi)  # weight 1, no ridge
+        d, found = macqp.mac._gn_solve(H, g)
+        assert found.all() and g[3] @ d[3] < 0
+        np.testing.assert_allclose(d[3], -np.linalg.pinv(H[3], hermitian=True) @ g[3],
+                                   rtol=1e-12, atol=0)
+
+    def test_gn_solve_leaves_its_systems_unchanged(self, rng):
         _, _, _, H = _singular_unit_problem(rng)
         g = rng.normal(size=H.shape[:2])
         before = [H.copy(), g.copy()]
-        _, found = macqp.mac._damped_solve(H, g)
+        _, found = macqp.mac._gn_solve(H, g)
         assert found.all()
         for a, b in zip((H, g), before):
             np.testing.assert_array_equal(a, b)
 
-    def test_damped_solve_damps_only_systems_without_a_descent_step(self, rng, monkeypatch):
-        # every system descends undamped: one solve, returned as it is; with
-        # a singular system, only that one is solved again, damped
+    def test_gn_solve_inverts_only_systems_without_a_descent_step(self, rng, monkeypatch):
+        # every system descends: one stacked solve, returned as it is; a
+        # zero-gradient system adds one pseudo-inverse, of that system only,
+        # and finds no step; a singular system makes the solve go one by one
         _, _, _, H = _singular_unit_problem(rng)
         g = rng.normal(size=H.shape[:2])
-        solved = []  # systems per stacked solve
-        stacked = macqp.mac._stacked_solve
+        calls = []  # (function, systems per call)
+        solve, pinv = np.linalg.solve, np.linalg.pinv
 
-        def counted(A, B):
-            solved.append(A.shape[0])
-            return stacked(A, B)
+        def counted(name, fn):
+            def call(A, *args, **kwargs):
+                calls.append((name, A.shape[0] if A.ndim == 3 else 1))
+                return fn(A, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(macqp.mac, "_stacked_solve", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+        monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
         ok = [0, 1, 2, 4, 5]
-        d, found = macqp.mac._damped_solve(H[ok], g[ok])
-        assert solved == [5] and found.all()
-        np.testing.assert_array_equal(d, stacked(H[ok], -g[ok, :, None])[:, :, 0])
-        solved.clear()
-        _, found = macqp.mac._damped_solve(H, g)
-        assert solved[0] == 6 and set(solved[1:]) == {1} and found.all()
+        d, found = macqp.mac._gn_solve(H[ok], g[ok])
+        assert calls == [("solve", 5)] and found.all()
+        np.testing.assert_array_equal(d, solve(H[ok], -g[ok, :, None])[:, :, 0])
+        calls.clear()
+        g0 = g[ok].copy()
+        g0[2] = 0.0
+        d, found = macqp.mac._gn_solve(H[ok], g0)
+        assert calls == [("solve", 5), ("pinv", 1)]
+        np.testing.assert_array_equal(found, [True, True, False, True, True])
+        np.testing.assert_array_equal(d[2], 0.0)
+        calls.clear()
+        _, found = macqp.mac._gn_solve(H, g)
+        assert calls == [("solve", 6)] + [("solve", 1)] * 6 + [("pinv", 1)] and found.all()
 
     def test_one_point(self, rng):
         # N = 1: each unit's Gauss-Newton matrix is rank one plus the ridge
@@ -1164,13 +1184,15 @@ class TestMacTrain:
         schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=3,
                                    stage_tolerance=1e-6)
         fresh = []
+        z_step = macqp.mac.z_step
 
-        def callback(net_, Z_):
+        def logged_z_step(net_, *args, **kwargs):
             fresh.append((nested_objective(net_, data),
                           nested_objective(net_, data.eval_split())))
+            return z_step(net_, *args, **kwargs)
 
-        _, _, trace = mac_train(net, data, schedule,
-                                iteration_callback=callback)
+        monkeypatch.setattr(macqp.mac, "z_step", logged_z_step)
+        _, _, trace = mac_train(net, data, schedule)
         # training and validation E1 after every W-step and every restore
         # (each mu_increase row follows one), and the first stage's start
         events = [r.event for r in trace.rows]
