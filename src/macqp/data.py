@@ -7,6 +7,7 @@ format ("MACD") holding both matrices as little-endian float64.
 MACN model checkpoints.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -95,8 +96,20 @@ def _load_f64bin(path):
     return Dataset(X, Y)
 
 
+def read_text(path):
+    """The file's contents decoded as UTF-8.  Bytes that are not UTF-8
+    raise MacqpError naming the path and their byte offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MacqpError(f"{path}: not UTF-8 text: {exc.reason} at byte offset "
+                         f"{exc.start}") from None
+
+
 def _load_csv(path):
-    with open(path) as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         header = fh.readline().strip()
         if not header:
             raise MacqpError(f"{path}: missing header row")

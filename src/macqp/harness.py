@@ -83,12 +83,11 @@ def load_config(path_or_dict):
     if isinstance(path_or_dict, dict):
         cfg = path_or_dict
     else:
-        with open(path_or_dict) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MacqpError(f"{path_or_dict}: invalid JSON at line {exc.lineno} "
-                                 f"column {exc.colno}: {exc.msg}") from None
+        try:
+            cfg = json.loads(data_mod.read_text(path_or_dict))
+        except json.JSONDecodeError as exc:
+            raise MacqpError(f"{path_or_dict}: invalid JSON at line {exc.lineno} "
+                             f"column {exc.colno}: {exc.msg}") from None
     validate_config(cfg)
     return cfg
 

@@ -91,17 +91,13 @@ def lift_to_feasible(net, X):
     return AuxState([acts[p - 1].copy() for p in net.placement])
 
 
-def _block_inputs(net, Z, X):
-    return [X] + list(Z.coords)
-
-
 def qp_blocks(net, Z, data, mu):
     """The split of E_Q at fixed coordinates into one part per block: for
     each block, (its layer slice, inputs, targets, weight).  Block j fits
     coordinate block j with weight mu; the last block fits Y with weight 1."""
     slices = block_slices(net)
     weights = [mu] * (len(slices) - 1) + [1.0]
-    return list(zip(slices, _block_inputs(net, Z, data.X), list(Z.coords) + [data.Y], weights))
+    return list(zip(slices, [data.X] + list(Z.coords), list(Z.coords) + [data.Y], weights))
 
 
 def block_outputs(net, Z, X):
@@ -110,7 +106,7 @@ def block_outputs(net, Z, X):
     selection_step take this list, and z_step its first entry, to share
     one evaluation of the blocks."""
     return [_block_output(net.layers[a:b], A, start=a)
-            for (a, b), A in zip(block_slices(net), _block_inputs(net, Z, X))]
+            for (a, b), A in zip(block_slices(net), [X] + list(Z.coords))]
 
 
 def _block_output(layers, A_in, table=None, start=None):
@@ -209,14 +205,12 @@ def _backtrack(evaluate, x, d, vals, found):
     accepts none costs ceil(log2(len(BACKTRACK_STEPS) + 1)) batches.  When
     every row has a direction, the first batch is x + d, without gathers,
     and if every row accepts it, it is written back whole.
-    Returns the rows that moved.
 
     A row's last bits can depend on the rows that share its batch: BLAS
     rounds a one-row product unlike a multi-row one, and at N = 500 also
     by the row count.
     """
     steps = BACKTRACK_STEPS
-    accepted = np.zeros(found.shape, dtype=bool)
     pending, tried = np.flatnonzero(found), 0
     while pending.size and tried < steps.size:
         s = min(tried + 1, steps.size - tried)  # 1, 2, 4, ... steps
@@ -235,9 +229,7 @@ def _backtrack(evaluate, x, d, vals, found):
             pick, rows = np.flatnonzero(hit) * s + better.argmax(axis=1)[hit], pending[hit]
         for old, c in zip(x + vals, cand + new):
             old[rows] = c[pick]
-        accepted[rows] = True
         pending, tried = pending[~hit], tried + s
-    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +242,6 @@ def _backtrack(evaluate, x, d, vals, found):
 # bounded on wide layers.  Each unit's matrix is one matrix product of its
 # own, so results do not depend on the grouping.
 W_GROUP_ELEMS = 1 << 18
-
-
-# Gauss-Newton iterations of a sigmoid layer's fit in one W-step.
-W_GN_ITERS = 3
 
 
 def _gn_solve(H, g):
@@ -307,44 +295,37 @@ def _sigmoid_unit_objectives(R, W, weight, lam):
 
 
 def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
-    """Gauss-Newton on every unit's least-squares subproblem at once.
+    """One Gauss-Newton step on every unit's least-squares subproblem at
+    once, as a Z-step is one Gauss-Newton step.
 
     The units' problems are independent.  They are solved as one stack,
-    but every unit follows its own step length and stopping, as if solved
-    alone up to rounding (see _backtrack).  A unit whose Gauss-Newton
-    matrix is singular takes the minimum-norm step (see _gn_solve).  A
-    unit that finds no descent direction (its gradient is zero), or whose
-    step's predicted decrease is below the rounding of its objective, or
-    that finds no decreasing step keeps its weights and leaves the
-    iteration.  The Gauss-Newton model predicts a decrease of -g.d/2, and
-    N eps f bounds the rounding of an objective f summed over N points, so
-    a unit steps only if -g.d > 2 N eps f.  A unit's predictions and
-    objective then come from its line search.
+    but every unit follows its own step length, as if solved alone up to
+    rounding (see _backtrack).  A unit whose Gauss-Newton matrix is
+    singular takes the minimum-norm step (see _gn_solve).  A unit keeps
+    its weights if it finds no descent direction (its gradient is zero),
+    if its step's predicted decrease is below the rounding of its
+    objective, or if no step length lowers its objective.  The
+    Gauss-Newton model predicts a decrease of -g.d/2, and N eps f bounds
+    the rounding of an objective f summed over N points, so a unit
+    searches along its step only if -g.d > 2 N eps f.
     """
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
     W = layer.weights.matrix.copy()
     Tt = T.T
-    P = sigmoid(W @ phi.T)  # (units, N); P and F kept at the current weights
-    F = _sigmoid_unit_objectives(Tt - P, W, weight, lam)
-    live = np.arange(W.shape[0])
-    for _ in range(W_GN_ITERS):
-        if live.size == 0:
-            break
-        W_l, P_l, T_l, f_l = W[live], P[live], Tt[live], F[live]
-        R = T_l - P_l
-        S = P_l * (1.0 - P_l)
-        g = -weight * ((S * R) @ phi) + 2.0 * lam * W_l
-        d, found = _gn_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
-        rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_l
-        found &= -np.einsum("ij,ij->i", g, d) > rounding
+    P = sigmoid(W @ phi.T)  # (units, N)
+    R = Tt - P
+    S = P * (1.0 - P)
+    F = _sigmoid_unit_objectives(R, W, weight, lam)
+    g = -weight * ((S * R) @ phi) + 2.0 * lam * W
+    d, found = _gn_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
+    rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * F
+    found &= -np.einsum("ij,ij->i", g, d) > rounding
 
-        def evaluate(rows, cand):
-            P_c = sigmoid(cand[0] @ phi.T)
-            return [_sigmoid_unit_objectives(T_l[rows] - P_c, cand[0], weight, lam), P_c]
+    def evaluate(rows, cand):
+        return [_sigmoid_unit_objectives(Tt[rows] - sigmoid(cand[0] @ phi.T), cand[0],
+                                         weight, lam)]
 
-        accepted = _backtrack(evaluate, [W_l], [d], [f_l, P_l], found)
-        live = live[accepted]
-        W[live], P[live], F[live] = W_l[accepted], P_l[accepted], f_l[accepted]
+    _backtrack(evaluate, [W], [d], [F], found)
     return Layer(layer.spec, LayerWeights(W))
 
 
@@ -799,7 +780,7 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
                 # the fits made at the restored coordinates hold again
                 tables[j].update((m, e) for m, e in best_fits[j].items() if e[1] is not None)
             outs[:] = [_block_output(net.layers[a:b], A, t, start=a) for (a, b), A, t
-                       in zip(slices, _block_inputs(net, Z, data.X), tables)]
+                       in zip(slices, [data.X] + list(Z.coords), tables)]
         if stop or stage == schedule.max_stages - 1:
             break
         mu *= schedule.growth

@@ -116,11 +116,11 @@ def _slow_gn_solve(H, g):
 
 
 def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam):
-    """A sigmoid layer's W-step fit solved unit by unit: W_GN_ITERS
-    Gauss-Newton iterations on each unit's weighted least-squares problem
-    plus lam * |w|^2, backtracking over BACKTRACK_STEPS.  A unit stops
-    when its step's predicted decrease is below the rounding of its
-    objective.  Returns the new weight matrix."""
+    """A sigmoid layer's W-step fit solved unit by unit: one Gauss-Newton
+    step on each unit's weighted least-squares problem plus lam * |w|^2,
+    backtracking over BACKTRACK_STEPS.  A unit keeps its weights when its
+    step's predicted decrease is below the rounding of its objective.
+    Returns the new weight matrix."""
     phi = np.hstack([A_in, np.ones((A_in.shape[0], 1))]) if layer.spec.bias else A_in
 
     def sig(t):
@@ -133,26 +133,19 @@ def slow_fit_sigmoid_layer(layer, A_in, T, weight, lam):
     rows = []
     for t, w in zip(T.T, layer.weights.matrix):
         f_cur = obj(t, w)
-        for _ in range(macqp.mac.W_GN_ITERS):
-            p = sig(phi @ w)
-            jac = (p * (1.0 - p))[:, None] * phi
-            g = -weight * (jac.T @ (t - p)) + 2.0 * lam * w
-            H = weight * (jac.T @ jac) + 2.0 * lam * np.eye(w.shape[0])
-            d = _slow_gn_solve(H, g)
-            # a predicted decrease -g.d/2 below the rounding of f_cur, a
-            # sum over the points, cannot show
-            rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_cur
-            if d is None or -float(np.dot(g, d)) <= rounding:
-                break
-            accepted = False
+        p = sig(phi @ w)
+        jac = (p * (1.0 - p))[:, None] * phi
+        g = -weight * (jac.T @ (t - p)) + 2.0 * lam * w
+        H = weight * (jac.T @ jac) + 2.0 * lam * np.eye(w.shape[0])
+        d = _slow_gn_solve(H, g)
+        # a predicted decrease -g.d/2 below the rounding of f_cur, a sum
+        # over the points, cannot show
+        rounding = 2.0 * phi.shape[0] * np.finfo(np.float64).eps * f_cur
+        if d is not None and -float(np.dot(g, d)) > rounding:
             for step in macqp.mac.BACKTRACK_STEPS:
-                cand = w + step * d
-                f_new = obj(t, cand)
-                if f_new < f_cur:
-                    w, f_cur, accepted = cand, f_new, True
+                if obj(t, w + step * d) < f_cur:
+                    w = w + step * d
                     break
-            if not accepted:
-                break
         rows.append(w)
     return np.vstack(rows)
 

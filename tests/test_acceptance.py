@@ -41,7 +41,6 @@ from macqp.kernels import rbf_design
 from macqp.mac import (
     AuxState,
     PenaltySchedule,
-    _block_inputs,
     block_slices,
     constraint_residual_vectors,
     lift_to_feasible,
@@ -261,7 +260,7 @@ def _grid_best_sizes(net, Z, data, mu, cands, eps_sq):
     current-first, strict improvement required).
     """
     slices = block_slices(net)
-    ins = _block_inputs(net, Z, data.X)
+    ins = [data.X] + list(Z.coords)
     targets = list(Z.coords) + [data.Y]
     weights = [mu if j < len(slices) - 1 else 1.0 for j in range(len(slices))]
 

@@ -688,6 +688,27 @@ class TestCli:
         assert capsys.readouterr().err == (f"error: {cfg_path}: invalid JSON at line 3 "
                                            "column 3: Expecting ',' delimiter\n")
 
+    def test_train_non_utf8_config_names_path_and_byte_offset(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe" + json.dumps(_mac_config(tmp_path)).encode("utf-16-le"))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg_path}: not UTF-8 text: invalid "
+                                           "start byte at byte offset 0\n")
+
+    def test_train_non_utf8_csv_names_path_and_byte_offset(self, tmp_path, capsys):
+        data_path = tmp_path / "ds.csv"
+        data_path.write_bytes(b"x0,y0\n0.5,0.25\n0.5,\xe9\n")
+        cfg = _mac_config(tmp_path / "run")
+        cfg["dataset"] = {"path": str(data_path), "format": "csv"}
+        cfg["architecture"]["layers"][0]["in_dim"] = 1
+        cfg["architecture"]["layers"][-1]["out_dim"] = 1
+        del cfg["recon_shape"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (f"error: {data_path}: not UTF-8 text: invalid "
+                                           "continuation byte at byte offset 19\n")
+
     @pytest.mark.parametrize("argv, missing", [
         (["train", "--config", "{tmp}/cfg.json"], "{tmp}/cfg.json"),
         (["eval", "--model", "{tmp}/model.macn", "--data", "{tmp}/ds.macd"],

@@ -618,17 +618,16 @@ class TestBacktrack:
 
         vals = [0.5 * np.sum((x - t) ** 2, axis=1)]
         found = np.ones(x.shape[0], dtype=bool) if found is None else found
-        accepted = macqp.mac._backtrack(evaluate, [x], [d], vals, found)
-        return accepted, vals[0], calls
+        macqp.mac._backtrack(evaluate, [x], [d], vals, found)
+        return vals[0], calls
 
     def test_every_row_taking_its_full_step_is_one_batch_of_all_rows(self, rng):
         x, t = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
         d = t - x
         want = x + d
-        accepted, f, calls = self._search(x, d, t)
+        f, calls = self._search(x, d, t)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.arange(9))
-        assert accepted.all()
         np.testing.assert_array_equal(x, want)
         np.testing.assert_array_equal(f, 0.5 * np.sum((want - t) ** 2, axis=1))
 
@@ -640,9 +639,8 @@ class TestBacktrack:
         d = t - x
         d[4] *= 3.0
         start = x.copy()
-        accepted, f, calls = self._search(x, d, t)
+        _, calls = self._search(x, d, t)
         assert [c.tolist() for c in calls] == [list(range(9)), [4, 4]]
-        assert accepted.all()
         np.testing.assert_array_equal(np.delete(x, 4, 0), np.delete(start + d, 4, 0))
         np.testing.assert_array_equal(x[4], start[4] + 0.5 * d[4])
 
@@ -651,10 +649,10 @@ class TestBacktrack:
         d = t - x
         found = np.arange(9) != 2
         start = x.copy()
-        accepted, _, calls = self._search(x, d, t, found)
+        _, calls = self._search(x, d, t, found)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.flatnonzero(found))
-        np.testing.assert_array_equal(accepted, found)
+        np.testing.assert_array_equal(x[found], start[found] + d[found])
         np.testing.assert_array_equal(x[2], start[2])
 
 
@@ -855,7 +853,7 @@ class TestBatchedWStep:
         got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0).weights.matrix
         np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
         rounds = int(np.ceil(np.log2(max_backtracks + 1)))
-        assert len(calls) <= 1 + macqp.mac.W_GN_ITERS * rounds
+        assert len(calls) <= 1 + rounds
 
     # the path (N = 120) and desk (N = 500) sigmoid layer shapes
     @pytest.mark.parametrize("n, d_in, units", [(120, 4, 24), (120, 24, 2), (500, 8, 32)])
@@ -899,10 +897,34 @@ class TestBatchedWStep:
         monkeypatch.setattr(macqp.mac, "_backtrack", counting_backtrack)
         got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
         monkeypatch.undo()
-        assert len(batches) >= macqp.mac.W_GN_ITERS + (problem == "backtracking")
+        # the first batch is every unit's full step; the backtracking
+        # problem's units that reject it need more
+        assert batches[0] == layer.spec.out_dim
+        assert len(batches) >= 1 + (problem == "backtracking")
         assert objectives == [layer.spec.out_dim] + batches
         ref = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
         np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("problem", ["plain", "backtracking", "saturated"])
+    def test_one_gauss_newton_step_per_fit(self, rng, monkeypatch, problem):
+        # a fit solves every unit's Gauss-Newton system once, as one stack,
+        # also when units take line searches or keep their weights
+        if problem == "plain":
+            layer, A, T = _sigmoid_layer_problem(rng, 120, 4, 24)
+        elif problem == "backtracking":
+            layer, A, T = _backtracking_layer_problem(rng)
+        else:
+            layer, A, T = _saturated_unit_problem(rng)
+        solves, gn_solve = [], macqp.mac._gn_solve
+
+        def counting(H, g):
+            solves.append(g.shape[0])
+            return gn_solve(H, g)
+
+        monkeypatch.setattr(macqp.mac, "_gn_solve", counting)
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+        assert solves == [layer.spec.out_dim]
+        assert np.any(got != layer.weights.matrix)
 
     def test_unit_at_its_fixed_point_leaves_the_others_unaffected(self, rng):
         # Unit 4 starts at its fixed point, the others where they began: its

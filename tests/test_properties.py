@@ -1,10 +1,12 @@
-"""Property-based tests: file round-trips, header checks, config validation.
+"""Property-based tests: file round-trips, header checks, config validation,
+damaged files.
 
 Examples are drawn with a fixed seed (``derandomize``), so every run of the
 suite checks the same cases.
 """
 
 import copy
+import json
 import os
 import tempfile
 
@@ -16,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from macqp.checkpoint import load_model, save_model
 from macqp.data import load_dataset, save_dataset_csv, save_dataset_f64bin
-from macqp.harness import validate_config
+from macqp.harness import load_config, validate_config
 from macqp.model import (
     Dataset,
     Layer,
@@ -25,6 +27,7 @@ from macqp.model import (
     LayerWeights,
     MacqpError,
     NestedNet,
+    init_weights,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -186,3 +189,71 @@ class TestConfigValidation:
             validate_config(cfg)
         except MacqpError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Damaged files
+
+
+def _valid_files():
+    """One valid file per format a run loads: {name: (bytes, loader)}."""
+    ds = Dataset(np.linspace(0.0, 1.0, 12).reshape(4, 3), np.linspace(-1.0, 1.0, 8).reshape(4, 2))
+    net = init_weights([LayerSpec(LayerKind.SIGMOID_DENSE, 3, 2),
+                        LayerSpec(LayerKind.GAUSSIAN_RBF, 2, 3, rbf_width=1.0),
+                        LayerSpec(LayerKind.LINEAR_DENSE, 3, 3, ridge=0.5)], 1, placement=[1])
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, save in (("macn", lambda p: save_model(net, p)),
+                           ("macd", lambda p: save_dataset_f64bin(ds, p)),
+                           ("csv", lambda p: save_dataset_csv(ds, p))):
+            path = os.path.join(tmp, name)
+            save(path)
+            with open(path, "rb") as fh:
+                files[name] = fh.read()
+    files["config"] = json.dumps(_BASE, indent=1).encode()
+    loaders = {"macn": load_model, "macd": lambda p: load_dataset(p, "f64bin"),
+               "csv": lambda p: load_dataset(p, "csv"), "config": load_config}
+    return {name: (raw, loaders[name]) for name, raw in files.items()}
+
+
+VALID_FILES = _valid_files()
+
+
+@st.composite
+def damaged(draw, raw):
+    """``raw`` after 1 to 3 edits: a byte flipped, the tail cut off, or
+    bytes inserted."""
+    out = bytearray(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["flip", "truncate", "insert"]))
+        if edit == "flip" and out:
+            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        elif edit == "truncate":
+            del out[draw(st.integers(0, len(out))):]
+        else:
+            at = draw(st.integers(0, len(out)))
+            out[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(out)
+
+
+class TestDamagedFiles:
+    @pytest.mark.parametrize("name", sorted(VALID_FILES))
+    def test_valid_file_loads(self, name, tmp_path):
+        raw, load = VALID_FILES[name]
+        path = tmp_path / name
+        path.write_bytes(raw)
+        load(str(path))
+
+    @pytest.mark.parametrize("name", sorted(VALID_FILES))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_damaged_file_loads_or_fails_with_macqp_error(self, name, data):
+        raw, load = VALID_FILES[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(data.draw(damaged(raw)))
+            try:
+                load(path)
+            except MacqpError:
+                pass
