@@ -9,7 +9,7 @@ updates.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -371,7 +371,7 @@ def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None)
         return [_fit_linear_layer(layers[0], A_in, T, weight, lam)]
     if kinds == [LayerKind.GAUSSIAN_RBF, LayerKind.LINEAR_DENSE]:
         return list(
-            fit_rbf_linear_pair(layers[0], layers[1], A_in, T, weight,
+            fit_rbf_linear_pair(layers[0].spec, layers[1].spec, A_in, T, weight,
                                 transient_reg=transient_reg, centers_by_size=centers_by_size)
         )
     raise MacqpError(
@@ -379,29 +379,63 @@ def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None)
     )
 
 
-def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None):
-    """Independent refit of every block at fixed coordinates; never increases E_Q.
+def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidates=None,
+           epsilon_sq=0.0):
+    """Independent refit of every block at fixed coordinates; never
+    increases E_Q plus the AIC cost of the blocks in ``candidates``.
+
+    A block is refitted by fit_block and takes the refit unless that
+    raises its part of E_Q.  ``candidates``, if given, maps RBF + linear
+    blocks to candidate sizes: such a block is fitted at each size, a fit
+    that fails is skipped, and it keeps its weights unless a fit scores
+    strictly lower on its part of E_Q plus 2 * epsilon_sq * (its parameter
+    count).  The step thus also chooses their sizes, as selection_step.
 
     ``outs``, if given, is block_outputs(net, Z, data.X): the current
-    blocks are scored from it, and each accepted refit's output replaces
+    blocks are scored from it, and each accepted fit's output replaces
     its block's entry in place.  ``tables``, if given, holds one {size:
     (centers, design matrix, Gram matrix)} table per block of RBF fits
     (see fit_rbf_linear_pair).  A fit or output at a size whose entry was
     made at the block's current inputs reuses it; a fit at any other size
     makes its entry, starting k-means from a centers-only entry's centers.
     """
+    candidates = candidates or {}
     new_layers = list(net.layers)
     for j, (sl, A, T, weight) in enumerate(qp_blocks(net, Z, data, mu)):
         table = None if tables is None else tables[j]
-        fitted = fit_block(net, sl, A, T, weight, transient_reg=transient_reg,
-                           centers_by_size=table)
-        before = _block_objective(net.layers[sl[0] : sl[1]], A, T, weight, transient_reg,
-                                  out=None if outs is None else outs[j])
-        out = _block_output(fitted, A, table, start=sl[0])
-        if _block_objective(fitted, A, T, weight, transient_reg, out=out) <= before:
-            new_layers[sl[0] : sl[1]] = fitted
+        sizes = candidates.get(j)
+        eps = 0.0 if sizes is None else epsilon_sq
+
+        def score(layers, out):
+            params = sum(l.weights.matrix.size for l in layers)
+            return (_block_objective(layers, A, T, weight, transient_reg, out=out)
+                    + 2.0 * eps * params)
+
+        best = score(net.layers[sl[0] : sl[1]], None if outs is None else outs[j])
+        if sizes is None:
+            fits = [fit_block(net, sl, A, T, weight, transient_reg=transient_reg,
+                              centers_by_size=table)]
+        else:
+            rbf, lin = (l.spec for l in net.layers[sl[0] : sl[1]])
+            fits = []
+            for m in sizes:
+                try:
+                    fits.append(fit_rbf_linear_pair(
+                        replace(rbf, out_dim=m), replace(lin, in_dim=m), A, T, weight,
+                        transient_reg=transient_reg, centers_by_size=table))
+                except MacqpError:
+                    continue
+        kept = None
+        for fitted in fits:
+            out = _block_output(fitted, A, table, start=sl[0])
+            value = score(fitted, out)
+            # a refit at the block's own size wins a tie; a sized fit must score lower
+            if value < best or (sizes is None and value == best):
+                best, kept = value, (fitted, out)
+        if kept is not None:
+            new_layers[sl[0] : sl[1]] = kept[0]
             if outs is not None:
-                outs[j] = out
+                outs[j] = kept[1]
     return NestedNet(new_layers, list(net.placement))
 
 
@@ -634,23 +668,23 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
     Without one, each stage runs until the penalty objective stalls;
     the nested error is expected to rise transiently while feasibility
     is enforced, so it is not used as an exit signal.  With ``sel_cfg``
-    given, a per-block architecture-selection step runs every
-    ``sel_cfg.cadence`` iterations.
+    given, W-step k (counted from 0 across stages) is a selection step
+    when k > 0 and k % ``sel_cfg.cadence`` == 0: a W-step that also
+    chooses the size of each selectable block (selection_step).  Its row's
+    event is model_select, since it may raise E_Q to lower the AIC cost.
 
     Each block is evaluated once per change.  The call keeps every block's
     current output (block_outputs) and refreshes only the blocks a step
-    changed: the accepted refits of a W-step, the resized blocks of a
-    selection step, and every block when the best iterate is restored.
-    The Z-step starts from these outputs and hands back those of the
-    blocks fed by coordinates at its accepted points.  The trace rows and
-    the W- and selection steps (the current blocks' objective) read them
-    too.  A row computes E1 only after the weights changed (a W-step, a
-    selection step or a restore); a zstep or mu_increase row repeats the
-    last values.  Each block also has a {size: (centers, design matrix,
-    Gram matrix)} table of RBF fits at its inputs, shared by the W- and
-    selection steps, so a size is clustered once per inputs.  The first
-    block's inputs are data.X, so its table lasts the whole call, and its
-    k-means runs start from seed 0.  When a Z-step or a restore changes
+    changed: the accepted fits of a W-step, and every block when the best
+    iterate is restored.  The Z-step starts from these outputs and hands
+    back those of the blocks fed by coordinates at its accepted points.
+    The trace rows and the W-step (the current blocks' objective) read
+    them too.  A row computes E1 only after the weights changed (a W-step
+    or a restore); a zstep or mu_increase row repeats the last values.
+    Each block also has a {size: (centers, design matrix, Gram matrix)}
+    table of RBF fits at its inputs, shared by the W-steps, so a size is
+    clustered once per inputs.  The first block's inputs are data.X, so
+    its table lasts the whole call, and its k-means runs start from seed 0.  When a Z-step or a restore changes
     the inputs of a block fed by coordinates, its table keeps only each
     size's centers: the next k-means at that size starts from them (warm
     start), as the coordinates move little from one step to the next.  A
@@ -671,7 +705,7 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
     mu = schedule.mu0
     transient = schedule.transient_reg
     it = 0
-    iters_since_selection = 0
+    wsteps = 0  # W-steps taken, across stages
     stop = False
     slices = block_slices(net)
     outs = block_outputs(net, Z, data.X)
@@ -690,8 +724,8 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
                 tables[j][m] = (entry[0], None, None)
         return moved
 
-    # (e1_train, e1_val) at the current weights; None once a W-step, a
-    # selection step or a restore changes them, until the next row
+    # (e1_train, e1_val) at the current weights; None once a W-step or a
+    # restore changes them, until the next row
     e1 = None
 
     def record(event):
@@ -726,10 +760,26 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             best = (net.copy(), Z.copy(), prev)
             best_fits = None
         for _ in range(schedule.max_iters_per_stage):
-            net = w_step(net, Z, data, mu, transient_reg=transient, outs=outs, tables=tables)
+            select = sel_cfg is not None and wsteps > 0 and wsteps % sel_cfg.cadence == 0
+            if select:
+                before_total = row.eq + aic_cost(net, sel_cfg.epsilon_sq)
+                net = selection_step(net, Z, data, mu, sel_cfg, transient_reg=transient,
+                                     outs=outs, tables=tables)
+            else:
+                net = w_step(net, Z, data, mu, transient_reg=transient, outs=outs, tables=tables)
+            wsteps += 1
             e1 = None
             it += 1
-            record("wstep")
+            row = record("model_select" if select else "wstep")
+            if select:
+                trace.selection_events.append(
+                    {
+                        "iteration": it - 1,
+                        "before": before_total,
+                        "after": row.eq + aic_cost(net, sel_cfg.epsilon_sq),
+                        "sizes": [l.spec.out_dim for l in net.layers],
+                    }
+                )
             if track_val and best_fits is None:
                 # best's tables, before a Z-step moves its coordinates; entries
                 # are replaced, never changed in place, so shallow copies keep them
@@ -739,25 +789,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             moved_since(Z_before)
             it += 1
             row = record("zstep")
-
-            if sel_cfg is not None:
-                iters_since_selection += 1
-                if iters_since_selection >= sel_cfg.cadence:
-                    iters_since_selection = 0
-                    before_total = row.eq + aic_cost(net, sel_cfg.epsilon_sq)
-                    net = selection_step(net, Z, data, mu, sel_cfg, transient_reg=transient,
-                                         outs=outs, tables=tables)
-                    e1 = None
-                    it += 1
-                    row = record("model_select")
-                    trace.selection_events.append(
-                        {
-                            "iteration": it - 1,
-                            "before": before_total,
-                            "after": row.eq + aic_cost(net, sel_cfg.epsilon_sq),
-                            "sizes": [l.spec.out_dim for l in net.layers],
-                        }
-                    )
 
             cur = stage_signal(row)
             if track_val and cur < best[2]:

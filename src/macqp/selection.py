@@ -2,18 +2,18 @@
 
 The selection criterion adds 2*eps^2 times the free-parameter count to
 the fit error.  Because the penalized objective separates over blocks at
-fixed coordinates, each block's size can be chosen independently by
-refitting it at every candidate size and scoring fit + cost.
+fixed coordinates, each block's size can be chosen independently while
+refitting it: a selection step is a W-step (mac.w_step) that fits each
+selectable block at every candidate size and keeps the best fit + cost.
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
+# fit_rbf_linear_pair and mac_train are also wrapped here by perfbench/rep.py's tracer
 from .baselines import fit_rbf_linear_pair
-from .mac import _block_objective, _block_output, block_slices, mac_train, qp_blocks
-from .model import Layer, LayerKind, LayerWeights, MacqpError, NestedNet, check_count, check_real
+from .mac import block_slices, mac_train, w_step
+from .model import LayerKind, MacqpError, check_count, check_real
 
 
 @dataclass
@@ -60,66 +60,28 @@ def selectable_blocks(net):
     return out
 
 
-def _candidate_pair(rbf_spec, lin_spec, m):
-    rbf_s = replace(rbf_spec, out_dim=m)
-    lin_s = replace(lin_spec, in_dim=m)
-    return (
-        Layer(rbf_s, LayerWeights(np.zeros(rbf_s.weight_shape))),
-        Layer(lin_s, LayerWeights(np.zeros(lin_s.weight_shape))),
-    )
-
-
 def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
-    """Choose each selectable block's size by refit-and-score at fixed Z.
+    """A W-step that also chooses each selectable block's size at fixed Z.
 
-    Keeps the current block unless some candidate scores strictly
-    better; candidate fits that fail are skipped.  The combined fit + cost
-    objective never increases.  ``outs`` and ``tables`` are as in w_step:
-    the current blocks are scored from ``outs``, a resized block's output
-    replaces its entry, and candidates fit and score from the tables.
+    ``cfg.candidates_per_block`` holds one list of sizes per selectable
+    block, in block order; see w_step's ``candidates`` for how a size is
+    chosen.  The combined fit + cost objective never increases.  ``outs``
+    and ``tables`` are as in w_step.
     """
-    blocks = qp_blocks(net, Z, data, mu)
     sel = selectable_blocks(net)
     if len(cfg.candidates_per_block) != len(sel):
         raise MacqpError(
             f"candidates_per_block has {len(cfg.candidates_per_block)} lists, but the net "
             f"has {len(sel)} selectable blocks"
         )
-
-    def score(pair, j, out):
-        """Block j's part of E_Q plus the pair's parameter cost."""
-        fit = _block_objective(pair, *blocks[j][1:], transient_reg, out=out)
-        return fit + aic_cost(NestedNet(list(pair)), cfg.epsilon_sq)
-
-    new_layers = list(net.copy().layers)
-    for cands, j in zip(cfg.candidates_per_block, sel):
-        sl, A, T, weight = blocks[j]
-        table = None if tables is None else tables[j]
-        rbf_cur, lin_cur = net.layers[sl[0]], net.layers[sl[0] + 1]
-        best_score = score((rbf_cur, lin_cur), j, None if outs is None else outs[j])
-        best_pair = None
-        for m in cands:
-            try:
-                tmpl_rbf, tmpl_lin = _candidate_pair(rbf_cur.spec, lin_cur.spec, m)
-                pair = fit_rbf_linear_pair(tmpl_rbf, tmpl_lin, A, T, weight,
-                                           transient_reg=transient_reg, centers_by_size=table)
-            except MacqpError:
-                continue
-            out = _block_output(pair, A, table, start=sl[0])
-            pair_score = score(pair, j, out)
-            if pair_score < best_score:
-                best_score, best_pair, best_out = pair_score, pair, out
-        if best_pair is not None:
-            new_layers[sl[0]] = best_pair[0]
-            new_layers[sl[0] + 1] = best_pair[1]
-            if outs is not None:
-                outs[j] = best_out
-    return NestedNet(new_layers, list(net.placement))
+    return w_step(net, Z, data, mu, transient_reg=transient_reg, outs=outs, tables=tables,
+                  candidates=dict(zip(sel, cfg.candidates_per_block)),
+                  epsilon_sq=cfg.epsilon_sq)
 
 
 def mac_train_with_selection(net, data, schedule, sel_cfg, workers=1, time_budget=None,
                              z_init=None):
-    """Penalty-path training with a selection step every ``cadence`` iterations."""
+    """Penalty-path training with a selection step every ``cadence`` W-steps."""
     return mac_train(
         net, data, schedule, workers=workers,
         time_budget=time_budget, z_init=z_init, sel_cfg=sel_cfg,

@@ -1163,7 +1163,8 @@ class TestMacTrain:
 
             net = rbf_autoencoder(6, 9, 2, 9, seed=3)
             kwargs["sel_cfg"] = SelectionConfig([[3, 6, 9], [3, 6, 9]], 1e-4, cadence=2)
-        schedule = PenaltySchedule(max_stages=4, max_iters_per_stage=4)
+        # 8 stages: on the RBF net, a selecting W-step's row is no wstep row
+        schedule = PenaltySchedule(max_stages=8, max_iters_per_stage=4)
         _, _, trace = mac_train(net, data, schedule, **kwargs)
         pairs = [(p, c) for p, c in zip(trace.rows, trace.rows[1:]) if c.event == "wstep"]
         assert len(pairs) >= 5

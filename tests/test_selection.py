@@ -21,6 +21,7 @@ from macqp.mac import (
     mac_train,
     qp_blocks,
     qp_objective,
+    w_step,
 )
 from macqp.model import (
     Dataset,
@@ -33,7 +34,6 @@ from macqp.model import (
 )
 from macqp.selection import (
     SelectionConfig,
-    _candidate_pair,
     aic_cost,
     mac_train_with_selection,
     selectable_blocks,
@@ -98,11 +98,7 @@ def _refit_score(net, block_first_layer, A_in, T, weight, m, eps_sq):
     lin_cur = net.layers[block_first_layer + 1]
     rbf_s = replace(rbf_cur.spec, out_dim=m)
     lin_s = replace(lin_cur.spec, in_dim=m)
-    fr, fl = fit_rbf_linear_pair(
-        Layer(rbf_s, LayerWeights(np.zeros(rbf_s.weight_shape))),
-        Layer(lin_s, LayerWeights(np.zeros(lin_s.weight_shape))),
-        A_in, T, weight,
-    )
+    fr, fl = fit_rbf_linear_pair(rbf_s, lin_s, A_in, T, weight)
     return _pair_score(fr, fl, A_in, T, weight, eps_sq)
 
 
@@ -201,9 +197,8 @@ class TestSelectionStep:
         net, data, Z = self._setup(rng)
         layers = list(net.layers)
         for (a, _), A, T, weight in qp_blocks(net, Z, data, 2.0):
-            pair = _candidate_pair(layers[a].spec, layers[a + 1].spec,
-                                   layers[a].spec.out_dim)
-            layers[a:a + 2] = fit_rbf_linear_pair(*pair, A, T, weight)
+            layers[a:a + 2] = fit_rbf_linear_pair(layers[a].spec, layers[a + 1].spec,
+                                                  A, T, weight)
         net = NestedNet(layers, net.placement)
         outs = block_outputs(net, Z, data.X)
         kept = list(outs)
@@ -245,6 +240,29 @@ class TestSelectionStep:
             np.testing.assert_array_equal(out.layers[first].weights.matrix, centers)
             np.testing.assert_allclose(out.layers[first + 1].weights.matrix, want,
                                        rtol=1e-12)
+
+    def test_refits_other_blocks_as_a_w_step(self, rng):
+        # a selection step is a W-step: the sigmoid block, which has no
+        # size to choose, gets w_step's refit bit for bit
+        specs = [
+            LayerSpec(LayerKind.SIGMOID_DENSE, 5, 2, ridge=1e-3),
+            LayerSpec(LayerKind.GAUSSIAN_RBF, 2, 6, rbf_width=2.0),
+            LayerSpec(LayerKind.LINEAR_DENSE, 6, 5, bias=False),
+        ]
+        net = init_weights(specs, 4, placement=[1])
+        X = rng.uniform(size=(30, 5))
+        data = Dataset(X, X)
+        Z = AuxState([rng.uniform(0.2, 0.8, size=(30, 2))])
+        assert selectable_blocks(net) == [1]
+        cfg = SelectionConfig([[3, 4]], epsilon_sq=1e-3)
+        outs, plain_outs = block_outputs(net, Z, X), block_outputs(net, Z, X)
+        out = selection_step(net, Z, data, 3.0, cfg, transient_reg=1e-4, outs=outs)
+        plain = w_step(net, Z, data, 3.0, transient_reg=1e-4, outs=plain_outs)
+        assert not np.array_equal(plain.layers[0].weights.matrix, net.layers[0].weights.matrix)
+        np.testing.assert_array_equal(out.layers[0].weights.matrix,
+                                      plain.layers[0].weights.matrix)
+        np.testing.assert_array_equal(outs[0], plain_outs[0])
+        assert out.layers[1].spec.out_dim in (3, 4, 6)
 
     def test_candidate_list_count_must_match(self, rng):
         net, data, Z = self._setup(rng)
@@ -375,10 +393,8 @@ class TestFirstBlockCenterTable:
 def test_table_entry_reproduces_the_fit_bitwise(rng, bias):
     # the entry's design and Gram matrices, the latter with the readout's
     # bias column, stand in for computing them afresh
-    rbf = Layer(LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5),
-                LayerWeights(np.zeros((8, 3))))
-    lin_spec = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=bias)
-    lin = Layer(lin_spec, LayerWeights(np.zeros(lin_spec.weight_shape)))
+    rbf = LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5)
+    lin = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=bias)
     A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
     table = {}
     fits = [fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4,
@@ -389,17 +405,30 @@ def test_table_entry_reproduces_the_fit_bitwise(rng, bias):
             np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
 
 
+def test_ridge_free_fit_stores_no_gram_matrix(rng):
+    # a ridge-free readout is solved by SVD, which reads no Gram matrix; a
+    # later ridge fit meeting the entry forms it as a fit without a table does
+    rbf = LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5)
+    lin = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, bias=True)
+    A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
+    table = {}
+    fit_rbf_linear_pair(rbf, lin, A, T, 2.0, centers_by_size=table)
+    assert table[8][1] is not None and table[8][2] is None
+    ridged = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4, centers_by_size=table)
+    fresh = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4)
+    for a, b in zip(ridged, fresh):
+        np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
+
+
 def test_block_output_reads_an_entry_only_at_its_centers(rng):
     # a block's output comes from its size's table entry only when the
     # entry holds a design matrix and the block's centers are the entry's
-    rbf = Layer(LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5),
-                LayerWeights(np.zeros((8, 3))))
-    lin_spec = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=False)
-    lin = Layer(lin_spec, LayerWeights(np.zeros(lin_spec.weight_shape)))
+    rbf = LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5)
+    lin = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=False)
     A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
     table = {}
     pair = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, centers_by_size=table)
-    other = [Layer(rbf.spec, LayerWeights(pair[0].weights.matrix + 0.5)), pair[1]]
+    other = [Layer(rbf, LayerWeights(pair[0].weights.matrix + 0.5)), pair[1]]
     for layers in (pair, other):
         np.testing.assert_array_equal(macqp.mac._block_output(layers, A, table),
                                       macqp.mac._block_output(layers, A))
@@ -542,33 +571,40 @@ class TestSharedBlockEvaluations:
         assert all(g is not None for _, g in grams)
         assert len({id(g) for _, g in grams}) == len(sizes)
 
-    def test_w_step_after_selection_reuses_its_k_means(self, monkeypatch):
+    def test_selection_is_the_w_step_of_its_iteration(self, monkeypatch):
+        # a selection step fits each selectable block once per candidate
+        # size, and the step after it is a Z-step: no W-step refits the
+        # blocks it chose at the same coordinates
         net, data, schedule, kwargs = _rbf_select_problem()
-        calls = []  # (step, number of k-means runs on coordinates inside it)
-        kmeans_fn = macqp.baselines.kmeans
+        calls = []  # [step, [(block, size) of each fit inside it]]
+        pair_fn = macqp.mac.fit_rbf_linear_pair
 
-        def counted(points, k, *args, **kw):
-            if points is not data.X:
-                calls[-1][1] += 1
-            return kmeans_fn(points, k, *args, **kw)
+        def fit(rbf_spec, lin_spec, A_in, *args, **kw):
+            calls[-1][1].append((0 if A_in is data.X else 1, rbf_spec.out_dim))
+            return pair_fn(rbf_spec, lin_spec, A_in, *args, **kw)
 
         def step(name, fn):
             def call(*args, **kw):
-                calls.append([name, 0])
+                calls.append([name, []])
                 return fn(*args, **kw)
             return call
 
-        monkeypatch.setattr(macqp.baselines, "kmeans", counted)
+        monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", fit)
         monkeypatch.setattr(macqp.mac, "w_step", step("w", macqp.mac.w_step))
+        monkeypatch.setattr(macqp.mac, "z_step", step("z", macqp.mac.z_step))
         monkeypatch.setattr(macqp.selection, "selection_step",
                             step("select", macqp.selection.selection_step))
-        mac_train(net, data, schedule, **kwargs)
-        after_selection = [c for p, c in zip(calls, calls[1:])
-                           if p[0] == "select" and c[0] == "w"]
-        after_z_step = [c for p, c in zip(calls, calls[1:]) if p[0] == "w" and c[0] == "w"]
-        assert after_selection and all(n == 0 for _, n in after_selection)
-        # a W-step that follows a Z-step clusters the moved coordinates afresh
-        assert after_z_step and all(n == 1 for _, n in after_z_step)
+        trace = mac_train(net, data, schedule, **kwargs)[2]
+        sizes = kwargs["sel_cfg"].candidates_per_block
+        want = sorted((j, m) for j, cands in enumerate(sizes) for m in cands)
+        selects = [fits for name, fits in calls if name == "select"]
+        assert len(selects) == len(trace.selection_events) > 1
+        assert all(sorted(fits) == want for fits in selects)
+        names = [name for name, _ in calls]
+        assert all(b == "z" for a, b in zip(names, names[1:]) if a == "select")
+        events = [r.event for r in trace.rows]
+        assert events.count("model_select") == len(selects)
+        assert all(b == "zstep" for a, b in zip(events, events[1:]) if a == "model_select")
 
 
 @pytest.mark.parametrize("problem", [{}, {"seed": 2, "n_val": 30}],
@@ -580,9 +616,11 @@ def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, p
     # clustered twice on the same points, stage ends included.  A size's
     # first fit and every fit on data.X start from the seed
     net, data, schedule, kwargs = _rbf_select_problem(**problem)
-    # ("w", points) per W-step; (on data.X, points, size, start, centers) per k-means run
+    # ("w", points) per W-step, selection steps included (a selecting
+    # W-step can be the first step after a restore); (on data.X, points,
+    # size, start, centers) per k-means run
     events = []
-    kmeans_fn, w_step_fn = macqp.baselines.kmeans, macqp.mac.w_step
+    kmeans_fn = macqp.baselines.kmeans
 
     def spied(points, k, *args, init=None, **kw):
         centers = kmeans_fn(points, k, *args, init=init, **kw)
@@ -590,22 +628,25 @@ def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, p
                        None if init is None else init.copy(), centers.copy()))
         return centers
 
-    def w_step(net, Z, *args, **kw):
-        events.append(("w", Z.coords[0].tobytes()))
-        return w_step_fn(net, Z, *args, **kw)
+    def spied_step(step_fn):
+        def call(net, Z, *args, **kw):
+            events.append(("w", Z.coords[0].tobytes()))
+            return step_fn(net, Z, *args, **kw)
+        return call
 
     monkeypatch.setattr(macqp.baselines, "kmeans", spied)
-    monkeypatch.setattr(macqp.mac, "w_step", w_step)
+    monkeypatch.setattr(macqp.mac, "w_step", spied_step(macqp.mac.w_step))
+    monkeypatch.setattr(macqp.selection, "selection_step",
+                        spied_step(macqp.selection.selection_step))
     trace = mac_train(net, data, schedule, **kwargs)[2]
     last = {}  # size -> centers its next fit on the coordinates starts from
     fitted = {}  # (points, size) -> centers
     warm = restored = 0
     for event in events:
         if event[0] == "w":  # after a restore, the restored fits' centers are back
-            for (points, k), centers in fitted.items():
-                if points == event[1] and not np.array_equal(last[k], centers):
-                    last[k] = centers
-                    restored += 1
+            back = {k: centers for (points, k), centers in fitted.items() if points == event[1]}
+            restored += bool(back)
+            last.update(back)
             continue
         on_x, points, k, init, centers = event
         assert (points, k) not in fitted
