@@ -51,19 +51,19 @@ class SgdConfig:
 
 @dataclass
 class CgConfig:
+    """cg_train's settings: at most ``max_iters`` iterations, and a trace
+    row every ``trace_every`` of them."""
+
     max_iters: int = 200
-    restart_every: int = 100
-    line_search: str = "backtracking"
-    gtol: float = 1e-10
     trace_every: int = 10
 
     def __post_init__(self):
-        for name in ("max_iters", "restart_every", "trace_every"):
+        for name in ("max_iters", "trace_every"):
             check_count(getattr(self, name), name, 1)
-        check_real(self.gtol, "gtol", 0)
-        if self.line_search not in ("backtracking", "cubic"):
-            raise ValueError("line_search must be 'backtracking' or 'cubic', "
-                             f"got {self.line_search!r}")
+
+
+# Polak-Ribiere CG restarts along steepest descent every this many iterations.
+CG_RESTART_EVERY = 100
 
 
 def kmeans(points, k, seed=0, iters=20, init=None):
@@ -197,21 +197,6 @@ def sgd_train(net, data, cfg, time_budget=None):
     return net, trace
 
 
-def _backtracking_search(f, x, fx, d, g, max_halvings=30):
-    """Armijo backtracking from step 1; returns (x_new, f_new) or None."""
-    slope = float(np.dot(g, d))
-    if slope >= 0:
-        return None
-    t = 1.0
-    for _ in range(max_halvings):
-        x_new = x + t * d
-        f_new = f(x_new)
-        if f_new <= fx + 1e-4 * t * slope:
-            return x_new, f_new
-        t *= 0.5
-    return None
-
-
 def _cubic_search(f, x, fx, d, g, max_steps=20):
     """Interpolating line search; steps may exceed 1.
 
@@ -243,10 +228,10 @@ def _cubic_search(f, x, fx, d, g, max_steps=20):
     return None
 
 
-def _cg_minimize(value, grad, x0, max_iters, restart_every, line_search, gtol,
-                 callback=None, time_budget=None):
-    """Polak-Ribiere nonlinear CG; the line search enforces descent."""
-    search = _cubic_search if line_search == "cubic" else _backtracking_search
+def _cg_minimize(value, grad, x0, max_iters, gtol, callback=None, time_budget=None):
+    """Polak-Ribiere nonlinear CG from x0, with _cubic_search's line search,
+    which enforces descent; it stops once the gradient norm is <= gtol.
+    Returns (x, value(x), grad(x))."""
     x = x0.copy()
     fx = value(x)
     g = grad(x)
@@ -256,7 +241,7 @@ def _cg_minimize(value, grad, x0, max_iters, restart_every, line_search, gtol,
     for it in range(1, max_iters + 1):
         if np.linalg.norm(g) <= gtol:
             break
-        res = search(value, x, fx, d, g)
+        res = _cubic_search(value, x, fx, d, g)
         if res is None:
             if np.array_equal(d, -g):
                 break  # cannot descend along steepest descent either
@@ -268,7 +253,7 @@ def _cg_minimize(value, grad, x0, max_iters, restart_every, line_search, gtol,
         x_new, f_new = res
         g_new = grad(x_new)
         beta = float(np.dot(g_new, g_new - g)) / max(float(np.dot(g, g)), 1e-300)
-        if beta < 0 or it % restart_every == 0:
+        if beta < 0 or it % CG_RESTART_EVERY == 0:
             beta = 0.0
         d = -g_new + beta * d
         x, fx, g = x_new, f_new, g_new
@@ -299,16 +284,16 @@ def cg_train(net, data, cfg, time_budget=None):
                              "cg_iter", e1_train=fx)
 
     w0 = flatten_weights(net)
-    w, fx, _ = _cg_minimize(
-        value, grad, w0, cfg.max_iters, cfg.restart_every, cfg.line_search,
-        cfg.gtol, callback=callback, time_budget=time_budget,
-    )
+    w, fx, _ = _cg_minimize(value, grad, w0, cfg.max_iters, 1e-10, callback=callback,
+                            time_budget=time_budget)
     out = unflatten_weights(template, w)
     trace.add_nested(time.perf_counter() - t0, out, data, "cg_iter", e1_train=fx)
     return out, trace
 
 
 def _check_rbf_autoencoder(net):
+    """MacqpError naming the architecture unless net is an RBF autoencoder
+    with coordinates at its coding layer only."""
     kinds = [l.spec.kind for l in net.layers]
     if kinds != [
         LayerKind.GAUSSIAN_RBF,
@@ -316,9 +301,12 @@ def _check_rbf_autoencoder(net):
         LayerKind.GAUSSIAN_RBF,
         LayerKind.LINEAR_DENSE,
     ]:
-        raise MacqpError("alternating optimization expects an RBF autoencoder")
+        raise MacqpError("alternating optimization expects an RBF autoencoder architecture "
+                         "(gaussian_rbf, linear_dense, gaussian_rbf, linear_dense), got "
+                         f"{[k.value for k in kinds]}")
     if list(net.placement) != [2]:
-        raise MacqpError("RBF autoencoder must place coordinates at the coding layer")
+        raise MacqpError("an RBF autoencoder architecture must place coordinates at the "
+                         f"coding layer only (placement [2]), got {list(net.placement)}")
 
 
 def fit_rbf_linear_pair(rbf_spec, lin_spec, A_in, T, weight, seed=0, transient_reg=0.0,
@@ -422,10 +410,7 @@ def _refit_encoder_readout(net, data, cg_steps):
         return backprop_gradient(assemble(w), sub_data)[0].ravel()
 
     w0 = sub.layers[0].weights.matrix.ravel()
-    w, _, _ = _cg_minimize(
-        value, grad, w0, cg_steps, restart_every=100,
-        line_search="backtracking", gtol=1e-12,
-    )
+    w, _, _ = _cg_minimize(value, grad, w0, cg_steps, 1e-12)
     out = net.copy()
     out.layers[1] = Layer(out.layers[1].spec, LayerWeights(w.reshape(shape).copy()))
     return out

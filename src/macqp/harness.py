@@ -16,7 +16,14 @@ import time
 import numpy as np
 
 from . import data as data_mod
-from .baselines import CgConfig, SgdConfig, alt_opt_rbf_train, cg_train, sgd_train
+from .baselines import (
+    CgConfig,
+    SgdConfig,
+    _check_rbf_autoencoder,
+    alt_opt_rbf_train,
+    cg_train,
+    sgd_train,
+)
 from .checkpoint import save_model
 from .mac import (
     AuxState,
@@ -40,7 +47,6 @@ from .model import (
     init_weights,
     nested_objective,
 )
-from .parallel import resolve_workers
 from .selection import SelectionConfig, mac_train_with_selection, selectable_blocks
 
 METHODS = ("mac", "mac_select", "sgd", "cg", "altopt")
@@ -135,7 +141,10 @@ def validate_config(cfg):
             except (TypeError, ValueError) as exc:
                 raise MacqpError(f"invalid {key} section: {exc}") from None
     if method == "mac_select":
-        _check_candidate_lists(cfg["selection"]["candidates_per_block"], specs, placement)
+        _check_candidate_lists(cfg["selection"]["candidates_per_block"],
+                               _zero_weight_net(specs, placement))
+    if method == "altopt":
+        _check_rbf_autoencoder(_zero_weight_net(specs, placement))
     if "workers" in cfg.get("parallel", {}):
         check_count(cfg["parallel"]["workers"], "parallel.workers", 1)
     for key in ("iters", "cg_steps"):
@@ -154,11 +163,15 @@ def validate_config(cfg):
         raise MacqpError(f"recon_indices must be a list, got {cfg['recon_indices']!r}")
 
 
-def _check_candidate_lists(cands, specs, placement):
-    """One candidate list per block that selection can resize."""
-    # the rule reads the specs and placement only; zero weights make the net
-    net = NestedNet([Layer(s, LayerWeights(np.zeros(s.weight_shape))) for s in specs],
-                    placement)
+def _zero_weight_net(specs, placement):
+    """The architecture's net with zero weights, for the load-time rules
+    that read only its specs and placement."""
+    return NestedNet([Layer(s, LayerWeights(np.zeros(s.weight_shape))) for s in specs],
+                     placement)
+
+
+def _check_candidate_lists(cands, net):
+    """One candidate list per block of ``net`` that selection can resize."""
     count = len(selectable_blocks(net))
     if len(cands) != count:
         raise MacqpError(
@@ -302,7 +315,7 @@ def run_experiment(cfg):
     dataset = build_dataset(cfg)
     specs, placement = build_architecture(cfg)
     _check_recon_settings(cfg, dataset.n, specs[-1].out_dim)
-    workers = resolve_workers(cfg.get("parallel", {}).get("workers", 1))
+    workers = cfg.get("parallel", {}).get("workers", 1)
     time_budget = cfg.get("time_budget")
 
     net = init_weights(specs, cfg.get("seed", 0), placement=placement)

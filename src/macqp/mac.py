@@ -57,24 +57,30 @@ class AuxState:
         return self.coords[0].shape[0] if self.coords else 0
 
 
+# The penalty path: mu starts at MU0 and is multiplied by MU_GROWTH at each
+# stage.  While mu <= REG_DROP_MU, non-RBF layers carry the extra ridge
+# TRANSIENT_REG; after that it is 0.
+MU0 = 1.0
+MU_GROWTH = 10.0
+REG_DROP_MU = 1e4
+TRANSIENT_REG = 1e-4
+
+
 @dataclass
 class PenaltySchedule:
-    mu0: float = 1.0
-    growth: float = 10.0
+    """When a mu stage ends: once its signal changes by less than
+    ``stage_tolerance`` (relative) or after ``max_iters_per_stage`` W/Z
+    iterations; the path runs at most ``max_stages`` stages."""
+
     stage_tolerance: float = 1e-2
     max_stages: int = 9
-    reg_drop_threshold: float = 1e4
-    transient_reg: float = 1e-4
     max_iters_per_stage: int = 50
 
     def __post_init__(self):
-        for name in ("mu0", "growth", "stage_tolerance", "reg_drop_threshold", "transient_reg"):
-            check_real(getattr(self, name), name, 0)
-        # written so that NaN fails every test
-        if not (self.mu0 > 0 and self.stage_tolerance > 0):
-            raise ValueError("mu0 and stage_tolerance must be positive")
-        if not self.growth > 1:
-            raise ValueError("growth must exceed 1")
+        check_real(self.stage_tolerance, "stage_tolerance", 0)
+        # written so that NaN fails
+        if not self.stage_tolerance > 0:
+            raise ValueError("stage_tolerance must be positive")
         check_count(self.max_stages, "max_stages", 0)
         check_count(self.max_iters_per_stage, "max_iters_per_stage", 1)
 
@@ -662,12 +668,14 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
               sel_cfg=None):
     """Alternating W/Z optimization along the growing-penalty path.
 
-    With a validation split, iterations within each mu stage run until
-    the validation nested error increases or changes by less than the
-    stage tolerance, and the best iterate seen in the stage is kept.
-    Without one, each stage runs until the penalty objective stalls;
-    the nested error is expected to rise transiently while feasibility
-    is enforced, so it is not used as an exit signal.  With ``sel_cfg``
+    mu runs MU0, MU0 * MU_GROWTH, ... over at most ``schedule.max_stages``
+    stages, and the transient ridge TRANSIENT_REG holds while mu <=
+    REG_DROP_MU.  With a validation split, iterations within each mu
+    stage run until the validation nested error increases or changes by
+    less than the stage tolerance, and the best iterate seen in the stage
+    is kept.  Without one, each stage runs until the penalty objective
+    stalls; the nested error is expected to rise transiently while
+    feasibility is enforced, so it is not used as an exit signal.  With ``sel_cfg``
     given, W-step k (counted from 0 across stages) is a selection step
     when k > 0 and k % ``sel_cfg.cadence`` == 0: a W-step that also
     chooses the size of each selectable block (selection_step).  Its row's
@@ -702,8 +710,8 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
         from .selection import aic_cost, selection_step
 
     t0 = time.perf_counter()
-    mu = schedule.mu0
-    transient = schedule.transient_reg
+    mu = MU0
+    transient = TRANSIENT_REG
     it = 0
     wsteps = 0  # W-steps taken, across stages
     stop = False
@@ -814,8 +822,8 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
                        in zip(slices, [data.X] + list(Z.coords), tables)]
         if stop or stage == schedule.max_stages - 1:
             break
-        mu *= schedule.growth
-        if mu > schedule.reg_drop_threshold:
+        mu *= MU_GROWTH
+        if mu > REG_DROP_MU:
             transient = 0.0
         it += 1
         row = record("mu_increase")

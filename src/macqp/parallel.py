@@ -29,15 +29,6 @@ def parse_worker_count(text, name):
     return value
 
 
-def resolve_workers(requested):
-    """Worker count, honoring the MAC_WORKERS environment override."""
-    env = os.environ.get("MAC_WORKERS")
-    if env is None:
-        check_count(requested, "parallel.workers", 1)
-        return requested
-    return parse_worker_count(env, "MAC_WORKERS")
-
-
 def parallel_map(tasks, workers):
     """Run zero-argument tasks and return their results in index order.
 
@@ -89,14 +80,12 @@ def speedup_bench(config, worker_counts, base_output_dir=None):
     correctness gate is checkpoint equality across worker counts, checked
     here by hash; a mismatch is an error.
     """
-    from . import harness  # deferred: harness imports this module
+    from . import harness  # deferred: harness imports mac, which imports this module
 
     rows = []
     digests = set()
-    for idx, w in enumerate(worker_counts):
-        cfg = dict(config)
-        cfg.setdefault("parallel", {})
-        cfg = harness.override_workers(cfg, w)
+    for w in worker_counts:
+        cfg = harness.override_workers(config, w)
         if base_output_dir is not None:
             cfg["output_dir"] = os.path.join(base_output_dir, f"workers_{w}")
         t0 = time.perf_counter()

@@ -336,7 +336,7 @@ def test_criterion_8_budget_comparison(capsys, desk_net, desk_data):
     mac_e1 = nested_objective(mac_net, desk_data)
     cg_net, _ = cg_train(
         desk_net, desk_data,
-        CgConfig(max_iters=10**9, line_search="cubic", trace_every=5),
+        CgConfig(max_iters=10**9, trace_every=5),
         time_budget=budget,
     )
     cg_e1 = nested_objective(cg_net, desk_data)
@@ -413,7 +413,7 @@ def test_criterion_10_baseline_kernels(capsys):
         data = Dataset(X, Y)
         out, _ = cg_train(
             net, data,
-            CgConfig(max_iters=d_out * (d_in + 1), gtol=1e-10, line_search="cubic"),
+            CgConfig(max_iters=d_out * (d_in + 1)),
         )
         grad = np.concatenate([g.ravel() for g in backprop_gradient(out, data)])
         assert np.linalg.norm(grad) <= 1e-8

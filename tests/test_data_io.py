@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -21,6 +22,7 @@ from macqp.data import (
 from macqp.harness import run_experiment, validate_config
 from macqp.mac import TRACE_HEADER
 from macqp.model import (
+    ConfigError,
     Dataset,
     DimensionMismatchError,
     Layer,
@@ -409,17 +411,28 @@ class TestHarness:
         with pytest.raises(MacqpError, match=r"unknown config keys in config: \['step'\]"):
             validate_config(cfg)
 
+    # the penalty path, CG's line search, restart period and tolerance are constants
+    @pytest.mark.parametrize("section, key, value", [
+        ("schedule", "mu0", 1.0),
+        ("schedule", "growth", 10.0),
+        ("schedule", "reg_drop_threshold", 1e4),
+        ("schedule", "transient_reg", 1e-4),
+        ("cg", "line_search", "cubic"),
+        ("cg", "gtol", 1e-10),
+        ("cg", "restart_every", 100),
+    ])
+    def test_removed_keys_rejected_as_unknown(self, tmp_path, section, key, value):
+        cfg = _mac_config(tmp_path)
+        cfg[section] = {key: value}
+        with pytest.raises(MacqpError, match=rf"unknown config keys in {section}: \['{key}'\]"):
+            validate_config(cfg)
+
     @pytest.mark.parametrize("section, values", [
-        ("schedule", {"growth": 0.5}),
-        ("schedule", {"growth": "ten"}),
         ("schedule", {"max_iters_per_stage": 0}),
-        ("schedule", {"reg_drop_threshold": -1.0}),
-        ("schedule", {"reg_drop_threshold": float("nan")}),
-        ("schedule", {"reg_drop_threshold": True}),
-        ("schedule", {"reg_drop_threshold": "x"}),
+        ("schedule", {"stage_tolerance": float("nan")}),
+        ("schedule", {"stage_tolerance": 0}),
         ("selection", {"epsilon_sq": 1e-3}),
         ("sgd", {"minibatch": 0}),
-        ("cg", {"line_search": "exact"}),
         *[("selection", dict(_GOOD_SELECTION, candidates_per_block=c))
           for c in ("abc", [[0, 5]], [[-3, 5]], [[2.5, 5]], [[]], [[5, 2]], [[True]])],
         ("selection", dict(_GOOD_SELECTION, epsilon_sq=float("nan"))),
@@ -433,11 +446,7 @@ class TestHarness:
         ("sgd", {"learning_rate": float("nan")}),
         ("cg", {"max_iters": 0}),
         ("cg", {"max_iters": 2.5}),
-        ("cg", {"restart_every": 0}),
         ("cg", {"trace_every": 0}),
-        ("cg", {"gtol": float("nan")}),
-        ("cg", {"gtol": float("inf")}),
-        ("cg", {"gtol": -1.0}),
     ])
     def test_invalid_section_values_rejected_at_load(self, tmp_path, section, values):
         cfg = _mac_config(tmp_path)
@@ -500,10 +509,32 @@ class TestHarness:
         assert [r.event for r in res["trace"].rows] == ["altopt_iter"] * 2
         assert np.isfinite(res["e1_train"])
 
-    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+    def test_altopt_architecture_checked_before_any_data(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import macqp.harness
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("dataset built")
+
+        monkeypatch.setattr(macqp.harness, "build_dataset", no_data)
+        cfg = dict(_mac_config(tmp_path / "run"), method="altopt")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alternating optimization expects an RBF autoencoder "
+                              "architecture")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True, None])
     def test_invalid_worker_count_rejected(self, tmp_path, workers):
         with pytest.raises(MacqpError, match="parallel.workers"):
             validate_config(_mac_config(tmp_path, workers=workers))
+
+    def test_worker_count_error_is_a_config_error_quoting_the_value(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            validate_config(_mac_config(tmp_path, workers=0))
+        assert str(err.value) == "parallel.workers must be an integer >= 1, got 0"
 
     @pytest.mark.parametrize("key, value, match", [
         ("recon_indices", [0, 40], "recon_indices"),
@@ -643,7 +674,7 @@ class TestCli:
 
     def test_train_rejects_bad_schedule_value(self, tmp_path, capsys):
         cfg = _mac_config(tmp_path / "run")
-        cfg["schedule"]["growth"] = 0.5
+        cfg["schedule"]["stage_tolerance"] = 0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["train", "--config", str(cfg_path)]) == 1
@@ -661,8 +692,8 @@ class TestCli:
         (lambda c: c.update(time_budget="x"),
          "time_budget must be a finite number >= 0, got 'x'"),
         # integers too large for a float
-        (lambda c: c["schedule"].update(mu0=10**399),
-         "invalid schedule section: mu0 must be a finite number >= 0, got 1000"),
+        (lambda c: c["schedule"].update(stage_tolerance=10**399),
+         "invalid schedule section: stage_tolerance must be a finite number >= 0, got 1000"),
         (lambda c: c["architecture"]["layers"][0].update(ridge=10**399),
          "architecture.layers[0].ridge must be a finite number >= 0, got 1000"),
     ])
@@ -726,3 +757,13 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"method": "warp"}))
         assert cli_main(["train", "--config", str(cfg_path)]) == 1
+
+
+def test_readme_configs_are_valid():
+    # every fenced JSON block of README.md is a config that loads
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```json\n(.*?)^```$", fh.read(), re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        validate_config(json.loads(block))

@@ -1,5 +1,7 @@
 """Penalized objective, alternating W/Z steps and the penalty-path driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from conftest import (
     slow_z_step,
 )
 from macqp.mac import (
+    MU0,
+    MU_GROWTH,
+    REG_DROP_MU,
+    TRANSIENT_REG,
     Z_TILE,
     AuxState,
     PenaltySchedule,
@@ -1035,14 +1041,34 @@ class TestBatchedWStep:
 class TestPenaltySchedule:
     @pytest.mark.parametrize("bad", [
         {"max_iters_per_stage": 0}, {"max_iters_per_stage": 2.0},
-        {"reg_drop_threshold": -1.0}, {"reg_drop_threshold": float("nan")},
-        {"reg_drop_threshold": True}, {"reg_drop_threshold": "x"},
-        {"growth": 0.5}, {"mu0": float("nan")}, {"max_stages": -1},
+        {"stage_tolerance": float("nan")}, {"stage_tolerance": 0.0}, {"max_stages": -1},
     ])
     def test_invalid_values_rejected(self, bad):
         # the message names the key
         with pytest.raises(ValueError, match=next(iter(bad))):
             PenaltySchedule(**bad)
+
+    def test_three_fields(self):
+        names = [f.name for f in dataclasses.fields(PenaltySchedule)]
+        assert names == ["stage_tolerance", "max_stages", "max_iters_per_stage"]
+
+    def test_path_constants(self):
+        assert (MU0, MU_GROWTH, REG_DROP_MU, TRANSIENT_REG) == (1.0, 10.0, 1e4, 1e-4)
+
+    def test_transient_ridge_held_while_mu_at_most_reg_drop_mu(self, rng, monkeypatch):
+        seen = []
+        w_step_fn = macqp.mac.w_step
+
+        def spy(net, Z, data, mu, transient_reg=0.0, **kwargs):
+            seen.append((mu, transient_reg))
+            return w_step_fn(net, Z, data, mu, transient_reg=transient_reg, **kwargs)
+
+        monkeypatch.setattr(macqp.mac, "w_step", spy)
+        net = sigmoid_autoencoder((5, 3, 5), seed=1)
+        X = rng.uniform(size=(12, 5))
+        mac_train(net, Dataset(X, X), PenaltySchedule(max_stages=6, max_iters_per_stage=1))
+        assert sorted(set(seen)) == [(1.0, 1e-4), (10.0, 1e-4), (100.0, 1e-4),
+                                     (1e3, 1e-4), (1e4, 1e-4), (1e5, 0.0)]
 
 
 class TestResidualsAndMultipliers:

@@ -8,9 +8,10 @@ import pytest
 
 import macqp.mac
 from conftest import sigmoid_autoencoder
+from macqp.harness import run_experiment
 from macqp.mac import AuxState, _z_tile, lift_to_feasible, w_step, z_step
-from macqp.model import ConfigError, Dataset, MacqpError
-from macqp.parallel import parallel_map, resolve_workers
+from macqp.model import Dataset, MacqpError
+from macqp.parallel import parallel_map, speedup_bench
 
 
 class TestParallelMap:
@@ -75,36 +76,51 @@ class TestParallelMap:
         assert len(names) <= workers
 
 
-class TestConfig:
-    def test_invalid_workers_rejected(self, monkeypatch):
-        monkeypatch.delenv("MAC_WORKERS", raising=False)
-        for bad in (0, -3, 1.5, "2", True, None):
-            with pytest.raises(MacqpError, match="parallel.workers"):
-                resolve_workers(bad)
+def _spy_z_step_workers(monkeypatch):
+    """The ``workers`` argument of each mac.z_step call, in call order."""
+    seen = []
+    z_step_fn = macqp.mac.z_step
 
-    def test_invalid_env_workers_rejected(self, monkeypatch):
-        for bad in ("0", "-1", "2.5", "four", ""):
-            monkeypatch.setenv("MAC_WORKERS", bad)
-            with pytest.raises(MacqpError, match="MAC_WORKERS"):
-                resolve_workers(2)
+    def spy(*args, workers=1, **kwargs):
+        seen.append(workers)
+        return z_step_fn(*args, workers=workers, **kwargs)
 
-    def test_errors_are_config_errors_quoting_the_value(self, monkeypatch):
-        monkeypatch.delenv("MAC_WORKERS", raising=False)
-        with pytest.raises(ConfigError) as err:
-            resolve_workers(0)
-        assert str(err.value) == "parallel.workers must be an integer >= 1, got 0"
-        monkeypatch.setenv("MAC_WORKERS", " four ")
-        with pytest.raises(ConfigError) as err:
-            resolve_workers(2)
-        assert str(err.value) == "MAC_WORKERS must be an integer >= 1, got 'four'"
-        monkeypatch.setenv("MAC_WORKERS", " 3 ")
-        assert resolve_workers(2) == 3
+    monkeypatch.setattr(macqp.mac, "z_step", spy)
+    return seen
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MAC_WORKERS", "6")
-        assert resolve_workers(2) == 6
-        monkeypatch.delenv("MAC_WORKERS")
-        assert resolve_workers(2) == 2
+
+def _small_mac_config(**extra):
+    return dict({
+        "method": "mac",
+        "dataset": {"synth": {"n": 40, "ambient_dim": 8, "intrinsic_dim": 1}},
+        "architecture": {"layers": [
+            {"kind": "sigmoid_dense", "in_dim": 8, "out_dim": 2},
+            {"kind": "linear_dense", "in_dim": 2, "out_dim": 8},
+        ]},
+        "schedule": {"max_stages": 1, "max_iters_per_stage": 2},
+    }, **extra)
+
+
+class TestWorkerCount:
+    # the environment does not set the worker count: MAC_WORKERS, once an
+    # override, is not read, whatever it holds
+    @pytest.mark.parametrize("env", ["1", "0", "four"])
+    def test_run_uses_configured_workers(self, tmp_path, monkeypatch, env):
+        monkeypatch.setenv("MAC_WORKERS", env)
+        seen = _spy_z_step_workers(monkeypatch)
+        run_experiment(_small_mac_config(output_dir=str(tmp_path), parallel={"workers": 2}))
+        assert seen and set(seen) == {2}
+
+
+class TestSpeedupBench:
+    def test_runs_each_requested_worker_count(self, tmp_path, monkeypatch):
+        # the environment does not set the worker count: MAC_WORKERS is not read
+        monkeypatch.setenv("MAC_WORKERS", "1")
+        seen = _spy_z_step_workers(monkeypatch)
+        rows = speedup_bench(_small_mac_config(), [1, 2, 3], base_output_dir=str(tmp_path))
+        assert [r[0] for r in rows] == [1, 2, 3]
+        per_run = len(seen) // 3
+        assert per_run > 0 and seen == [w for w in (1, 2, 3) for _ in range(per_run)]
 
 
 class TestStepDeterminism:

@@ -128,7 +128,7 @@ _BASE = {
     "selection": {"candidates_per_block": [[2, 4]], "epsilon_sq": 1e-4},
     "parallel": {"workers": 1},
     "sgd": {"minibatch": 10},
-    "cg": {"line_search": "cubic"},
+    "cg": {"max_iters": 50},
     "altopt": {"iters": 2, "cg_steps": 3},
     "recon_indices": [0],
 }

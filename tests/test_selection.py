@@ -368,7 +368,6 @@ class TestFirstBlockCenterTable:
                 return pair_fn(*args, **dict(kwargs, centers_by_size=None))
 
             monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", without_table)
-            monkeypatch.setattr(macqp.selection, "fit_rbf_linear_pair", without_table)
         out, Z, trace = mac_train(net, data, schedule, sel_cfg=sel_cfg,
                                   z_init=AuxState([pca_embed(data.X, 2)]))
         monkeypatch.undo()
