@@ -28,6 +28,7 @@ from .model import (
     check_real,
     flatten_weights,
     forward_all,
+    layer_apply,
     nested_objective,
     net_axpy,
     unflatten_weights,
@@ -312,48 +313,44 @@ def _check_rbf_autoencoder(net):
 def fit_rbf_linear_pair(rbf_spec, lin_spec, A_in, T, weight, seed=0, transient_reg=0.0,
                         centers_by_size=None):
     """Two-stage fit of a Gaussian-RBF layer plus its linear readout, of
-    the layer specs ``rbf_spec`` and ``lin_spec``.
+    the layer specs ``rbf_spec`` and ``lin_spec``; returns the two layers
+    and their output at A_in.
 
     Centers come from k-means on the inputs (the inputs themselves when
     the center count matches), the readout from ridge least squares:
     it minimizes weight/2 * |T - readout|^2 + (ridge + transient_reg) *
-    |readout weights|^2.  ``centers_by_size`` is an optional
-    {center count: (centers, design matrix, Gram matrix)} table of
-    earlier fits on these same inputs with this seed, width and readout
-    bias; a size found there skips k-means, the design matrix and the
-    Gram matrix of the readout's features (the design matrix, with a bias
-    column if the readout has one), and a size computed here replaces its
-    entry.  A ridge-free readout (lam = 0) reads no Gram matrix, so its
-    fit stores None there; a later ridge fit meeting such an entry has
-    ridge_lsq form it.  An entry (centers, None, None) holds only the
-    centers of a fit on earlier inputs: k-means at its size starts from
-    them.  The design matrix is the RBF layer's output at A_in and gets
-    layer_apply's checks when it is made, so an entry can stand in for it.
+    |readout weights|^2.  ``centers_by_size`` is an optional {center
+    count: (inputs, centers, design matrix, Gram matrix)} table of earlier
+    fits with this seed, width and readout bias; an entry holds its inputs
+    by reference, so they must not change in place.  An entry made at A_in
+    (the same array or an equal one) skips k-means, the design matrix (the RBF layer's output)
+    and the Gram matrix of the readout's features (the design matrix,
+    with a bias column if the readout has one); any other entry starts
+    k-means at its size from its centers, and the fit replaces it.  A
+    ridge-free readout (lam = 0) reads no Gram matrix, so its entry stores
+    None there; a later ridge fit meeting it has ridge_lsq form it.
     """
     m = rbf_spec.out_dim
     bias = lin_spec.bias
     lam = 2.0 * (lin_spec.ridge + transient_reg) / weight if weight > 0 else 0.0
     entry = None if centers_by_size is None else centers_by_size.get(m)
-    if entry is None or entry[1] is None:
-        init = None if entry is None else entry[0]
+    if entry is None or not (entry[0] is A_in or np.array_equal(entry[0], A_in)):
+        init = None if entry is None else entry[1]
         centers = kmeans(A_in, m, seed=seed, init=init)
         Layer(rbf_spec, LayerWeights(centers))  # raises unless A_in has the layer's width
         phi = rbf_design(A_in, centers, rbf_spec.rbf_width)
         if not np.all(np.isfinite(phi)):
             raise NonFiniteError("non-finite RBF design matrix")
         phi_full = add_bias_col(phi) if bias else phi
-        entry = (centers, phi, phi_full.T @ phi_full if lam > 0 else None)
+        entry = (A_in, centers, phi, phi_full.T @ phi_full if lam > 0 else None)
         if centers_by_size is not None:
             centers_by_size[m] = entry
     else:
-        phi_full = add_bias_col(entry[1]) if bias else entry[1]
-    centers, _, gram = entry
-    W_lin = ridge_lsq(phi_full, T, lam, gram=gram).T
-    return (
-        # a copy, so that no layer shares its matrix with a table entry
-        Layer(rbf_spec, LayerWeights(centers.copy())),
-        Layer(lin_spec, LayerWeights(W_lin)),
-    )
+        phi_full = add_bias_col(entry[2]) if bias else entry[2]
+    _, centers, phi, gram = entry
+    lin = Layer(lin_spec, LayerWeights(ridge_lsq(phi_full, T, lam, gram=gram).T))
+    # a copy, so that no layer shares its matrix with a table entry
+    return [Layer(rbf_spec, LayerWeights(centers.copy())), lin], layer_apply(lin, phi)
 
 
 def alt_opt_rbf_train(net, data, iters, cg_steps=10, seed=0, time_budget=None):
@@ -374,7 +371,7 @@ def alt_opt_rbf_train(net, data, iters, cg_steps=10, seed=0, time_budget=None):
     record("altopt_iter")
     for _ in range(iters):
         codes = forward_all(net, data.X)[1]
-        dec_rbf, dec_lin = fit_rbf_linear_pair(
+        (dec_rbf, dec_lin), _ = fit_rbf_linear_pair(
             net.layers[2].spec, net.layers[3].spec, codes, data.Y, weight=1.0, seed=seed
         )
         net = NestedNet([net.layers[0], net.layers[1], dec_rbf, dec_lin], [2])

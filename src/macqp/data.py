@@ -150,15 +150,16 @@ def _load_csv(path):
     return Dataset(arr[:, :d], arr[:, d:])
 
 
+def check_format(fmt, key="dataset format"):
+    """MacqpError naming ``key`` unless load_dataset reads format fmt."""
+    if fmt not in ("csv", "f64bin"):
+        raise MacqpError(f"{key} must be 'csv' or 'f64bin', got {fmt!r}")
+
+
 def load_dataset(path, fmt):
     """Read a dataset from disk; entries are validated finite."""
-    if fmt == "f64bin":
-        ds = _load_f64bin(path)
-    elif fmt == "csv":
-        ds = _load_csv(path)
-    else:
-        raise MacqpError(f"unknown dataset format {fmt!r}")
-    return ds
+    check_format(fmt)
+    return _load_csv(path) if fmt == "csv" else _load_f64bin(path)
 
 
 def synth_manifold_dataset(n, ambient_dim, intrinsic_dim, noise, seed, n_val=0):

@@ -28,6 +28,8 @@ from .checkpoint import save_model
 from .mac import (
     AuxState,
     PenaltySchedule,
+    block_slices,
+    check_block,
     lift_to_feasible,
     mac_train,
     postprocess,
@@ -106,8 +108,8 @@ def _check_section(value, key):
 def validate_config(cfg):
     """Raise MacqpError, naming the key, unless cfg describes a runnable
     experiment: keys, value types and ranges, the layer specs, how they
-    chain and the placement are all checked here, before any data is
-    loaded or generated."""
+    chain, the placement and (for mac) its blocks, the dataset format and
+    synthetic data's widths are checked here, before any data is made."""
     _check_section(cfg, "config")
     _check_keys(cfg, _TOP_KEYS, "config")
     method = cfg.get("method")
@@ -118,14 +120,21 @@ def validate_config(cfg):
     ds = cfg["dataset"]
     _check_section(ds, "dataset")
     _check_keys(ds, _DATASET_KEYS, "dataset")
+    specs, placement = build_architecture(cfg)
     if "synth" in ds:
-        _synth_args(ds["synth"])
+        # synthetic targets equal the inputs
+        width = _synth_args(ds["synth"])["ambient_dim"]
+        _check_data_widths((width, width), specs, "dataset.synth.ambient_dim")
     else:
         if "path" not in ds or "format" not in ds:
             raise MacqpError("dataset needs either 'synth' or 'path' + 'format'")
+        data_mod.check_format(ds["format"], "dataset.format")
         if not isinstance(ds["path"], str) or not os.path.exists(ds["path"]):
             raise MacqpError(f"dataset file not found: {ds['path']!r}")
-    specs, placement = build_architecture(cfg)
+    if method in ("mac", "mac_select"):
+        net = _zero_weight_net(specs, placement)
+        for sl in block_slices(net):
+            check_block(net, sl)
     if method == "mac_select" and "selection" not in cfg:
         raise MacqpError("mac_select requires a 'selection' section")
     for key, allowed in (("parallel", _PARALLEL_KEYS), ("altopt", _ALTOPT_KEYS)):
@@ -141,8 +150,7 @@ def validate_config(cfg):
             except (TypeError, ValueError) as exc:
                 raise MacqpError(f"invalid {key} section: {exc}") from None
     if method == "mac_select":
-        _check_candidate_lists(cfg["selection"]["candidates_per_block"],
-                               _zero_weight_net(specs, placement))
+        _check_candidate_lists(cfg["selection"]["candidates_per_block"], net)
     if method == "altopt":
         _check_rbf_autoencoder(_zero_weight_net(specs, placement))
     if "workers" in cfg.get("parallel", {}):
@@ -161,6 +169,16 @@ def validate_config(cfg):
     # their entries are checked against the dataset once it is loaded
     if not isinstance(cfg.get("recon_indices", []), list):
         raise MacqpError(f"recon_indices must be a list, got {cfg['recon_indices']!r}")
+
+
+def _check_data_widths(widths, specs, source):
+    """MacqpError naming ``source`` and the layer key unless data whose
+    inputs and targets have ``widths`` fit the architecture."""
+    keys = ("architecture.layers[0].in_dim", f"architecture.layers[{len(specs) - 1}].out_dim")
+    for what, width, key, dim in zip(("inputs", "targets"), widths, keys,
+                                     (specs[0].in_dim, specs[-1].out_dim)):
+        if width != dim:
+            raise MacqpError(f"{source}: the {what} have width {width}, but {key} is {dim}")
 
 
 def _zero_weight_net(specs, placement):
@@ -310,11 +328,13 @@ def _check_recon_settings(cfg, n, out_dim):
 def run_experiment(cfg):
     """Run one configured experiment; returns paths and final errors."""
     cfg = load_config(cfg)
-    out_dir = cfg.get("output_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     dataset = build_dataset(cfg)
     specs, placement = build_architecture(cfg)
+    _check_data_widths((dataset.X.shape[1], dataset.Y.shape[1]), specs,
+                       cfg["dataset"].get("path", "dataset"))
     _check_recon_settings(cfg, dataset.n, specs[-1].out_dim)
+    out_dir = cfg.get("output_dir", ".")
+    os.makedirs(out_dir, exist_ok=True)
     workers = cfg.get("parallel", {}).get("workers", 1)
     time_budget = cfg.get("time_budget")
 

@@ -115,25 +115,12 @@ def block_outputs(net, Z, X):
             for (a, b), A in zip(block_slices(net), [X] + list(Z.coords))]
 
 
-def _block_output(layers, A_in, table=None, start=None):
-    """The output of a block's layers at inputs A_in.
-
-    ``table`` is the block's {size: (centers, design matrix, Gram
-    matrix)} table of RBF fits (see fit_rbf_linear_pair).  If the first
-    layer is an RBF layer whose centers are its size's entry there, and
-    the entry was made at A_in (it has a design matrix), that design
-    matrix is its output.  ``start``, the net's index of the first layer,
-    numbers the layers in error messages.
-    """
-    out, skip = A_in, 0
-    first = layers[0]
-    if table and first.spec.kind == LayerKind.GAUSSIAN_RBF:
-        entry = table.get(first.spec.out_dim)
-        if (entry is not None and entry[1] is not None
-                and np.array_equal(entry[0], first.weights.matrix)):
-            out, skip = entry[1], 1
-    for i in range(skip, len(layers)):
-        out = layer_apply(layers[i], out, index=None if start is None else start + i + 1)
+def _block_output(layers, A_in, start=None):
+    """The output of a block's layers at inputs A_in.  ``start``, the
+    net's index of the first layer, numbers the layers in error messages."""
+    out = A_in
+    for i, layer in enumerate(layers):
+        out = layer_apply(layer, out, index=None if start is None else start + i + 1)
     return out
 
 
@@ -335,11 +322,6 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
     return Layer(layer.spec, LayerWeights(W))
 
 
-def _fit_linear_layer(layer, A_in, T, weight, lam):
-    phi = add_bias_col(A_in) if layer.spec.bias else A_in
-    return Layer(layer.spec, LayerWeights(ridge_lsq(phi, T, 2.0 * lam / weight).T))
-
-
 def _block_objective(layers, A_in, T, weight, transient_reg, out=None):
     """One block's part of E_Q: the weighted misfit of its layers' output
     to T at inputs A_in, plus their ridge and transient weight penalties.
@@ -358,31 +340,41 @@ def _block_objective(layers, A_in, T, weight, transient_reg, out=None):
     return val
 
 
+def check_block(net, sl):
+    """MacqpError unless fit_block has a solver for the block of net's
+    layers sl: one sigmoid_dense or linear_dense layer, or a gaussian_rbf
+    layer and its linear_dense readout."""
+    kinds = [l.spec.kind.value for l in net.layers[sl[0] : sl[1]]]
+    if kinds not in (["sigmoid_dense"], ["linear_dense"], ["gaussian_rbf", "linear_dense"]):
+        raise MacqpError(f"architecture.placement {list(net.placement)} makes layers "
+                         f"{sl[0] + 1}..{sl[1]} one block, of layer structure {kinds}, which "
+                         "has no block solver: a block is one sigmoid_dense or linear_dense "
+                         "layer, or gaussian_rbf followed by linear_dense")
+
+
 def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None):
     """Refit one inter-boundary block to targets T at fixed inputs.
 
-    Returns replacement layers; the caller is responsible for rejecting a
-    refit that increases its part of the objective (possible only for the
-    k-means-based RBF path).  ``centers_by_size`` is the {size: (centers,
-    design matrix, Gram matrix)} table of an RBF block (see
-    fit_rbf_linear_pair).
+    Returns the replacement layers and their output at A_in; the caller
+    is responsible for rejecting a refit that increases its part of the
+    objective (possible only for the k-means-based RBF path).
+    ``centers_by_size`` is an RBF block's table of fits (see
+    fit_rbf_linear_pair), whose entries hold A_in by reference: it must
+    not change in place.
     """
+    check_block(net, sl)
     layers = net.layers[sl[0] : sl[1]]
-    kinds = [l.spec.kind for l in layers]
-    if kinds == [LayerKind.SIGMOID_DENSE]:
-        lam = layers[0].spec.ridge + transient_reg
-        return [_fit_sigmoid_layer(layers[0], A_in, T, weight, lam)]
-    if kinds == [LayerKind.LINEAR_DENSE]:
-        lam = layers[0].spec.ridge + transient_reg
-        return [_fit_linear_layer(layers[0], A_in, T, weight, lam)]
-    if kinds == [LayerKind.GAUSSIAN_RBF, LayerKind.LINEAR_DENSE]:
-        return list(
-            fit_rbf_linear_pair(layers[0].spec, layers[1].spec, A_in, T, weight,
-                                transient_reg=transient_reg, centers_by_size=centers_by_size)
-        )
-    raise MacqpError(
-        f"no block solver for layer structure {[k.value for k in kinds]}"
-    )
+    first = layers[0]
+    if first.spec.kind == LayerKind.GAUSSIAN_RBF:
+        return fit_rbf_linear_pair(first.spec, layers[1].spec, A_in, T, weight,
+                                   transient_reg=transient_reg, centers_by_size=centers_by_size)
+    lam = first.spec.ridge + transient_reg
+    if first.spec.kind == LayerKind.SIGMOID_DENSE:
+        layer = _fit_sigmoid_layer(first, A_in, T, weight, lam)
+    else:
+        phi = add_bias_col(A_in) if first.spec.bias else A_in
+        layer = Layer(first.spec, LayerWeights(ridge_lsq(phi, T, 2.0 * lam / weight).T))
+    return [layer], layer_apply(layer, A_in, index=sl[0] + 1)
 
 
 def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidates=None,
@@ -396,14 +388,13 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
     that fails is skipped, and it keeps its weights unless a fit scores
     strictly lower on its part of E_Q plus 2 * epsilon_sq * (its parameter
     count).  The step thus also chooses their sizes, as selection_step.
+    Each fit is scored from the output it returns, as it is made.
 
     ``outs``, if given, is block_outputs(net, Z, data.X): the current
     blocks are scored from it, and each accepted fit's output replaces
-    its block's entry in place.  ``tables``, if given, holds one {size:
-    (centers, design matrix, Gram matrix)} table per block of RBF fits
-    (see fit_rbf_linear_pair).  A fit or output at a size whose entry was
-    made at the block's current inputs reuses it; a fit at any other size
-    makes its entry, starting k-means from a centers-only entry's centers.
+    its block's entry in place.  ``tables``, if given, holds each block's
+    table of RBF fits (see fit_rbf_linear_pair), whose entries hold the
+    block's inputs by reference: they must not change in place.
     """
     candidates = candidates or {}
     new_layers = list(net.layers)
@@ -418,26 +409,23 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
                     + 2.0 * eps * params)
 
         best = score(net.layers[sl[0] : sl[1]], None if outs is None else outs[j])
-        if sizes is None:
-            fits = [fit_block(net, sl, A, T, weight, transient_reg=transient_reg,
-                              centers_by_size=table)]
-        else:
-            rbf, lin = (l.spec for l in net.layers[sl[0] : sl[1]])
-            fits = []
-            for m in sizes:
+        kept = None
+        for m in [None] if sizes is None else sizes:
+            if m is None:
+                fit = fit_block(net, sl, A, T, weight, transient_reg=transient_reg,
+                                centers_by_size=table)
+            else:
                 try:
-                    fits.append(fit_rbf_linear_pair(
-                        replace(rbf, out_dim=m), replace(lin, in_dim=m), A, T, weight,
-                        transient_reg=transient_reg, centers_by_size=table))
+                    fit = fit_rbf_linear_pair(
+                        replace(net.layers[sl[0]].spec, out_dim=m),
+                        replace(net.layers[sl[0] + 1].spec, in_dim=m), A, T, weight,
+                        transient_reg=transient_reg, centers_by_size=table)
                 except MacqpError:
                     continue
-        kept = None
-        for fitted in fits:
-            out = _block_output(fitted, A, table, start=sl[0])
-            value = score(fitted, out)
+            value = score(*fit)
             # a refit at the block's own size wins a tie; a sized fit must score lower
-            if value < best or (sizes is None and value == best):
-                best, kept = value, (fitted, out)
+            if value < best or (m is None and value == best):
+                best, kept = value, fit
         if kept is not None:
             new_layers[sl[0] : sl[1]] = kept[0]
             if outs is not None:
@@ -649,17 +637,16 @@ def postprocess(net, Z, data):
     feats = data.X
     for a, b in slices[:-1]:
         feats = _block_output(net.layers[a:b], feats, start=a)
-    # the layers before the last block are kept, so both nets' forward
-    # passes continue from feats
-    prefix = (slices[-1][0], feats)
-    e1_before = nested_objective(net, data, prefix=prefix)
+    # the layers before the last block are kept: the net's forward pass
+    # continues from feats, and the refit's from its output
+    e1_before = nested_objective(net, data, prefix=(slices[-1][0], feats))
     try:
-        fitted = fit_block(net, slices[-1], feats, data.Y, 1.0)
+        fitted, out = fit_block(net, slices[-1], feats, data.Y, 1.0)
     except MacqpError:
         return net.copy()
     cand = net.copy()
     cand.layers[slices[-1][0] : slices[-1][1]] = fitted
-    if nested_objective(cand, data, prefix=prefix) <= e1_before:
+    if nested_objective(cand, data, prefix=(len(cand.layers), out)) <= e1_before:
         return cand
     return net.copy()
 
@@ -683,22 +670,21 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
 
     Each block is evaluated once per change.  The call keeps every block's
     current output (block_outputs) and refreshes only the blocks a step
-    changed: the accepted fits of a W-step, and every block when the best
-    iterate is restored.  The Z-step starts from these outputs and hands
-    back those of the blocks fed by coordinates at its accepted points.
-    The trace rows and the W-step (the current blocks' objective) read
-    them too.  A row computes E1 only after the weights changed (a W-step
-    or a restore); a zstep or mu_increase row repeats the last values.
-    Each block also has a {size: (centers, design matrix, Gram matrix)}
-    table of RBF fits at its inputs, shared by the W-steps, so a size is
-    clustered once per inputs.  The first block's inputs are data.X, so
-    its table lasts the whole call, and its k-means runs start from seed 0.  When a Z-step or a restore changes
-    the inputs of a block fed by coordinates, its table keeps only each
-    size's centers: the next k-means at that size starts from them (warm
-    start), as the coordinates move little from one step to the next.  A
-    restore then puts back the entries made at the restored coordinates,
-    so no size is clustered twice on the same inputs.  A size fitted for
-    the first time starts from seed 0.
+    changed: the accepted fits of a W-step, from the outputs the fits
+    return, and every block when the best iterate is restored.  The
+    Z-step starts from these outputs and hands back those of the blocks
+    fed by coordinates at its accepted points.  The trace rows and the
+    W-step (the current blocks' objective) read them too.  A row computes
+    E1 only after the weights changed (a W-step or a restore); a zstep or
+    mu_increase row repeats the last values.
+
+    Each block also has a table of RBF fits (see fit_rbf_linear_pair),
+    shared by the W-steps, whose entries hold their inputs by reference;
+    no step changes coordinates in place.  A size is clustered once per
+    inputs, from seed 0 the first time and then from its last centers
+    (warm start), as the coordinates move little from one step to the
+    next.  A restore goes back at most one iteration, so the tables still
+    hold the fits made at the restored coordinates.
     """
     net = net.copy()
     Z = z_init.copy() if z_init is not None else lift_to_feasible(net, data.X)
@@ -721,16 +707,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
 
     track_val = data.val_X is not None
     val_data = data.eval_split()
-
-    def moved_since(before):
-        """The blocks fed by coordinates that differ from ``before``'s; their
-        tables keep only each size's centers, as k-means starts."""
-        moved = [j for j in range(1, len(slices))
-                 if not np.array_equal(Z.coords[j - 1], before.coords[j - 1])]
-        for j in moved:
-            for m, entry in tables[j].items():
-                tables[j][m] = (entry[0], None, None)
-        return moved
 
     # (e1_train, e1_val) at the current weights; None once a W-step or a
     # restore changes them, until the next row
@@ -766,7 +742,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             prev = qp_objective(net, Z, data, mu, transient, outs=outs)
         if track_val:
             best = (net.copy(), Z.copy(), prev)
-            best_fits = None
         for _ in range(schedule.max_iters_per_stage):
             select = sel_cfg is not None and wsteps > 0 and wsteps % sel_cfg.cadence == 0
             if select:
@@ -788,20 +763,13 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
                         "sizes": [l.spec.out_dim for l in net.layers],
                     }
                 )
-            if track_val and best_fits is None:
-                # best's tables, before a Z-step moves its coordinates; entries
-                # are replaced, never changed in place, so shallow copies keep them
-                best_fits = [dict(t) for t in tables]
-            Z_before = Z
             Z = z_step(net, Z, data, mu, workers=workers, outs=outs)
-            moved_since(Z_before)
             it += 1
             row = record("zstep")
 
             cur = stage_signal(row)
             if track_val and cur < best[2]:
                 best = (net.copy(), Z.copy(), cur)
-                best_fits = None
             if time_budget is not None and time.perf_counter() - t0 > time_budget:
                 stop = True
                 break
@@ -812,14 +780,12 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
                 break
             prev = cur
         if track_val:
-            Z_before = Z
+            # a stage ends at its first iteration that does not lower the best
+            # signal, so best is the last iterate or the one before it: no fit
+            # has replaced a table entry made at its coordinates since
             net, Z = best[0], best[1]
             e1 = None
-            for j in moved_since(Z_before):
-                # the fits made at the restored coordinates hold again
-                tables[j].update((m, e) for m, e in best_fits[j].items() if e[1] is not None)
-            outs[:] = [_block_output(net.layers[a:b], A, t, start=a) for (a, b), A, t
-                       in zip(slices, [data.X] + list(Z.coords), tables)]
+            outs[:] = block_outputs(net, Z, data.X)
         if stop or stage == schedule.max_stages - 1:
             break
         mu *= MU_GROWTH

@@ -404,6 +404,8 @@ def _backward_through_layer(layer, A_in, A_out, G):
 def backprop_gradient(net, data):
     """Gradient of nested_objective w.r.t. every weight entry, per layer."""
     X, Y = data.X, data.Y
+    if Y.shape[1] != net.out_dim:
+        raise DimensionMismatchError("target width does not match net output")
     acts = forward_all(net, X)
     G = acts[-1] - Y
     grads = [None] * len(net.layers)

@@ -170,7 +170,7 @@ def slow_w_step(net, Z, data, mu, transient_reg=0.0):
             fitted = [Layer(layers[0].spec, LayerWeights(W))]
         else:
             fitted = fit_block(net, (a, b), ins[j], targets[j], weight,
-                               transient_reg=transient_reg)
+                               transient_reg=transient_reg)[0]
         args = (ins[j], targets[j], weight, transient_reg)
         if _block_objective(fitted, *args) <= _block_objective(layers, *args):
             out[a:b] = [l.weights.matrix for l in fitted]

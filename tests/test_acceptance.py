@@ -274,7 +274,7 @@ def _grid_best_sizes(net, Z, data, mu, cands, eps_sq):
         for m in cands[j]:
             rbf_s = replace(rbf_cur.spec, out_dim=m)
             lin_s = replace(lin_cur.spec, in_dim=m)
-            fr, fl = fit_rbf_linear_pair(rbf_s, lin_s, ins[j], targets[j], weights[j])
+            (fr, fl), _ = fit_rbf_linear_pair(rbf_s, lin_s, ins[j], targets[j], weights[j])
             opts.append(
                 (m, _pair_score(fr, fl, ins[j], targets[j], weights[j], eps_sq))
             )

@@ -486,6 +486,7 @@ class TestHarness:
         monkeypatch.setattr(macqp.harness, "build_dataset", no_data)
         cfg = dict(_mac_config(tmp_path), method="mac_select", architecture=arch,
                    selection=dict(_GOOD_SELECTION, candidates_per_block=lists))
+        cfg["dataset"]["synth"]["ambient_dim"] = arch["layers"][0]["in_dim"]
         del cfg["recon_shape"]
         message = (rf"selection.candidates_per_block has {len(lists)} lists, but the "
                    rf"architecture has {count} selectable")
@@ -525,6 +526,56 @@ class TestHarness:
         assert err.startswith("error: alternating optimization expects an RBF autoencoder "
                               "architecture")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"out_dim": 7}, "dataset.synth.ambient_dim: the targets have width 8, but "
+                         "architecture.layers[3].out_dim is 7"),
+        ({"placement": "coding"}, "architecture.placement [2] makes layers 1..2 one block, "
+                                  "of layer structure ['sigmoid_dense', 'sigmoid_dense'], "
+                                  "which has no block solver"),
+        ({"format": "parquet"}, "dataset.format must be 'csv' or 'f64bin', got 'parquet'"),
+    ], ids=["target-width", "block-structure", "format"])
+    def test_load_time_error_before_any_data(self, tmp_path, capsys, monkeypatch, change,
+                                             message):
+        import macqp.harness
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("dataset built")
+
+        monkeypatch.setattr(macqp.harness, "build_dataset", no_data)
+        cfg = _mac_config(tmp_path / "run")
+        del cfg["recon_shape"]
+        if "out_dim" in change:
+            cfg["architecture"]["layers"][-1]["out_dim"] = change["out_dim"]
+        if "placement" in change:
+            cfg["architecture"]["placement"] = change["placement"]
+        if "format" in change:
+            (tmp_path / "ds.parquet").write_bytes(b"")
+            cfg["dataset"] = {"path": str(tmp_path / "ds.parquet"), "format": change["format"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_file_dataset_widths_checked_before_training(self, tmp_path, capsys):
+        # the widths of a file's columns are known once it is read: the error
+        # names the file and the layer key, and no output is written
+        data_path = tmp_path / "ds.csv"
+        data_path.write_text("x0,y0,y1\n0.5,0.25,0.5\n0.25,0.5,0.75\n")
+        cfg = _mac_config(tmp_path / "run")
+        cfg["dataset"] = {"path": str(data_path), "format": "csv"}
+        cfg["architecture"]["layers"][0]["in_dim"] = 1
+        cfg["architecture"]["layers"][-1]["out_dim"] = 1
+        del cfg["recon_shape"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (f"error: {data_path}: the targets have width 2, "
+                                           "but architecture.layers[3].out_dim is 1\n")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True, None])
     def test_invalid_worker_count_rejected(self, tmp_path, workers):

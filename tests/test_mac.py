@@ -503,9 +503,9 @@ class TestBatchedZStep:
         first = block_slices(net)[0]
         calls = []
 
-        def counting(layers, A_in, table=None, start=None):
+        def counting(layers, A_in, start=None):
             calls.append((start, start + len(layers)))
-            return _block_output(layers, A_in, table, start)
+            return _block_output(layers, A_in, start)
 
         monkeypatch.setattr(macqp.mac, "_block_output", counting)
         z_step(net, Z, data, 2.0)

@@ -125,6 +125,14 @@ class TestForward:
         with pytest.raises(DimensionMismatchError):
             forward(net, np.zeros(net.in_dim + 1))
 
+    def test_target_width_mismatch_is_an_error(self, rng):
+        # the objective and its gradient reject targets of the wrong width alike
+        net = random_mixed_net(rng)
+        data = Dataset(rng.normal(size=(5, net.in_dim)), rng.normal(size=(5, net.out_dim + 1)))
+        for fn in (nested_objective, backprop_gradient):
+            with pytest.raises(DimensionMismatchError, match="target width"):
+                fn(net, data)
+
     def test_nonfinite_activation_names_the_layer(self):
         spec = LayerSpec(LayerKind.LINEAR_DENSE, 2, 2)
         layer = Layer(spec, LayerWeights(np.full(spec.weight_shape, 1e308)))

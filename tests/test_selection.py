@@ -98,7 +98,7 @@ def _refit_score(net, block_first_layer, A_in, T, weight, m, eps_sq):
     lin_cur = net.layers[block_first_layer + 1]
     rbf_s = replace(rbf_cur.spec, out_dim=m)
     lin_s = replace(lin_cur.spec, in_dim=m)
-    fr, fl = fit_rbf_linear_pair(rbf_s, lin_s, A_in, T, weight)
+    (fr, fl), _ = fit_rbf_linear_pair(rbf_s, lin_s, A_in, T, weight)
     return _pair_score(fr, fl, A_in, T, weight, eps_sq)
 
 
@@ -198,7 +198,7 @@ class TestSelectionStep:
         layers = list(net.layers)
         for (a, _), A, T, weight in qp_blocks(net, Z, data, 2.0):
             layers[a:a + 2] = fit_rbf_linear_pair(layers[a].spec, layers[a + 1].spec,
-                                                  A, T, weight)
+                                                  A, T, weight)[0]
         net = NestedNet(layers, net.placement)
         outs = block_outputs(net, Z, data.X)
         kept = list(outs)
@@ -397,7 +397,7 @@ def test_table_entry_reproduces_the_fit_bitwise(rng, bias):
     A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
     table = {}
     fits = [fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4,
-                                centers_by_size=t) for t in (None, table, table)]
+                                centers_by_size=t)[0] for t in (None, table, table)]
     assert list(table) == [8]
     for fit in fits[1:]:
         for a, b in zip(fits[0], fit):
@@ -412,28 +412,45 @@ def test_ridge_free_fit_stores_no_gram_matrix(rng):
     A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
     table = {}
     fit_rbf_linear_pair(rbf, lin, A, T, 2.0, centers_by_size=table)
-    assert table[8][1] is not None and table[8][2] is None
-    ridged = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4, centers_by_size=table)
-    fresh = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4)
+    assert table[8][2] is not None and table[8][3] is None
+    ridged = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4,
+                                 centers_by_size=table)[0]
+    fresh = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, transient_reg=1e-4)[0]
     for a, b in zip(ridged, fresh):
         np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
 
 
-def test_block_output_reads_an_entry_only_at_its_centers(rng):
-    # a block's output comes from its size's table entry only when the
-    # entry holds a design matrix and the block's centers are the entry's
+def test_fit_returns_its_block_output_from_any_entry(rng, monkeypatch):
+    # a fit's output is its layers' output at its inputs, bit for bit,
+    # whether it makes its size's entry, reuses the entry made at these
+    # inputs or at an equal copy of them, or meets an entry made at other
+    # inputs, whose centers then start k-means
     rbf = LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 8, rbf_width=1.5)
-    lin = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=False)
+    lin = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=True)
     A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
-    table = {}
-    pair = fit_rbf_linear_pair(rbf, lin, A, T, 2.0, centers_by_size=table)
-    other = [Layer(rbf, LayerWeights(pair[0].weights.matrix + 0.5)), pair[1]]
-    for layers in (pair, other):
-        np.testing.assert_array_equal(macqp.mac._block_output(layers, A, table),
-                                      macqp.mac._block_output(layers, A))
-    table[8] = (table[8][0], None, None)  # centers kept from earlier inputs
-    np.testing.assert_array_equal(macqp.mac._block_output(pair, A, table),
-                                  macqp.mac._block_output(pair, A))
+    moved = A + 0.05 * rng.normal(size=A.shape)
+    calls = []  # (name, k-means start) of each k-means and rbf_design call
+    for name in ("kmeans", "rbf_design"):
+        def spied(*args, _fn=getattr(macqp.baselines, name), _name=name, **kw):
+            calls.append((_name, kw.get("init")))
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(macqp.baselines, name, spied)
+    table, last = {}, None
+    for inputs, reused in ((A, False), (A, True), (A.copy(), True), (moved, False)):
+        calls.clear()
+        entry = table.get(8)
+        layers, out = fit_rbf_linear_pair(rbf, lin, inputs, T, 2.0, centers_by_size=table)
+        np.testing.assert_array_equal(out, macqp.mac._block_output(layers, inputs))
+        if reused:
+            assert calls == [] and table[8] is entry
+        else:
+            assert [name for name, _ in calls] == ["kmeans", "rbf_design"]
+            if last is None:
+                assert calls[0][1] is None
+            else:
+                np.testing.assert_array_equal(calls[0][1], last)
+        last = layers[0].weights.matrix
 
 
 def _rbf_select_problem(seed=7, n_val=0):
