@@ -412,6 +412,7 @@ def eval_model(model_path, data_path, fmt):
 
     net = load_model(model_path)
     ds = data_mod.load_dataset(data_path, fmt)
+    _check_data_widths((ds.X.shape[1], ds.Y.shape[1]), [l.spec for l in net.layers], data_path)
     e1 = nested_objective(net, ds)
     per_sample = e1 / ds.n
     return {"e1": e1, "per_sample": per_sample, "n": ds.n}

@@ -287,9 +287,11 @@ def _sigmoid_unit_objectives(R, W, weight, lam):
     return 0.5 * weight * np.einsum("ij,ij->i", R, R) + lam * np.einsum("ij,ij->i", W, W)
 
 
-def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
+def _fit_sigmoid_layer(layer, A_in, T, weight, lam, out=None):
     """One Gauss-Newton step on every unit's least-squares subproblem at
-    once, as a Z-step is one Gauss-Newton step.
+    once, as a Z-step is one Gauss-Newton step.  Returns the new layer and
+    its output at A_in, as its line search evaluated it; ``out``, the
+    current output (layer_apply), is computed if not given, and not written.
 
     The units' problems are independent.  They are solved as one stack,
     but every unit follows its own step length, as if solved alone up to
@@ -302,12 +304,12 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
     the rounding of an objective f summed over N points, so a unit
     searches along its step only if -g.d > 2 N eps f.
     """
+    out = layer_apply(layer, A_in) if out is None else out
     phi = add_bias_col(A_in) if layer.spec.bias else A_in
     W = layer.weights.matrix.copy()
-    Tt = T.T
-    P = sigmoid(W @ phi.T)  # (units, N)
-    R = Tt - P
-    S = P * (1.0 - P)
+    P = out.T  # (units, N); einsum and matmul round by layout, so R, S are C
+    R = np.subtract(T.T, P, order="C")
+    S = np.multiply(P, 1.0 - P, order="C")
     F = _sigmoid_unit_objectives(R, W, weight, lam)
     g = -weight * ((S * R) @ phi) + 2.0 * lam * W
     d, found = _gn_solve(_sigmoid_gn_matrices(phi, S, weight, lam), g)
@@ -315,21 +317,22 @@ def _fit_sigmoid_layer(layer, A_in, T, weight, lam):
     found &= -np.einsum("ij,ij->i", g, d) > rounding
 
     def evaluate(rows, cand):
-        return [_sigmoid_unit_objectives(Tt[rows] - sigmoid(cand[0] @ phi.T), cand[0],
-                                         weight, lam)]
+        pre = A_in @ cand[0][:, : layer.spec.in_dim].T
+        if layer.spec.bias:
+            pre += cand[0][:, -1]
+        P = sigmoid(pre).T
+        R = np.subtract(T.T[rows], P, order="C")
+        return [_sigmoid_unit_objectives(R, cand[0], weight, lam), P]
 
-    _backtrack(evaluate, [W], [d], [F], found)
-    return Layer(layer.spec, LayerWeights(W))
+    out = out.copy()  # the line search writes each unit's accepted column
+    _backtrack(evaluate, [W], [d], [F, out.T], found)
+    return Layer(layer.spec, LayerWeights(W)), out
 
 
-def _block_objective(layers, A_in, T, weight, transient_reg, out=None):
-    """One block's part of E_Q: the weighted misfit of its layers' output
-    to T at inputs A_in, plus their ridge and transient weight penalties.
-
-    ``out`` is the layers' output at A_in, computed here if not given.
-    """
-    if out is None:
-        out = _block_output(layers, A_in)
+def _block_objective(layers, A_in, T, weight, transient_reg, out):
+    """One block's part of E_Q: the weighted misfit to T of ``out``, its
+    layers' output at inputs A_in, plus their ridge and transient weight
+    penalties."""
     val = 0.5 * weight * float(np.sum((T - out) ** 2))
     for layer in layers:
         lam = layer.spec.ridge
@@ -352,7 +355,7 @@ def check_block(net, sl):
                          "layer, or gaussian_rbf followed by linear_dense")
 
 
-def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None):
+def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None, out=None):
     """Refit one inter-boundary block to targets T at fixed inputs.
 
     Returns the replacement layers and their output at A_in; the caller
@@ -360,7 +363,7 @@ def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None)
     objective (possible only for the k-means-based RBF path).
     ``centers_by_size`` is an RBF block's table of fits (see
     fit_rbf_linear_pair), whose entries hold A_in by reference: it must
-    not change in place.
+    not change in place.  ``out`` is the block's output at A_in, if known.
     """
     check_block(net, sl)
     layers = net.layers[sl[0] : sl[1]]
@@ -370,10 +373,10 @@ def fit_block(net, sl, A_in, T, weight, transient_reg=0.0, centers_by_size=None)
                                    transient_reg=transient_reg, centers_by_size=centers_by_size)
     lam = first.spec.ridge + transient_reg
     if first.spec.kind == LayerKind.SIGMOID_DENSE:
-        layer = _fit_sigmoid_layer(first, A_in, T, weight, lam)
-    else:
-        phi = add_bias_col(A_in) if first.spec.bias else A_in
-        layer = Layer(first.spec, LayerWeights(ridge_lsq(phi, T, 2.0 * lam / weight).T))
+        layer, out = _fit_sigmoid_layer(first, A_in, T, weight, lam, out)
+        return [layer], out
+    phi = add_bias_col(A_in) if first.spec.bias else A_in
+    layer = Layer(first.spec, LayerWeights(ridge_lsq(phi, T, 2.0 * lam / weight).T))
     return [layer], layer_apply(layer, A_in, index=sl[0] + 1)
 
 
@@ -390,14 +393,15 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
     count).  The step thus also chooses their sizes, as selection_step.
     Each fit is scored from the output it returns, as it is made.
 
-    ``outs``, if given, is block_outputs(net, Z, data.X): the current
-    blocks are scored from it, and each accepted fit's output replaces
-    its block's entry in place.  ``tables``, if given, holds each block's
-    table of RBF fits (see fit_rbf_linear_pair), whose entries hold the
-    block's inputs by reference: they must not change in place.
+    ``outs``, block_outputs(net, Z, data.X), is computed if not given; it
+    scores the current blocks and starts sigmoid fits, and each accepted
+    fit's output replaces its block's entry.  ``tables``, if given, holds
+    each block's table of RBF fits (see fit_rbf_linear_pair), whose entries
+    hold the block's inputs by reference: they must not change in place.
     """
     candidates = candidates or {}
     new_layers = list(net.layers)
+    outs = block_outputs(net, Z, data.X) if outs is None else outs
     for j, (sl, A, T, weight) in enumerate(qp_blocks(net, Z, data, mu)):
         table = None if tables is None else tables[j]
         sizes = candidates.get(j)
@@ -408,12 +412,12 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
             return (_block_objective(layers, A, T, weight, transient_reg, out=out)
                     + 2.0 * eps * params)
 
-        best = score(net.layers[sl[0] : sl[1]], None if outs is None else outs[j])
+        best = score(net.layers[sl[0] : sl[1]], outs[j])
         kept = None
         for m in [None] if sizes is None else sizes:
             if m is None:
                 fit = fit_block(net, sl, A, T, weight, transient_reg=transient_reg,
-                                centers_by_size=table)
+                                centers_by_size=table, out=outs[j])
             else:
                 try:
                     fit = fit_rbf_linear_pair(
@@ -428,28 +432,22 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
                 best, kept = value, fit
         if kept is not None:
             new_layers[sl[0] : sl[1]] = kept[0]
-            if outs is not None:
-                outs[j] = kept[1]
+            outs[j] = kept[1]
     return NestedNet(new_layers, list(net.placement))
 
 
 # ---------------------------------------------------------------------------
 # Z-step
 
-# The fewest points per Z-step tile.  The tiles, not the worker count, fix
-# which points are batched together, so results are the same for any number
-# of workers.  Larger tiles pay numpy's per-call overhead over more points
-# but hold larger stacked Jacobians; 64 was measured against 16, 32 and 128.
-Z_TILE = 64
-
 # Elements of stacked Jacobians and chain covariances a Z-step tile may
-# hold: a net with narrow coordinate blocks, whose points cost
-# little each, gets tiles of more than Z_TILE points (see _z_tile).
-Z_TILE_ELEMS = 1 << 16
+# hold: 2 MiB of float64, one core's L2 cache.  Larger tiles pay numpy's
+# per-call overhead over more points; 2^19 made desk's tiles slower.
+Z_TILE_ELEMS = 1 << 18
 
 
 def _z_tile(net):
-    """Points per Z-step tile for this net; it depends on the net only.
+    """Points per Z-step tile: as many as fit Z_TILE_ELEMS, at least one.
+    It depends on the net, not the worker count, so neither do results.
 
     One point holds, for each block fed by coordinates, the input Jacobian
     of each of its layers (out_dim x the block's input width), and one
@@ -459,7 +457,7 @@ def _z_tile(net):
     for a, b in block_slices(net)[1:]:
         width = net.layers[a].spec.in_dim
         per_point += width * (width + sum(net.layers[i].spec.out_dim for i in range(a, b)))
-    return max(Z_TILE, Z_TILE_ELEMS // per_point)
+    return max(1, Z_TILE_ELEMS // per_point)
 
 
 def _block_forward(net, sl, Z_in, out=None):
@@ -595,15 +593,15 @@ def z_step(net, Z, data, mu, workers=1, outs=None):
     increases E_Q.  To take more steps at fixed weights, call it again.
 
     mu must be positive and finite.  The points are solved in fixed tiles
-    of _z_tile(net) points, each tile as one batch; workers take whole
-    tiles.  Each point's step takes one small solve (_z_chain_solve), for
-    any number of coordinate blocks.  Its Gauss-Newton matrix is at least
-    mu I, so its systems are nonsingular and the step is a descent
-    direction wherever the gradient is nonzero.  The step starts
-    from ``outs``, block_outputs(net, Z, data.X), computed here if not
-    given.  Its entries 1.. are replaced in place by the outputs at the new
-    coordinates, as the line search computed them; the rows of points that
-    took no step are kept.
+    of _z_tile(net) points (all of them, if they fit one), each tile as
+    one batch; workers take whole tiles.  Each point's step takes one
+    small solve (_z_chain_solve), for any number of coordinate blocks.
+    Its Gauss-Newton matrix is at least mu I, so its systems are
+    nonsingular and the step is a descent direction wherever the gradient
+    is nonzero.  The step starts from ``outs``, block_outputs(net, Z,
+    data.X), computed here if not given.  Its entries 1.. are replaced in
+    place by the outputs at the new coordinates, as the line search
+    computed them; the rows of points that took no step are kept.
     """
     if not 0 < mu < np.inf:  # written so that NaN fails
         raise ValueError(f"mu must be positive and finite, got {mu}")
@@ -671,12 +669,13 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
     Each block is evaluated once per change.  The call keeps every block's
     current output (block_outputs) and refreshes only the blocks a step
     changed: the accepted fits of a W-step, from the outputs the fits
-    return, and every block when the best iterate is restored.  The
-    Z-step starts from these outputs and hands back those of the blocks
-    fed by coordinates at its accepted points.  The trace rows and the
-    W-step (the current blocks' objective) read them too.  A row computes
-    E1 only after the weights changed (a W-step or a restore); a zstep or
-    mu_increase row repeats the last values.
+    return (a sigmoid fit's comes from its line search), and every block
+    when the best iterate is restored.  The Z-step starts from these
+    outputs and hands back those of the blocks fed by coordinates at its
+    accepted points.  The trace rows and the W-step (the current blocks'
+    objective) read them too.  A row computes E1 only after the weights
+    changed (a W-step or a restore); a zstep or mu_increase row repeats
+    the last values.
 
     Each block also has a table of RBF fits (see fit_rbf_linear_pair),
     shared by the W-steps, whose entries hold their inputs by reference;

@@ -154,7 +154,7 @@ def slow_w_step(net, Z, data, mu, transient_reg=0.0):
     """W-step with every sigmoid layer fitted unit by unit; the other block
     kinds and the acceptance test are the package's own.  Returns the new
     weight matrices, one per layer."""
-    from macqp.mac import _block_objective, fit_block
+    from macqp.mac import _block_objective, _block_output, fit_block
     from macqp.model import Layer, LayerWeights
 
     bounds = [0] + list(net.placement) + [len(net.layers)]
@@ -172,7 +172,8 @@ def slow_w_step(net, Z, data, mu, transient_reg=0.0):
             fitted = fit_block(net, (a, b), ins[j], targets[j], weight,
                                transient_reg=transient_reg)[0]
         args = (ins[j], targets[j], weight, transient_reg)
-        if _block_objective(fitted, *args) <= _block_objective(layers, *args):
+        if (_block_objective(fitted, *args, _block_output(fitted, ins[j]))
+                <= _block_objective(layers, *args, _block_output(layers, ins[j]))):
             out[a:b] = [l.weights.matrix for l in fitted]
     return out
 

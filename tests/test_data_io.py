@@ -685,6 +685,20 @@ class TestCli:
         assert rc == 0
         assert "E1 =" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("x_dim, y_dim, message", [
+        (5, 6, "the inputs have width 5, but architecture.layers[0].in_dim is 6"),
+        (6, 4, "the targets have width 4, but architecture.layers[1].out_dim is 6"),
+    ], ids=["inputs", "targets"])
+    def test_eval_names_the_data_file_and_widths(self, tmp_path, capsys, x_dim, y_dim,
+                                                 message):
+        model = tmp_path / "model.macn"
+        save_model(sigmoid_autoencoder((6, 3, 6)), model)
+        data_path = tmp_path / "ds.macd"
+        save_dataset_f64bin(Dataset(np.ones((4, x_dim)), np.ones((4, y_dim))), data_path)
+        rc = cli_main(["eval", "--model", str(model), "--data", str(data_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {data_path}: {message}\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--n", "0"], "--n must be an integer >= 1, got 0"),
         (["--n", "-3"], "--n must be an integer >= 1, got -3"),

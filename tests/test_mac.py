@@ -21,7 +21,6 @@ from macqp.mac import (
     MU_GROWTH,
     REG_DROP_MU,
     TRANSIENT_REG,
-    Z_TILE,
     AuxState,
     PenaltySchedule,
     _block_objective,
@@ -52,6 +51,7 @@ from macqp.model import (
     add_bias_col,
     forward_all,
     init_weights,
+    layer_apply,
     nested_objective,
 )
 
@@ -143,7 +143,8 @@ class TestLiftAndQp:
         want = 0.0
         for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             weight = mu if j < len(Z.coords) else 1.0
-            want += _block_objective(net.layers[a:b], ins[j], targets[j], weight, transient)
+            want += _block_objective(net.layers[a:b], ins[j], targets[j], weight, transient,
+                                     _block_output(net.layers[a:b], ins[j]))
         assert qp_objective(net, Z, data, mu, transient) == want
 
     @pytest.mark.parametrize("mu", [-1.0, np.nan])
@@ -228,8 +229,8 @@ class TestWStep:
         np.testing.assert_allclose(out.layers[1].weights.matrix, want, rtol=1e-12)
         assert not np.allclose(want, net.layers[1].weights.matrix, rtol=1e-6)
         args = (data.X, Z.coords[0], mu, transient)
-        assert (_block_objective(out.layers[:2], *args)
-                < _block_objective(net.layers[:2], *args))
+        assert (_block_objective(out.layers[:2], *args, _block_output(out.layers[:2], data.X))
+                < _block_objective(net.layers[:2], *args, _block_output(net.layers[:2], data.X)))
 
     def test_never_increases_qp(self, rng):
         for _ in range(5):
@@ -310,6 +311,28 @@ def _z_steps(net, Z, data, mu, times):
     return got.coords, ref.coords
 
 
+# The tile that the tiled Z-step tests force: these nets would otherwise
+# solve every test's points in one tile.
+TILE = 64
+
+
+def _point_elems(net):
+    """One point's elements of stacked Jacobians and chain covariances in a
+    Z-step tile: per block fed by coordinates of width w, w^2 plus w times
+    each of its layers' out_dim."""
+    elems = 0
+    for a, b in block_slices(net)[1:]:
+        width = net.layers[a].spec.in_dim
+        elems += width * width + sum(width * net.layers[i].spec.out_dim for i in range(a, b))
+    return elems
+
+
+def _force_tile(monkeypatch, net, points=TILE):
+    """Set the Z-step's element budget so that net's tiles hold ``points``."""
+    monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", points * _point_elems(net))
+    assert macqp.mac._z_tile(net) == points
+
+
 def _z_problem(rng, kind, n):
     """A net, data and coordinates moved off the lifted state."""
     if kind == "sigmoid":
@@ -340,13 +363,12 @@ class TestBatchedZStep:
     """The tiled chain-solve Z-step against the point-by-point reference."""
 
     # one point, parts of one tile, a nearly full tile, two tiles and a short
-    # one, at tiles of Z_TILE points: these nets would fit in one tile
-    @pytest.mark.parametrize("n", [1, 13, 37, Z_TILE - 3, 2 * Z_TILE + 5])
+    # one, at tiles of TILE points
+    @pytest.mark.parametrize("n", [1, 13, 37, TILE - 3, 2 * TILE + 5])
     @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
     def test_matches_point_by_point_reference(self, rng, monkeypatch, kind, n):
-        monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
         net, data, Z = _z_problem(rng, kind, n)
-        assert macqp.mac._z_tile(net) == Z_TILE
+        _force_tile(monkeypatch, net)
         for mu in (0.5, 50.0) + ((1e4,) if kind == "path" else ()):
             got, ref = _z_steps(net, Z, data, mu, 2)
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
@@ -418,7 +440,7 @@ class TestBatchedZStep:
         # full Gauss-Newton steps overshoot, so those points keep their
         # coordinates, while the others move on over three Z-steps
         net = rbf_autoencoder(4, 6, 2, 6, width1=0.3, width3=0.3, seed=2)
-        X = rng.uniform(size=(Z_TILE + 4, 4))
+        X = rng.uniform(size=(TILE + 4, 4))
         data = Dataset(X, X)
         Z = AuxState(
             [c + 0.5 * rng.normal(size=c.shape) for c in lift_to_feasible(net, X).coords]
@@ -485,7 +507,7 @@ class TestBatchedZStep:
         # each line search starts from the objective the Gauss-Newton system
         # builds from its residuals, not from a second forward pass; the
         # outputs handed back with the objective are the blocks' own
-        net, data, Z = _z_problem(rng, kind, Z_TILE + 5)
+        net, data, Z = _z_problem(rng, kind, TILE + 5)
         slices = block_slices(net)
         f1 = _block_output(net.layers[slice(*slices[0])], data.X)
         for mu in (0.0, 1.0, 1e3):
@@ -498,8 +520,8 @@ class TestBatchedZStep:
 
     def test_first_block_evaluated_once_per_z_step(self, rng, monkeypatch):
         # the first block's output does not depend on the coordinates
-        tile = macqp.mac._z_tile(_z_problem(rng, "mixed", 1)[0])
-        net, data, Z = _z_problem(rng, "mixed", 2 * tile + 5)  # three tiles
+        net, data, Z = _z_problem(rng, "mixed", 2 * TILE + 5)
+        _force_tile(monkeypatch, net)  # three tiles
         first = block_slices(net)[0]
         calls = []
 
@@ -517,9 +539,9 @@ class TestBatchedZStep:
     def test_hands_back_the_block_outputs_at_the_new_coordinates(self, rng, monkeypatch,
                                                                  kind, tiles):
         # one tile evaluates its points' outputs in the batch that
-        # block_outputs evaluates; three tiles of Z_TILE points round by tile
-        monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
-        net, data, Z = _z_problem(rng, kind, Z_TILE - 4 if tiles == 1 else 2 * Z_TILE + 5)
+        # block_outputs evaluates; three tiles of TILE points round by tile
+        net, data, Z = _z_problem(rng, kind, TILE - 4 if tiles == 1 else 2 * TILE + 5)
+        _force_tile(monkeypatch, net)
         for mu in (0.5, 50.0):
             outs = block_outputs(net, Z, data.X)
             first = outs[0]
@@ -579,12 +601,30 @@ class TestBatchedZStep:
 
 
 class TestZTile:
-    """The Z-step tile: Z_TILE points, or more for nets whose points hold
-    few Jacobian and covariance elements."""
+    """The Z-step tile: as many points as fit Z_TILE_ELEMS elements of
+    stacked Jacobians and chain covariances, at least one."""
 
-    @pytest.mark.parametrize("widths", [(4, 24, 2, 24, 4), (64, 32, 8, 32, 64)])
-    def test_path_and_desk_nets_keep_z_tile(self, widths):
-        assert macqp.mac._z_tile(sigmoid_autoencoder(widths)) == Z_TILE
+    def test_path_net_solves_its_points_in_one_tile(self, rng, monkeypatch):
+        # 4-24-2-24-4, all boundaries: one Z-step is one task for N = 120
+        net = sigmoid_autoencoder((4, 24, 2, 24, 4))
+        assert _point_elems(net) == 1348
+        assert macqp.mac._z_tile(net) == macqp.mac.Z_TILE_ELEMS // 1348 >= 120
+        X = rng.uniform(size=(120, 4))
+        tasks, parallel_map = [], macqp.mac.parallel_map
+
+        def counting(fns, workers):
+            tasks.append(len(fns))
+            return parallel_map(fns, workers)
+
+        monkeypatch.setattr(macqp.mac, "parallel_map", counting)
+        z_step(net, lift_to_feasible(net, X), Dataset(X, X), 1.0)
+        assert tasks == [1]
+
+    def test_desk_net_tile(self):
+        # 64-32-8-32-64, all boundaries: several tiles for N = 500
+        net = sigmoid_autoencoder((64, 32, 8, 32, 64))
+        assert _point_elems(net) == 4672
+        assert macqp.mac._z_tile(net) == macqp.mac.Z_TILE_ELEMS // 4672 < 500
 
     def test_rbf_select_net_solves_its_points_in_one_tile(self):
         # 2-wide codes: each point holds 2 x (40 + 16) Jacobian and 2 x 2
@@ -597,15 +637,27 @@ class TestZTile:
         # coordinates, block 2 the linear 7 -> 5 fed by 7-wide ones
         net, _, _ = _z_problem(np.random.default_rng(0), "mixed", 1)
         per_point = 6 * (3 + 7) + 7 * 5 + 6**2 + 7**2
+        assert _point_elems(net) == per_point
         assert macqp.mac._z_tile(net) == macqp.mac.Z_TILE_ELEMS // per_point
 
+    def test_point_larger_than_the_budget_makes_one_point_tiles(self, rng, monkeypatch):
+        net, data, Z = _z_problem(rng, "mixed", 7)
+        whole = z_step(net, Z, data, 2.0).coords
+        monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", _point_elems(net) - 1)
+        assert macqp.mac._z_tile(net) == 1
+        single = z_step(net, Z, data, 2.0).coords
+        ref = slow_z_step(net, Z, data, 2.0)
+        for a, b, r in zip(single, whole, ref, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12
+            assert np.max(np.abs(a - r)) <= 1e-12
+
     @pytest.mark.parametrize("kind", ["rbf", "mixed"])
-    def test_tiles_of_z_tile_points_agree_with_one_tile(self, rng, monkeypatch, kind):
+    def test_tiles_of_64_points_agree_with_one_tile(self, rng, monkeypatch, kind):
         net, data, Z = _z_problem(rng, kind, 300)
         assert macqp.mac._z_tile(net) >= data.n
         for mu in (0.5, 50.0):
             whole = z_step(net, z_step(net, Z, data, mu), data, mu).coords
-            monkeypatch.setattr(macqp.mac, "Z_TILE_ELEMS", 0)
+            _force_tile(monkeypatch, net)
             tiled = z_step(net, z_step(net, Z, data, mu), data, mu).coords
             monkeypatch.undo()
             assert max(np.max(np.abs(a - b)) for a, b in zip(whole, tiled)) <= 1e-12
@@ -693,7 +745,7 @@ def _assert_matches_reference(layer, got, ref, A, T, weight, lam):
 def _fixed_point(layer, A, T, weight, lam):
     """The layer refitted until a fit returns its weights unchanged."""
     for _ in range(20):
-        new = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
+        new, _ = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
         if np.array_equal(new.weights.matrix, layer.weights.matrix):
             return layer
         layer = new
@@ -776,7 +828,7 @@ class TestBatchedWStep:
     def test_matches_unit_by_unit_reference(self, rng, n, d_in, units, weight):
         layer, A, T = _sigmoid_layer_problem(rng, n, d_in, units)
         for lam in (1e-4, 1e-2):
-            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
+            got, _ = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
             ref = slow_fit_sigmoid_layer(layer, A, T, weight, lam)
             assert np.max(np.abs(got.weights.matrix - ref)) <= 1e-10
 
@@ -810,20 +862,20 @@ class TestBatchedWStep:
         _backtrack_steps(monkeypatch, max_backtracks, factor)
         for _ in range(3):
             layer, A, T = _backtracking_layer_problem(rng)
-            got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+            got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3)[0].weights.matrix
             ref = slow_fit_sigmoid_layer(layer, A, T, 1.0, 1e-3)
             _assert_matches_reference(layer, got, ref, A, T, 1.0, 1e-3)
 
     def _check_odd_unit(self, layer, A, T, weight, lam, k):
         """Unit k may not move; no unit's objective rises; the other units
         end exactly where a batch without unit k leaves them."""
-        got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam).weights.matrix
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)[0].weights.matrix
         W0 = layer.weights.matrix
         before = _unit_objectives(layer, W0, A, T, weight, lam)
         after = _unit_objectives(layer, got, A, T, weight, lam)
         assert np.all(after <= before)
         rest_layer, rest_T = _without_unit(layer, T, k)
-        rest = macqp.mac._fit_sigmoid_layer(rest_layer, A, rest_T, weight, lam)
+        rest, _ = macqp.mac._fit_sigmoid_layer(rest_layer, A, rest_T, weight, lam)
         np.testing.assert_array_equal(np.delete(got, k, axis=0), rest.weights.matrix)
         return got
 
@@ -856,10 +908,11 @@ class TestBatchedWStep:
         layer, A, T = _saturated_unit_problem(rng)
         calls = _count_sigmoid_calls(monkeypatch)
         _backtrack_steps(monkeypatch, max_backtracks)
-        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0).weights.matrix
+        out = layer_apply(layer, A)
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0, out)[0].weights.matrix
         np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
         rounds = int(np.ceil(np.log2(max_backtracks + 1)))
-        assert len(calls) <= 1 + rounds
+        assert len(calls) <= rounds
 
     # the path (N = 120) and desk (N = 500) sigmoid layer shapes
     @pytest.mark.parametrize("n, d_in, units", [(120, 4, 24), (120, 24, 2), (500, 8, 32)])
@@ -868,14 +921,16 @@ class TestBatchedWStep:
     def test_refit_at_a_fixed_point_runs_no_line_search(self, rng, monkeypatch, n, d_in,
                                                         units, weight, lam):
         # at a fixed point of the fit every unit's predicted decrease is
-        # below the rounding of its objective: the refit evaluates the
-        # sigmoid once, at the starting weights, and returns them
+        # below the rounding of its objective: given the layer's output,
+        # the refit evaluates no sigmoid and returns its weights and output
         layer, A, T = _sigmoid_layer_problem(rng, n, d_in, units)
         layer = _fixed_point(layer, A, T, weight, lam)
+        out = layer_apply(layer, A)
         calls = _count_sigmoid_calls(monkeypatch)
-        again = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
-        assert len(calls) == 1
+        again, again_out = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam, out)
+        assert len(calls) == 0
         np.testing.assert_array_equal(again.weights.matrix, layer.weights.matrix)
+        np.testing.assert_array_equal(again_out, out)
 
     @pytest.mark.parametrize("problem", ["plain", "backtracking"])
     def test_unit_objectives_computed_once_per_batch(self, rng, monkeypatch, problem):
@@ -901,14 +956,14 @@ class TestBatchedWStep:
 
         monkeypatch.setattr(macqp.mac, "_sigmoid_unit_objectives", counting_objectives)
         monkeypatch.setattr(macqp.mac, "_backtrack", counting_backtrack)
-        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3)[0].weights.matrix
         monkeypatch.undo()
         # the first batch is every unit's full step; the backtracking
         # problem's units that reject it need more
         assert batches[0] == layer.spec.out_dim
         assert len(batches) >= 1 + (problem == "backtracking")
         assert objectives == [layer.spec.out_dim] + batches
-        ref = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+        ref = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3)[0].weights.matrix
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("problem", ["plain", "backtracking", "saturated"])
@@ -928,7 +983,7 @@ class TestBatchedWStep:
             return gn_solve(H, g)
 
         monkeypatch.setattr(macqp.mac, "_gn_solve", counting)
-        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3).weights.matrix
+        got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 1e-3)[0].weights.matrix
         assert solves == [layer.spec.out_dim]
         assert np.any(got != layer.weights.matrix)
 
@@ -1021,7 +1076,7 @@ class TestBatchedWStep:
         # N = 1: each unit's Gauss-Newton matrix is rank one plus the ridge
         layer, A, T = _sigmoid_layer_problem(rng, 1, 4, 6)
         for weight, lam in ((1.0, 1e-4), (1e4, 1e-2)):
-            got = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
+            got, _ = macqp.mac._fit_sigmoid_layer(layer, A, T, weight, lam)
             W0 = layer.weights.matrix
             before = _unit_objectives(layer, W0, A, T, weight, lam)
             after = _unit_objectives(layer, got.weights.matrix, A, T, weight, lam)
@@ -1031,11 +1086,116 @@ class TestBatchedWStep:
 
     def test_unit_groups_do_not_change_the_result(self, rng, monkeypatch):
         layer, A, T = _sigmoid_layer_problem(rng, 500, 64, 32)
-        whole = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4)
+        whole, _ = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4)
         for group_elems in (1, 5 * 65 * 500):
             monkeypatch.setattr(macqp.mac, "W_GROUP_ELEMS", group_elems)
-            grouped = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4)
+            grouped, _ = macqp.mac._fit_sigmoid_layer(layer, A, T, 1e2, 1e-4)
             np.testing.assert_array_equal(grouped.weights.matrix, whole.weights.matrix)
+
+    @pytest.mark.parametrize("problem", ["path", "desk", "backtracking"])
+    def test_fit_block_returns_layer_apply_of_its_fit(self, rng, monkeypatch, problem):
+        # the line search evaluates candidates as layer_apply does: when
+        # every unit accepts its full step, in one batch, the returned
+        # output is layer_apply's bit for bit; units that backtrack are
+        # evaluated in smaller batches, which BLAS may round otherwise.
+        # On the desk shape, with OpenBLAS on one thread, W @ [A, 1]^T rounds
+        # unlike A @ W[:, :in]^T + b.
+        if problem == "path":
+            layer, A, T = _sigmoid_layer_problem(rng, 120, 4, 24)
+        elif problem == "desk":
+            layer, A, T = _sigmoid_layer_problem(rng, 500, 64, 32)
+        else:
+            layer, A, T = _backtracking_layer_problem(rng)
+        batches, backtrack = [], macqp.mac._backtrack
+
+        def counting_backtrack(evaluate, *args):
+            def counted(rows, cand):
+                batches.append(len(rows))
+                return evaluate(rows, cand)
+            return backtrack(counted, *args)
+
+        monkeypatch.setattr(macqp.mac, "_backtrack", counting_backtrack)
+        net = NestedNet([layer])
+        out = layer_apply(layer, A)
+        before = out.copy()
+        (new,), got = macqp.mac.fit_block(net, (0, 1), A, T, 1.0, 1e-3, out=out)
+        np.testing.assert_array_equal(out, before)
+        assert got.flags.c_contiguous and got is not out
+        want = layer_apply(new, A)
+        if problem != "backtracking":
+            assert batches == [layer.spec.out_dim]
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert len(batches) > 1
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        # without the current output the fit computes it, and the layout of
+        # a given one changes no bit (einsum and matmul round by layout)
+        for given in (None, np.asfortranarray(out)):
+            (again,), again_out = macqp.mac.fit_block(net, (0, 1), A, T, 1.0, 1e-3, out=given)
+            np.testing.assert_array_equal(again.weights.matrix, new.weights.matrix)
+            np.testing.assert_array_equal(again_out, got)
+            assert again_out.flags.c_contiguous
+
+    @pytest.mark.parametrize("given", [True, False])
+    @pytest.mark.parametrize("widths", [(4, 24, 2, 24, 4), (64, 32, 8, 32, 64)])
+    def test_w_step_evaluates_sigmoid_blocks_only_in_line_searches(self, rng, monkeypatch,
+                                                                   widths, given):
+        # a block's current output is given or evaluated once; a sigmoid
+        # fit starts from it and returns the output its line search
+        # computed, so every other sigmoid call is one line-search batch
+        net = sigmoid_autoencoder(widths, seed=4, ridge=1e-4)
+        X = rng.uniform(size=(150, widths[0]))
+        data = Dataset(X, X)
+        Z = AuxState(
+            [c + 0.05 * rng.normal(size=c.shape) for c in lift_to_feasible(net, X).coords]
+        )
+        outs = block_outputs(net, Z, data.X) if given else None
+        searching, calls, batches = [False], [], []
+        backtrack = macqp.mac._backtrack
+
+        def in_search(evaluate, *args):
+            def counted(rows, cand):
+                batches.append(len(rows))
+                return evaluate(rows, cand)
+            searching[0] = True
+            try:
+                return backtrack(counted, *args)
+            finally:
+                searching[0] = False
+
+        def spy(sigmoid):
+            def call(t):
+                calls.append(searching[0])
+                return sigmoid(t)
+            return call
+
+        monkeypatch.setattr(macqp.mac, "_backtrack", in_search)
+        for module in (macqp.mac, macqp.model):
+            monkeypatch.setattr(module, "sigmoid", spy(module.sigmoid))
+        w_step(net, Z, data, 10.0, transient_reg=1e-4, outs=outs)
+        sigmoid_blocks = sum(l.spec.kind == LayerKind.SIGMOID_DENSE for l in net.layers)
+        assert calls.count(False) == (0 if given else sigmoid_blocks)
+        assert calls.count(True) == len(batches) >= sigmoid_blocks
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "path"])
+    def test_w_step_does_not_write_into_given_outputs(self, rng, kind):
+        # mac_train's outputs may be arrays that a k-means table also holds;
+        # an accepted fit's output replaces its entry in the list
+        net, data, Z = _z_problem(rng, kind, 40)
+        outs = block_outputs(net, Z, data.X)
+        given = list(outs)
+        kept = [o.copy() for o in outs]
+        new = w_step(net, Z, data, 2.0, transient_reg=1e-4, outs=outs)
+        for g, k in zip(given, kept, strict=True):
+            np.testing.assert_array_equal(g, k)
+        replaced = 0
+        for (a, b), out, g, want in zip(block_slices(net), outs, given,
+                                        block_outputs(new, Z, data.X), strict=True):
+            if any(l is not m for l, m in zip(new.layers[a:b], net.layers[a:b])):
+                assert out is not g
+                replaced += 1
+            np.testing.assert_allclose(out, want, rtol=1e-14, atol=0)
+        assert replaced > 0
 
 
 class TestPenaltySchedule:
