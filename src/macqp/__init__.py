@@ -10,7 +10,6 @@ from .model import (
     MacqpError,
     NestedNet,
     NonFiniteError,
-    forward,
     init_weights,
     nested_objective,
 )

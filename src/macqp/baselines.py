@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import rbf_design, row_sq_norms, sq_dist
+# rbf_design is not called here; perfbench/rep.py's tracer wraps it at this name
+from .kernels import rbf_design, rbf_from_sq_dist, row_sq_norms, sq_dist
 from .model import (
     Dataset,
     Layer,
@@ -70,6 +71,14 @@ CG_RESTART_EVERY = 100
 def kmeans(points, k, seed=0, iters=20, init=None):
     """Lloyd's algorithm from ``init``, or else from k distinct seeded points.
 
+    Returns the centers and the points' squared distances to them,
+    sq_dist(points, centers), of shape (N, k); the points are clustered as
+    a C-contiguous float64 array, as rbf_design takes them, so
+    rbf_design(points, centers, width) is the Gaussian response of these
+    distances bit for bit.  A run that converges has the distances of its
+    last assignment; they are computed once more only after ``iters``
+    passes, or when k equals the number of points.
+
     ``init``, if given, is a finite (k, d) array of starting centers; it
     is left unchanged.  Started from a converged result, a run returns it
     after one pass over the distances.  When k equals the number of
@@ -77,7 +86,7 @@ def kmeans(points, k, seed=0, iters=20, init=None):
     re-seeded from the point farthest from its assigned center, empty
     clusters taken in ascending order.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     m, d = points.shape
     if k > m:
         raise MacqpError(f"k-means with k={k} > {m} points")
@@ -87,7 +96,8 @@ def kmeans(points, k, seed=0, iters=20, init=None):
             raise MacqpError(f"k-means start of shape {init.shape} is not a finite "
                              f"({k}, {d}) array")
     if k == m:
-        return points.copy()
+        centers = points.copy()
+        return centers, sq_dist(points, centers)
     if init is None:
         rng = np.random.default_rng(seed)
         centers = points[rng.choice(m, size=k, replace=False)].copy()
@@ -124,14 +134,17 @@ def kmeans(points, k, seed=0, iters=20, init=None):
         if np.array_equal(new_centers, centers):
             break
         centers, prev_assign = new_centers, assign
-    return centers
+    else:  # no convergence test passed (or iters = 0): d2 is of earlier centers, if any
+        d2 = sq_dist(points, centers, x_sq)
+    return centers, d2
 
 
 def ridge_lsq(features, targets, lam, gram=None):
     """Solve (Phi^T Phi + lam I) W = Phi^T T.
 
-    With lam > 0 by Cholesky factorization; ``gram``, if given, is
-    Phi^T Phi, which is then not formed again; it is left unchanged.
+    With lam > 0 the ridge matrix is tested positive definite by a
+    Cholesky factorization and then solved once by LU; ``gram``, if given,
+    is Phi^T Phi, which is then not formed again; it is left unchanged.
     With lam = 0 W is the minimum-norm least-squares solution, by SVD of
     Phi (``gram`` is not read): Phi^T Phi can be singular, or singular to
     rounding, as for saturated units or coincident RBF centers.
@@ -148,16 +161,11 @@ def ridge_lsq(features, targets, lam, gram=None):
     A = features.T @ features if gram is None else gram.copy()
     A[np.diag_indices(A.shape[0])] += lam
     try:
-        W = _cholesky_solve(A, features.T @ targets)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise MacqpError("ridge system is singular") from None
+    W = np.linalg.solve(A, features.T @ targets)
     return W[:, 0] if squeeze else W
-
-
-def _cholesky_solve(A, rhs):
-    """A^-1 rhs through A = L L^T; LinAlgError if A is not positive definite."""
-    L = np.linalg.cholesky(A)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def sgd_train(net, data, cfg, time_budget=None):
@@ -317,7 +325,9 @@ def fit_rbf_linear_pair(rbf_spec, lin_spec, A_in, T, weight, seed=0, transient_r
     and their output at A_in.
 
     Centers come from k-means on the inputs (the inputs themselves when
-    the center count matches), the readout from ridge least squares:
+    the center count matches), the design matrix from the distances k-means
+    returns with them (rbf_design's, bit for bit), the readout from ridge
+    least squares:
     it minimizes weight/2 * |T - readout|^2 + (ridge + transient_reg) *
     |readout weights|^2.  ``centers_by_size`` is an optional {center
     count: (inputs, centers, design matrix, Gram matrix)} table of earlier
@@ -336,9 +346,9 @@ def fit_rbf_linear_pair(rbf_spec, lin_spec, A_in, T, weight, seed=0, transient_r
     entry = None if centers_by_size is None else centers_by_size.get(m)
     if entry is None or not (entry[0] is A_in or np.array_equal(entry[0], A_in)):
         init = None if entry is None else entry[1]
-        centers = kmeans(A_in, m, seed=seed, init=init)
+        centers, d2 = kmeans(A_in, m, seed=seed, init=init)
         Layer(rbf_spec, LayerWeights(centers))  # raises unless A_in has the layer's width
-        phi = rbf_design(A_in, centers, rbf_spec.rbf_width)
+        phi = rbf_from_sq_dist(d2, rbf_spec.rbf_width)  # rbf_design(A_in, centers, width)
         if not np.all(np.isfinite(phi)):
             raise NonFiniteError("non-finite RBF design matrix")
         phi_full = add_bias_col(phi) if bias else phi
@@ -376,7 +386,7 @@ def alt_opt_rbf_train(net, data, iters, cg_steps=10, seed=0, time_budget=None):
         )
         net = NestedNet([net.layers[0], net.layers[1], dec_rbf, dec_lin], [2])
 
-        centers = kmeans(data.X, net.layers[0].spec.out_dim, seed=seed)
+        centers = kmeans(data.X, net.layers[0].spec.out_dim, seed=seed)[0]
         net.layers[0] = Layer(net.layers[0].spec, LayerWeights(centers))
         net = _refit_encoder_readout(net, data, cg_steps)
         record("altopt_iter")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["sigmoid", "rbf_design", "row_sq_norms", "sq_dist"]
+__all__ = ["sigmoid", "rbf_design", "rbf_from_sq_dist", "row_sq_norms", "sq_dist"]
 
 
 def sigmoid(t):
@@ -47,9 +47,14 @@ def rbf_design(X, C, width):
     """Gaussian basis responses exp(-||x_n - c_m||^2 / width^2), shape (N, M)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     C = np.ascontiguousarray(C, dtype=np.float64)
+    return rbf_from_sq_dist(sq_dist(X, C), width)
+
+
+def rbf_from_sq_dist(d2, width):
+    """The Gaussian basis responses of the squared distances d2 (as
+    sq_dist gives them), computed in place in d2, which is returned."""
     width = float(width)
-    out = sq_dist(X, C)
-    np.maximum(out, 0.0, out=out)
-    np.negative(out, out=out)
-    out /= width * width
-    return np.exp(out, out=out)
+    np.maximum(d2, 0.0, out=d2)
+    np.negative(d2, out=d2)
+    d2 /= width * width
+    return np.exp(d2, out=d2)

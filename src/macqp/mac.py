@@ -8,6 +8,7 @@ updates (decoupled per unit or per block) with per-point coordinate
 updates.
 """
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -391,7 +392,10 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
     that fails is skipped, and it keeps its weights unless a fit scores
     strictly lower on its part of E_Q plus 2 * epsilon_sq * (its parameter
     count).  The step thus also chooses their sizes, as selection_step.
-    Each fit is scored from the output it returns, as it is made.
+    Each fit is scored from the output it returns, as it is made.  Part of
+    E_Q is never negative, so a size whose cost alone is at or above the
+    block's best score so far cannot win and is not fitted; its entry in
+    the block's table (below) is then left as it was.
 
     ``outs``, block_outputs(net, Z, data.X), is computed if not given; it
     scores the current blocks and starts sigmoid fits, and each accepted
@@ -407,10 +411,12 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
         sizes = candidates.get(j)
         eps = 0.0 if sizes is None else epsilon_sq
 
+        def cost(specs):
+            return 2.0 * eps * sum(math.prod(s.weight_shape) for s in specs)
+
         def score(layers, out):
-            params = sum(l.weights.matrix.size for l in layers)
             return (_block_objective(layers, A, T, weight, transient_reg, out=out)
-                    + 2.0 * eps * params)
+                    + cost([l.spec for l in layers]))
 
         best = score(net.layers[sl[0] : sl[1]], outs[j])
         kept = None
@@ -419,11 +425,13 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
                 fit = fit_block(net, sl, A, T, weight, transient_reg=transient_reg,
                                 centers_by_size=table, out=outs[j])
             else:
+                sized = (replace(net.layers[sl[0]].spec, out_dim=m),
+                         replace(net.layers[sl[0] + 1].spec, in_dim=m))
+                if cost(sized) >= best:
+                    continue
                 try:
-                    fit = fit_rbf_linear_pair(
-                        replace(net.layers[sl[0]].spec, out_dim=m),
-                        replace(net.layers[sl[0] + 1].spec, in_dim=m), A, T, weight,
-                        transient_reg=transient_reg, centers_by_size=table)
+                    fit = fit_rbf_linear_pair(*sized, A, T, weight, transient_reg=transient_reg,
+                                              centers_by_size=table)
                 except MacqpError:
                     continue
             value = score(*fit)

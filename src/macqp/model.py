@@ -249,14 +249,6 @@ def forward_all(net, X):
     return acts
 
 
-def forward(net, x):
-    """Per-layer activation vectors for a single input; last entry is f(x; W)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatchError("forward expects a single input vector")
-    return [a[0] for a in forward_all(net, x[None, :])]
-
-
 def ridge_penalty(net):
     return sum(
         l.spec.ridge * float(np.sum(l.weights.matrix**2))

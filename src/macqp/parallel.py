@@ -10,12 +10,12 @@ import hashlib
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 
 from .model import MacqpError, check_count
 
 # One executor per worker count, kept for the life of the process: a
-# training run calls parallel_map once per W- and Z-step.
+# training run calls parallel_map once per W- and Z-step.  concurrent.futures
+# (and the logging it loads) is imported only when a pool is made.
 _POOLS = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -46,6 +46,8 @@ def parallel_map(tasks, workers):
             except Exception as exc:
                 raise MacqpError(f"task {i} failed: {exc}") from exc
         return out
+    from concurrent.futures import wait
+
     pool = _pool(workers)
     futures = [pool.submit(t) for t in tasks]
     try:
@@ -66,6 +68,8 @@ def parallel_map(tasks, workers):
 
 
 def _pool(workers):
+    from concurrent.futures import ThreadPoolExecutor
+
     with _POOLS_LOCK:
         pool = _POOLS.get(workers)
         if pool is None:

@@ -424,8 +424,8 @@ def test_criterion_10_baseline_kernels(capsys):
         )
 
         pts = rng.normal(size=(12, 3))
-        np.testing.assert_array_equal(kmeans(pts, 12), pts)
+        np.testing.assert_array_equal(kmeans(pts, 12)[0], pts)
         vals = [
-            kmeans_objective(pts, kmeans(pts, 4, seed=2, iters=t)) for t in range(8)
+            kmeans_objective(pts, kmeans(pts, 4, seed=2, iters=t)[0]) for t in range(8)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))

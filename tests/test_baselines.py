@@ -15,7 +15,7 @@ from macqp.baselines import (
     ridge_lsq,
     sgd_train,
 )
-from macqp.kernels import sq_dist
+from macqp.kernels import rbf_design, sq_dist
 from macqp.mac import AuxState, w_step
 from macqp.model import (
     Dataset,
@@ -156,13 +156,13 @@ class TestAltOpt:
 class TestKmeans:
     def test_k_equals_point_count_returns_points(self, rng):
         pts = rng.normal(size=(8, 3))
-        np.testing.assert_array_equal(kmeans(pts, 8), pts)
+        np.testing.assert_array_equal(kmeans(pts, 8)[0], pts)
 
     def test_two_blobs_recovers_means(self, rng):
         a = rng.normal(loc=0.0, scale=0.01, size=(50, 2))
         b = rng.normal(loc=10.0, scale=0.01, size=(50, 2))
         pts = np.vstack([a, b])
-        centers = kmeans(pts, 2, seed=1, iters=50)
+        centers = kmeans(pts, 2, seed=1, iters=50)[0]
         want = np.array([a.mean(axis=0), b.mean(axis=0)])
         got = centers[np.argsort(centers[:, 0])]
         want = want[np.argsort(want[:, 0])]
@@ -170,7 +170,7 @@ class TestKmeans:
 
     def test_zero_iters_returns_seeds(self, rng):
         pts = rng.normal(size=(20, 3))
-        seeds = kmeans(pts, 5, seed=3, iters=0)
+        seeds = kmeans(pts, 5, seed=3, iters=0)[0]
         # the seeds are data points
         for c in seeds:
             assert any(np.array_equal(c, p) for p in pts)
@@ -178,14 +178,27 @@ class TestKmeans:
     def test_objective_nonincreasing_per_iteration(self, rng):
         pts = rng.normal(size=(60, 4))
         vals = [
-            kmeans_objective(pts, kmeans(pts, 6, seed=2, iters=t))
+            kmeans_objective(pts, kmeans(pts, 6, seed=2, iters=t)[0])
             for t in range(8)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_distances_are_those_of_the_returned_centers(self, rng, order):
+        # after either convergence test, the iteration cap, no iteration, and
+        # with k equal to the point count: bit for bit sq_dist of a C copy (at
+        # 16 columns, F-ordered points round unlike C-ordered ones)
+        pts = np.asarray(rng.normal(size=(200, 16)), order=order)
+        converged = kmeans(pts, 10, seed=1, iters=200)[0]
+        for k, kw in ((10, dict(seed=1, iters=200)), (10, dict(init=converged)),
+                      (10, dict(seed=1, iters=3)), (10, dict(seed=1, iters=0)),
+                      (200, {})):
+            centers, d2 = kmeans(pts, k, **kw)
+            np.testing.assert_array_equal(d2, sq_dist(np.ascontiguousarray(pts), centers))
+
     def test_too_many_clusters_rejected(self, rng):
         with pytest.raises(MacqpError):
-            kmeans(rng.normal(size=(4, 2)), 5)
+            kmeans(rng.normal(size=(4, 2)), 5)[0]
 
     @pytest.mark.parametrize("d", [2, 3, 16])
     def test_matches_per_cluster_loop_bitwise(self, rng, d):
@@ -196,7 +209,7 @@ class TestKmeans:
             for seed in (0, 1, 7):
                 for iters in (0, 1, 2, 20):
                     np.testing.assert_array_equal(
-                        kmeans(pts, k, seed=seed, iters=iters),
+                        kmeans(pts, k, seed=seed, iters=iters)[0],
                         slow_kmeans(pts, k, seed=seed, iters=iters),
                     )
 
@@ -207,7 +220,7 @@ class TestKmeans:
             for seed in (0, 1, 7):
                 for iters in (0, 1, 2, 20):
                     np.testing.assert_allclose(
-                        kmeans(pts, k, seed=seed, iters=iters),
+                        kmeans(pts, k, seed=seed, iters=iters)[0],
                         slow_kmeans(pts, k, seed=seed, iters=iters),
                         rtol=1e-12,
                     )
@@ -218,12 +231,12 @@ class TestKmeans:
         pts = np.repeat(distinct, 8, axis=0)
         empty_seen = False
         for seed in range(12):
-            seeds = kmeans(pts, 9, seed=seed, iters=0)
+            seeds = kmeans(pts, 9, seed=seed, iters=0)[0]
             # equal seeds tie in the argmin, leaving all but the first empty
             empty_seen |= len(np.unique(seeds, axis=0)) < 9
             for iters in (1, 2, 20):
                 np.testing.assert_array_equal(
-                    kmeans(pts, 9, seed=seed, iters=iters),
+                    kmeans(pts, 9, seed=seed, iters=iters)[0],
                     slow_kmeans(pts, 9, seed=seed, iters=iters),
                 )
         assert empty_seen
@@ -240,7 +253,7 @@ class TestKmeans:
                 for seed in range(6):
                     for iters in (1, 2):
                         np.testing.assert_array_equal(
-                            kmeans(pts, k, seed=seed, iters=iters),
+                            kmeans(pts, k, seed=seed, iters=iters)[0],
                             slow_kmeans(pts, k, seed=seed, iters=iters),
                         )
 
@@ -256,15 +269,15 @@ class TestKmeans:
         pts = self._codes_on_a_curve(rng, 500) + rng.normal(scale=0.01, size=(500, 2))
         for seed in (0, 1, 2):
             for iters in range(20):
-                centers = kmeans(pts, k, seed=seed, iters=iters)
+                centers = kmeans(pts, k, seed=seed, iters=iters)[0]
                 assign = np.argmin(sq_dist(pts, centers), axis=1)
                 assert np.bincount(assign, minlength=k).all()
             np.testing.assert_array_equal(
-                kmeans(pts, k, seed=seed, iters=20),
+                kmeans(pts, k, seed=seed, iters=20)[0],
                 slow_kmeans(pts, k, seed=seed, iters=20),
             )
             assert not np.array_equal(
-                kmeans(pts, k, seed=seed, iters=20), kmeans(pts, k, seed=seed, iters=1)
+                kmeans(pts, k, seed=seed, iters=20)[0], kmeans(pts, k, seed=seed, iters=1)[0]
             )
 
     @pytest.mark.parametrize("k", [20, 40, 50])
@@ -276,7 +289,7 @@ class TestKmeans:
         for seed in range(4):
             for iters in (1, 2, 20):
                 np.testing.assert_array_equal(
-                    kmeans(pts, k, seed=seed, iters=iters),
+                    kmeans(pts, k, seed=seed, iters=iters)[0],
                     slow_kmeans(pts, k, seed=seed, iters=iters),
                 )
 
@@ -285,12 +298,12 @@ class TestKmeans:
         pts[-2] = [5.0, 0.0]
         pts[-1] = [-7.0, 0.0]
         seed = next(
-            s for s in range(200) if not np.any(kmeans(pts, 3, seed=s, iters=0))
+            s for s in range(200) if not np.any(kmeans(pts, 3, seed=s, iters=0)[0])
         )
         # all three seeds sit at the origin, so clusters 1 and 2 start empty:
         # cluster 1 takes the farthest point, cluster 2 the next farthest
         np.testing.assert_array_equal(
-            kmeans(pts, 3, seed=seed, iters=1),
+            kmeans(pts, 3, seed=seed, iters=1)[0],
             [[-2.0 / 40, 0.0], [-7.0, 0.0], [5.0, 0.0]],
         )
 
@@ -299,8 +312,8 @@ class TestKmeans:
 
         pts = self._codes_on_a_curve(rng, 500) + rng.normal(scale=0.01, size=(500, 2))
         for k in (10, 50):
-            converged = kmeans(pts, k, seed=1, iters=200)
-            np.testing.assert_array_equal(converged, kmeans(pts, k, seed=1, iters=201))
+            converged = kmeans(pts, k, seed=1, iters=200)[0]
+            np.testing.assert_array_equal(converged, kmeans(pts, k, seed=1, iters=201)[0])
             passes = []
 
             def counted(*args, **kwargs):
@@ -308,7 +321,7 @@ class TestKmeans:
                 return sq_dist(*args, **kwargs)
 
             monkeypatch.setattr(macqp.baselines, "sq_dist", counted)
-            np.testing.assert_array_equal(kmeans(pts, k, init=converged), converged)
+            np.testing.assert_array_equal(kmeans(pts, k, init=converged)[0], converged)
             monkeypatch.undo()
             assert len(passes) == 1
 
@@ -319,12 +332,12 @@ class TestKmeans:
         pts = np.repeat(rng.normal(size=(6, d)), 8, axis=0)
         empty_seen = False
         for seed in range(12):
-            seeds = kmeans(pts, 9, seed=seed, iters=0)
+            seeds = kmeans(pts, 9, seed=seed, iters=0)[0]
             empty_seen |= len(np.unique(seeds, axis=0)) < 9
             for iters in (1, 2, 20):
                 np.testing.assert_array_equal(
-                    kmeans(pts, 9, iters=iters, init=seeds),
-                    kmeans(pts, 9, seed=seed, iters=iters),
+                    kmeans(pts, 9, iters=iters, init=seeds)[0],
+                    kmeans(pts, 9, seed=seed, iters=iters)[0],
                 )
         assert empty_seen
 
@@ -334,7 +347,7 @@ class TestKmeans:
         pts[-1] = [-7.0, 0.0]
         init = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
         np.testing.assert_array_equal(
-            kmeans(pts, 3, iters=1, init=init),
+            kmeans(pts, 3, iters=1, init=init)[0],
             [[-2.0 / 40, 0.0], [-7.0, 0.0], [5.0, 0.0]],
         )
         np.testing.assert_array_equal(init, [[0.5, 0.0]] * 3)
@@ -343,7 +356,7 @@ class TestKmeans:
         pts = rng.normal(size=(60, 3))
         init = rng.normal(size=(5, 3))
         kept = init.copy()
-        centers = kmeans(pts, 5, init=init)
+        centers = kmeans(pts, 5, init=init)[0]
         assert not np.array_equal(centers, kept)
         np.testing.assert_array_equal(init, kept)
 
@@ -352,7 +365,7 @@ class TestKmeans:
         init = rng.normal(size=shape)
         kept = init.copy()
         with pytest.raises(MacqpError, match=rf"start of shape \({shape[0]},"):
-            kmeans(rng.normal(size=(20, 3)), 5, init=init)
+            kmeans(rng.normal(size=(20, 3)), 5, init=init)[0]
         np.testing.assert_array_equal(init, kept)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -361,7 +374,7 @@ class TestKmeans:
         init[2, 1] = bad
         kept = init.copy()
         with pytest.raises(MacqpError, match=r"start of shape \(5, 3\)"):
-            kmeans(rng.normal(size=(20, 3)), 5, init=init)
+            kmeans(rng.normal(size=(20, 3)), 5, init=init)[0]
         np.testing.assert_array_equal(init, kept)
 
 
@@ -398,6 +411,18 @@ class TestRidgeLsq:
         np.testing.assert_allclose(ridge_lsq(phi, T, lam), want, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(ridge_lsq(phi, T[:, 0], lam), want[:, 0], rtol=1e-10,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.3])
+    def test_rbf_readout_with_gram_matches_augmented_lstsq(self, rng, lam):
+        # a readout as an RBF fit solves it: a design with a bias column and
+        # its Gram matrix given
+        pts = rng.uniform(-1.0, 1.0, size=(120, 2))
+        phi = np.hstack([rbf_design(pts, pts[:10], 0.8), np.ones((120, 1))])
+        T = rng.normal(size=(120, 3))
+        aug = np.vstack([phi, np.sqrt(lam) * np.eye(11)])
+        want = np.linalg.lstsq(aug, np.vstack([T, np.zeros((11, 3))]), rcond=None)[0]
+        got = ridge_lsq(phi, T, lam, gram=phi.T @ phi)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_given_gram_matrix_is_used_and_kept(self, rng, lam):

@@ -213,7 +213,7 @@ class TestWStep:
         Z = AuxState([rng.normal(size=(40, 2))])
         mu, transient = 2.0, 0.05
         rbf, lin = net.layers[0], net.layers[1]
-        centers = kmeans(data.X, 6)
+        centers = kmeans(data.X, 6)[0]
         phi = rbf_design(data.X, centers, rbf.spec.rbf_width)
 
         def readout(lam):

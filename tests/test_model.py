@@ -27,7 +27,6 @@ from macqp.model import (
     bias_warmup_step,
     check_count,
     check_real,
-    forward,
     forward_all,
     init_weights,
     layer_apply,
@@ -93,37 +92,37 @@ class TestForward:
     def test_sigmoid_zero_weights_gives_half(self, rng):
         spec = LayerSpec(LayerKind.SIGMOID_DENSE, 4, 3)
         net = NestedNet([Layer(spec, LayerWeights(np.zeros(spec.weight_shape)))])
-        out = forward(net, rng.normal(size=4))[-1]
-        np.testing.assert_array_equal(out, 0.5 * np.ones(3))
+        out = forward_all(net, rng.normal(size=(1, 4)))[-1]
+        np.testing.assert_array_equal(out, 0.5 * np.ones((1, 3)))
 
     def test_rbf_center_at_input_gives_one(self, rng):
         x = rng.normal(size=3)
         spec = LayerSpec(LayerKind.GAUSSIAN_RBF, 3, 2, rbf_width=0.7)
         layer = Layer(spec, LayerWeights(np.vstack([x, x + 1.0])))
         net = NestedNet([layer])
-        out = forward(net, x)[-1]
-        assert out[0] == 1.0
+        out = forward_all(net, x[None, :])[-1]
+        assert out[0, 0] == 1.0
 
     def test_matches_slow_per_layer_oracle(self, rng):
         for _ in range(100):
             net = random_mixed_net(rng)
             x = rng.normal(size=net.in_dim)
-            got = forward(net, x)[-1]
+            got = forward_all(net, x[None, :])[-1][0]
             np.testing.assert_allclose(got, slow_forward(net, x), rtol=1e-12, atol=1e-14)
 
     def test_per_layer_activations_chain(self, rng):
         net = random_mixed_net(rng)
         x = rng.normal(size=net.in_dim)
-        acts = forward(net, x)
+        acts = forward_all(net, x[None, :])
         cur = x
-        for layer, a in zip(net.layers, acts):
+        for layer, (a,) in zip(net.layers, acts, strict=True):
             cur = slow_layer_map(layer, cur)
             np.testing.assert_allclose(a, cur, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch_is_an_error(self, rng):
         net = random_mixed_net(rng)
         with pytest.raises(DimensionMismatchError):
-            forward(net, np.zeros(net.in_dim + 1))
+            forward_all(net, np.zeros((1, net.in_dim + 1)))
 
     def test_target_width_mismatch_is_an_error(self, rng):
         # the objective and its gradient reject targets of the wrong width alike

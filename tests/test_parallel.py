@@ -1,5 +1,7 @@
 """Deterministic parallel execution of independent subproblems."""
 
+import os
+import subprocess
 import sys
 import threading
 
@@ -156,3 +158,20 @@ class TestStepDeterminism:
             par = z_step(net, Z, data, 2.0, workers=w)
             for a, b in zip(serial.coords, par.coords):
                 np.testing.assert_array_equal(a, b)
+
+
+def test_one_worker_loads_no_thread_pool_module():
+    # concurrent.futures, and the logging it loads, are imported only when a
+    # pool is made
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macqp.mac.__file__)))
+    code = (
+        "import sys; import macqp.cli, macqp.harness; from macqp.parallel import parallel_map; "
+        "loaded = lambda: [m in sys.modules for m in ('concurrent.futures', 'logging')]; "
+        "assert parallel_map([int, int], 1) == [0, 0]; print(loaded()); "
+        "assert parallel_map([int, int], 2) == [0, 0]; print(loaded())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split("\n") == ["[False, False]", "[True, True]", ""]

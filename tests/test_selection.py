@@ -16,6 +16,8 @@ from macqp.kernels import rbf_design
 from macqp.mac import (
     AuxState,
     PenaltySchedule,
+    _block_objective,
+    _block_output,
     block_outputs,
     lift_to_feasible,
     mac_train,
@@ -113,6 +115,38 @@ def _brute_force_block(net, block_first_layer, A_in, T, weight, cands, eps_sq):
         if score < best:
             best, best_m = score, m
     return best_m, best
+
+
+def _hand_selection(net, Z, data, mu, cfg, transient_reg=0.0, tables=None):
+    """A selection step scored by hand: every candidate size of every
+    selectable block is fitted, on copies of ``tables``, and scored as its
+    part of E_Q plus 2 * epsilon_sq * (its weight count).  Returns the
+    sizes whose cost alone is below the block's best score so far, as
+    (block, size) in the order a step fits them, and each selectable
+    block's layers of the lowest score, kept unless a size scores
+    strictly lower than the current block."""
+    sel = selectable_blocks(net)
+    cheap, layers = [], list(net.layers)
+    for j, ((a, b), A, T, weight) in enumerate(qp_blocks(net, Z, data, mu)):
+        if j not in sel:
+            continue
+        table = None if tables is None else dict(tables[j])
+
+        def score(pair, out):
+            cost = 2.0 * cfg.epsilon_sq * sum(l.weights.matrix.size for l in pair)
+            return _block_objective(pair, A, T, weight, transient_reg, out) + cost, cost
+
+        best = score(net.layers[a:b], _block_output(net.layers[a:b], A))[0]
+        for m in cfg.candidates_per_block[sel.index(j)]:
+            pair, out = fit_rbf_linear_pair(
+                replace(net.layers[a].spec, out_dim=m), replace(net.layers[a + 1].spec, in_dim=m),
+                A, T, weight, transient_reg=transient_reg, centers_by_size=table)
+            value, cost = score(pair, out)
+            if cost < best:
+                cheap.append((j, m))
+            if value < best:
+                best, layers[a:b] = value, pair
+    return cheap, layers
 
 
 class TestSelectionStep:
@@ -234,7 +268,7 @@ class TestSelectionStep:
         assert [out.layers[0].spec.out_dim, out.layers[2].spec.out_dim] == [4, 5]
         for first, A_in, T, weight, m in ((0, X, Z.coords[0], mu, 4),
                                           (2, Z.coords[0], X, 1.0, 5)):
-            centers = kmeans(A_in, m)
+            centers = kmeans(A_in, m)[0]
             phi = rbf_design(A_in, centers, net.layers[first].spec.rbf_width)
             want = ridge_lsq(phi, T, 2.0 * (1e-3 + transient) / weight).T
             np.testing.assert_array_equal(out.layers[first].weights.matrix, centers)
@@ -351,7 +385,7 @@ class TestFirstBlockCenterTable:
         sel_cfg = SelectionConfig([[10, 20, 30, 40, 50]] * 2, epsilon_sq=1e-4, cadence=2)
         schedule = PenaltySchedule(max_stages=3, max_iters_per_stage=4,
                                    stage_tolerance=1e-8)
-        on_x = []
+        on_x, fits_on_x = [], []  # sizes of the k-means runs and the fits on data.X
         _same_kmeans_starts(monkeypatch, starts, record=not recompute)
         kmeans_fn = macqp.baselines.kmeans
 
@@ -361,24 +395,30 @@ class TestFirstBlockCenterTable:
             return kmeans_fn(points, k, *args, **kwargs)
 
         monkeypatch.setattr(macqp.baselines, "kmeans", counted)
-        if recompute:
-            pair_fn = macqp.baselines.fit_rbf_linear_pair
+        pair_fn = macqp.baselines.fit_rbf_linear_pair
 
-            def without_table(*args, **kwargs):
-                return pair_fn(*args, **dict(kwargs, centers_by_size=None))
+        def fit(rbf_spec, lin_spec, A_in, *args, **kwargs):
+            if A_in is data.X:
+                fits_on_x.append(rbf_spec.out_dim)
+            if recompute:
+                kwargs["centers_by_size"] = None
+            return pair_fn(rbf_spec, lin_spec, A_in, *args, **kwargs)
 
-            monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", without_table)
+        monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", fit)
         out, Z, trace = mac_train(net, data, schedule, sel_cfg=sel_cfg,
                                   z_init=AuxState([pca_embed(data.X, 2)]))
         monkeypatch.undo()
-        return out, Z, trace, on_x
+        return out, Z, trace, on_x, fits_on_x
 
     def test_equals_recomputing_the_centers(self, monkeypatch):
+        # every size fitted on data.X is clustered there once; a selection
+        # step fits only the sizes that can win, so not every candidate is
         starts = {}
-        out, Z, trace, on_x = self._run(monkeypatch, False, starts)
-        ref, ref_Z, ref_trace, ref_on_x = self._run(monkeypatch, True, starts)
-        assert sorted(on_x) == [10, 20, 30, 40, 50]
-        assert len(ref_on_x) > 2 * len(on_x)
+        out, Z, trace, on_x, fits_on_x = self._run(monkeypatch, False, starts)
+        ref, ref_Z, ref_trace, ref_on_x, ref_fits = self._run(monkeypatch, True, starts)
+        assert sorted(on_x) == sorted(set(fits_on_x)) == [10, 20, 30, 40]
+        assert len(fits_on_x) > 2 * len(on_x)
+        assert ref_on_x == ref_fits == fits_on_x
         for a, b in zip(out.layers, ref.layers):
             assert a.spec == b.spec
             np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
@@ -429,7 +469,8 @@ def test_fit_returns_its_block_output_from_any_entry(rng, monkeypatch):
     lin = LayerSpec(LayerKind.LINEAR_DENSE, 8, 2, ridge=1e-3, bias=True)
     A, T = rng.normal(size=(60, 3)), rng.normal(size=(60, 2))
     moved = A + 0.05 * rng.normal(size=A.shape)
-    calls = []  # (name, k-means start) of each k-means and rbf_design call
+    calls = []  # (name, k-means start) of each k-means and rbf_design call: the
+    # design is made from the k-means distances, so rbf_design is never called
     for name in ("kmeans", "rbf_design"):
         def spied(*args, _fn=getattr(macqp.baselines, name), _name=name, **kw):
             calls.append((_name, kw.get("init")))
@@ -445,12 +486,36 @@ def test_fit_returns_its_block_output_from_any_entry(rng, monkeypatch):
         if reused:
             assert calls == [] and table[8] is entry
         else:
-            assert [name for name, _ in calls] == ["kmeans", "rbf_design"]
+            assert [name for name, _ in calls] == ["kmeans"]
             if last is None:
                 assert calls[0][1] is None
             else:
                 np.testing.assert_array_equal(calls[0][1], last)
         last = layers[0].weights.matrix
+
+
+@pytest.mark.parametrize("case", ["fortran", "permuted_columns", "iteration_cap", "k_is_n"])
+def test_fit_output_from_k_means_distances_is_its_block_output(rng, monkeypatch, case):
+    # the design matrix made from k-means' distances is rbf_design's, bit for
+    # bit, whatever the layout of the inputs and however k-means stops
+    # (at 16 columns a product with F-ordered inputs rounds unlike a C-ordered one)
+    m = 60 if case == "k_is_n" else 8
+    rbf = LayerSpec(LayerKind.GAUSSIAN_RBF, 16, m, rbf_width=4.0)
+    lin = LayerSpec(LayerKind.LINEAR_DENSE, m, 2, ridge=1e-3, bias=True)
+    A, T = rng.normal(size=(60, 16)), rng.normal(size=(60, 2))
+    if case == "fortran":
+        A = np.asfortranarray(A)
+    elif case == "permuted_columns":
+        A = A[:, rng.permutation(16)]
+    elif case == "iteration_cap":
+        kmeans_fn = macqp.baselines.kmeans
+        monkeypatch.setattr(macqp.baselines, "kmeans",
+                            lambda *args, **kw: kmeans_fn(*args, **dict(kw, iters=1)))
+        assert not np.array_equal(kmeans(A, m, iters=1)[0], kmeans(A, m, iters=2)[0])
+    assert A.flags.c_contiguous == (case in ("iteration_cap", "k_is_n"))
+    layers, out = fit_rbf_linear_pair(rbf, lin, A, T, 2.0)
+    np.testing.assert_array_equal(out, macqp.mac._block_output(layers, A))
+    np.testing.assert_array_equal(layers[0].weights.matrix, macqp.baselines.kmeans(A, m)[0])
 
 
 def _rbf_select_problem(seed=7, n_val=0):
@@ -551,10 +616,13 @@ class TestSharedBlockEvaluations:
 
     def test_each_first_block_design_made_once(self, monkeypatch):
         # the first block's inputs are data.X for the whole run, so its
-        # output at given centers is computed once: for the initial centers,
-        # then once per size that k-means places
+        # output at given centers is computed once: by rbf_design for the
+        # initial centers, then from the distances of the one k-means run
+        # of each size fitted there; every k-means run's distances make
+        # one design matrix, and no fit calls rbf_design
         net, data, schedule, kwargs = _rbf_select_problem()
-        centers_on_x = []
+        centers_on_x, sizes_on_x = [], []
+        runs = []  # [distances, designs made of them] per k-means run
         for module in (macqp.model, macqp.baselines):
             design = getattr(module, "rbf_design")
 
@@ -564,36 +632,68 @@ class TestSharedBlockEvaluations:
                 return _design(X, C, *args, **kw)
 
             monkeypatch.setattr(module, "rbf_design", counted)
+        kmeans_fn, from_sq_dist = macqp.baselines.kmeans, macqp.baselines.rbf_from_sq_dist
+
+        def clustered(points, k, *args, **kw):
+            if points is data.X:
+                sizes_on_x.append(k)
+            centers, d2 = kmeans_fn(points, k, *args, **kw)
+            runs.append([d2, 0])
+            return centers, d2
+
+        def design_from(d2, width):
+            assert d2 is runs[-1][0]
+            runs[-1][1] += 1
+            return from_sq_dist(d2, width)
+
+        monkeypatch.setattr(macqp.baselines, "kmeans", clustered)
+        monkeypatch.setattr(macqp.baselines, "rbf_from_sq_dist", design_from)
         mac_train(net, data, schedule, **kwargs)
-        assert len(centers_on_x) == 1 + 5
-        assert len(set(centers_on_x)) == len(centers_on_x)
+        assert centers_on_x == [net.layers[0].weights.matrix.tobytes()]
+        assert sorted(sizes_on_x) == [10, 20, 30, 40]
+        assert [n for _, n in runs] == [1] * len(runs)
 
     def test_each_first_block_gram_made_once(self, monkeypatch):
         # the first block's readout solves at one size share one Gram matrix
         net, data, schedule, kwargs = _rbf_select_problem()
         grams = []  # (size, Gram matrix) of each first-block readout solve
-        ridge = macqp.baselines.ridge_lsq
+        fitted = set()  # sizes fitted on data.X
+        ridge, pair_fn = macqp.baselines.ridge_lsq, macqp.mac.fit_rbf_linear_pair
 
         def counted(features, targets, lam, gram=None):
             if targets.shape[1] == 2:  # fitted to the 2-wide codes: block 0
                 grams.append((features.shape[1], gram))
             return ridge(features, targets, lam, gram=gram)
 
+        def fit(rbf_spec, lin_spec, A_in, *args, **kw):
+            if A_in is data.X:
+                fitted.add(rbf_spec.out_dim)
+            return pair_fn(rbf_spec, lin_spec, A_in, *args, **kw)
+
         monkeypatch.setattr(macqp.baselines, "ridge_lsq", counted)
+        monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", fit)
         mac_train(net, data, schedule, **kwargs)
         sizes = {m for m, _ in grams}
-        assert sizes == {10, 20, 30, 40, 50}
+        assert sizes == fitted == {10, 20, 30, 40}
         assert len(grams) > 2 * len(sizes)
         assert all(g is not None for _, g in grams)
         assert len({id(g) for _, g in grams}) == len(sizes)
 
     def test_selection_is_the_w_step_of_its_iteration(self, monkeypatch):
         # a selection step fits each selectable block once per candidate
-        # size, and the step after it is a Z-step: no W-step refits the
-        # blocks it chose at the same coordinates
+        # size that can win (see _hand_selection), and the step after it is
+        # a Z-step: no W-step refits the blocks it chose at the same
+        # coordinates
         net, data, schedule, kwargs = _rbf_select_problem()
         calls = []  # [step, [(block, size) of each fit inside it]]
+        cheap = []  # the fits _hand_selection expects of each selection step
         pair_fn = macqp.mac.fit_rbf_linear_pair
+        select_fn = macqp.selection.selection_step
+
+        def select(net, Z, data, mu, cfg, transient_reg, outs, tables):
+            cheap.append(_hand_selection(net, Z, data, mu, cfg, transient_reg, tables)[0])
+            return select_fn(net, Z, data, mu, cfg, transient_reg=transient_reg, outs=outs,
+                             tables=tables)
 
         def fit(rbf_spec, lin_spec, A_in, *args, **kw):
             calls[-1][1].append((0 if A_in is data.X else 1, rbf_spec.out_dim))
@@ -608,14 +708,14 @@ class TestSharedBlockEvaluations:
         monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", fit)
         monkeypatch.setattr(macqp.mac, "w_step", step("w", macqp.mac.w_step))
         monkeypatch.setattr(macqp.mac, "z_step", step("z", macqp.mac.z_step))
-        monkeypatch.setattr(macqp.selection, "selection_step",
-                            step("select", macqp.selection.selection_step))
+        monkeypatch.setattr(macqp.selection, "selection_step", step("select", select))
         trace = mac_train(net, data, schedule, **kwargs)[2]
         sizes = kwargs["sel_cfg"].candidates_per_block
-        want = sorted((j, m) for j, cands in enumerate(sizes) for m in cands)
+        every = [(j, m) for j, cands in enumerate(sizes) for m in cands]
         selects = [fits for name, fits in calls if name == "select"]
         assert len(selects) == len(trace.selection_events) > 1
-        assert all(sorted(fits) == want for fits in selects)
+        assert selects == cheap
+        assert all(len(fits) < len(every) for fits in selects)  # each skips some size
         names = [name for name, _ in calls]
         assert all(b == "z" for a, b in zip(names, names[1:]) if a == "select")
         events = [r.event for r in trace.rows]
@@ -625,12 +725,51 @@ class TestSharedBlockEvaluations:
 
 @pytest.mark.parametrize("problem", [{}, {"seed": 2, "n_val": 30}],
                          ids=["no_split", "validation_split"])
-def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, problem):
+def test_selection_step_fits_only_the_sizes_that_can_win(monkeypatch, problem):
+    # at every selection step of an rbf_select-shaped run, the step fits
+    # exactly the sizes whose cost alone is below the block's best score so
+    # far, and keeps the layers that scoring every candidate by hand, on
+    # copies of the tables, finds best
+    net, data, schedule, kwargs = _rbf_select_problem(**problem)
+    fits, steps = [], 0
+    pair_fn, select_fn = macqp.mac.fit_rbf_linear_pair, macqp.selection.selection_step
+
+    def fit(rbf_spec, lin_spec, A_in, *args, **kw):
+        fits.append((0 if A_in is data.X else 1, rbf_spec.out_dim))
+        return pair_fn(rbf_spec, lin_spec, A_in, *args, **kw)
+
+    def select(net, Z, data, mu, cfg, transient_reg, outs, tables):
+        nonlocal steps
+        cheap, layers = _hand_selection(net, Z, data, mu, cfg, transient_reg, tables)
+        fits.clear()
+        out = select_fn(net, Z, data, mu, cfg, transient_reg=transient_reg, outs=outs,
+                        tables=tables)
+        assert fits == cheap
+        for a, b in zip(out.layers, layers, strict=True):
+            assert a.spec == b.spec
+            np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
+        steps += 1
+        return out
+
+    monkeypatch.setattr(macqp.mac, "fit_rbf_linear_pair", fit)
+    monkeypatch.setattr(macqp.selection, "selection_step", select)
+    trace = mac_train(net, data, schedule, **kwargs)[2]
+    assert steps == len(trace.selection_events) > 1
+
+
+@pytest.mark.parametrize("problem,coded_sizes",
+                         [({}, [10, 20, 30, 40, 50]),
+                          ({"seed": 2, "n_val": 30}, [10, 20, 30, 40])],
+                         ids=["no_split", "validation_split"])
+def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, problem,
+                                                                  coded_sizes):
     # each coordinate-fed fit at size m starts from the centers of m's last
     # fit, made on the coordinates before a Z-step moved them; a restore
     # brings back the fits made at the restored coordinates, so no size is
     # clustered twice on the same points, stage ends included.  A size's
-    # first fit and every fit on data.X start from the seed
+    # first fit and every fit on data.X start from the seed.  The
+    # coordinate-fed block fits ``coded_sizes``: with the split, size 50's
+    # cost alone is never below that block's best score
     net, data, schedule, kwargs = _rbf_select_problem(**problem)
     # ("w", points) per W-step, selection steps included (a selecting
     # W-step can be the first step after a restore); (on data.X, points,
@@ -639,10 +778,10 @@ def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, p
     kmeans_fn = macqp.baselines.kmeans
 
     def spied(points, k, *args, init=None, **kw):
-        centers = kmeans_fn(points, k, *args, init=init, **kw)
+        centers, d2 = kmeans_fn(points, k, *args, init=init, **kw)
         events.append((points is data.X, points.tobytes(), k,
                        None if init is None else init.copy(), centers.copy()))
-        return centers
+        return centers, d2
 
     def spied_step(step_fn):
         def call(net, Z, *args, **kw):
@@ -674,6 +813,6 @@ def test_k_means_after_a_z_step_starts_from_the_centers_before_it(monkeypatch, p
             warm += 1
         if not on_x:
             last[k] = centers
-    assert sorted(last) == [10, 20, 30, 40, 50]
+    assert sorted(last) == coded_sizes
     assert warm > 2 * len(last)
     assert (restored > 0) == _restored(trace) == bool(problem)
