@@ -457,9 +457,9 @@ def _z_tile(net):
     """Points per Z-step tile: as many as fit Z_TILE_ELEMS, at least one.
     It depends on the net, not the worker count, so neither do results.
 
-    One point holds, for each block fed by coordinates, the input Jacobian
-    of each of its layers (out_dim x the block's input width), and one
-    width^2 matrix per coordinate block (its covariance in _z_chain_solve).
+    One point holds, for each block fed by coordinates, its layers' input
+    Jacobians (out_dim x input width) and a width^2 covariance: counted for
+    every net, though only the last-block space of _z_chain_solve forms it.
     """
     per_point = 0
     for a, b in block_slices(net)[1:]:
@@ -537,43 +537,53 @@ def _z_chain_solve(jacs, res, mu):
     linearised subproblem is a linear-Gaussian chain observed only at its
     end: block 0's step d_0 has prior mean -res[0] and covariance I/mu,
     each d_j is jacs[j-1] d_{j-1} - res[j] plus noise of covariance I/mu,
-    and the output residual res[K] is jacs[K-1] d_{K-1} plus unit noise.
-    The Gauss-Newton step is the posterior mean of the d_j.  The forward
-    pass carries each block's prior mean m_j and covariance P_j.  The
-    observation then costs one solve of size min(out, w_K) per point, and
-    the backward pass spreads its correction c_j to every block as
-    d_j = m_j + P_j c_j, as in the Rauch-Tung-Striebel smoother.
+    and the output residual res[K] is B d_{K-1} plus unit noise, B =
+    jacs[K-1].  The step is the posterior mean of the d_j: the prior means
+    m_j plus one solve per point for v = res[K] - B m_{K-1}, in the smaller
+    space.  Output space (out <= w_K): with G_{K-1} = B, G_j = G_{j+1}
+    jacs[j], u = (I + sum_j G_j G_j^T / mu)^-1 v and d_j - m_j = jacs[j-1]
+    (d_{j-1} - m_{j-1}) + G_j^T u / mu; no covariance is formed.  Last
+    block's space: covariances P_j (P_0 = I/mu, a scalar) pass forward,
+    P_{K-1} c = (P_{K-1} B^T B + I)^-1 P_{K-1} B^T v, and d_j = m_j + P_j c_j
+    with c_j = jacs[j]^T c_{j+1}, as in the Rauch-Tung-Striebel smoother.
     """
     inv_mu = 1.0 / mu
     m = [-res[0]]
-    P = [np.eye(res[0].shape[1]) * inv_mu]
     for A, r in zip(jacs[:-1], res[1:-1]):
         m.append((A @ m[-1][:, :, None])[:, :, 0] - r)
-        Pj = A @ P[-1] @ A.transpose(0, 2, 1)
-        diag = np.arange(Pj.shape[1])
-        Pj[:, diag, diag] += inv_mu
-        P.append(Pj)
     B = jacs[-1]
-    Bt = B.transpose(0, 2, 1)
     v = (res[-1] - (B @ m[-1][:, :, None])[:, :, 0])[:, :, None]
-    PBt = P[-1] @ Bt
     out, width = B.shape[1:]
     if out <= width:
-        # c = B^T S^-1 v with S = B P B^T + I
-        S = B @ PBt
-        diag = np.arange(out)
-        S[:, diag, diag] += 1.0
-        c = Bt @ np.linalg.solve(S, v)
-    else:
-        # the same c by the push-through identity, with a width-sized solve
-        M = PBt @ B
-        diag = np.arange(width)
-        M[:, diag, diag] += 1.0
-        c = Bt @ (v - B @ np.linalg.solve(M, PBt @ v))
-    d = [m[-1] + (P[-1] @ c)[:, :, 0]]
-    for A, mj, Pj in zip(jacs[-2::-1], m[-2::-1], P[-2::-1]):
-        c = A.transpose(0, 2, 1) @ c
-        d.insert(0, mj + (Pj @ c)[:, :, 0])
+        G = [B]
+        for A in jacs[-2::-1]:
+            G.insert(0, G[0] @ A)
+        S = sum(g @ g.transpose(0, 2, 1) for g in G) * inv_mu
+        S[:, np.arange(out), np.arange(out)] += 1.0
+        u = np.linalg.solve(S, v)
+        d, delta = [], 0.0
+        for j, (g, mj) in enumerate(zip(G, m)):
+            delta = (jacs[j - 1] @ delta if j else 0.0) + (g.transpose(0, 2, 1) @ u) * inv_mu
+            d.append(mj + delta[:, :, 0])
+        return d
+
+    def times(X, Y):  # X @ Y, where P_0 = I/mu is the scalar 1/mu
+        return np.multiply(X, Y, order="C") if np.isscalar(X) or np.isscalar(Y) else X @ Y
+
+    P = [inv_mu]
+    for A in jacs[:-1]:
+        P.append(times(A, P[-1]) @ A.transpose(0, 2, 1))
+        P[-1][:, np.arange(A.shape[1]), np.arange(A.shape[1])] += inv_mu
+    PBt = times(P[-1], B.transpose(0, 2, 1))
+    M = PBt @ B
+    M[:, np.arange(width), np.arange(width)] += 1.0
+    Pc = np.linalg.solve(M, PBt @ v)
+    d = [m[-1] + Pc[:, :, 0]]
+    if len(jacs) > 1:
+        c = B.transpose(0, 2, 1) @ (v - B @ Pc)
+        for A, mj, Pj in zip(jacs[-2::-1], m[-2::-1], P[-2::-1]):
+            c = A.transpose(0, 2, 1) @ c
+            d.insert(0, mj + times(Pj, c)[:, :, 0])
     return d
 
 
@@ -600,16 +610,16 @@ def z_step(net, Z, data, mu, workers=1, outs=None):
     """Per-point coordinate update by one Gauss-Newton step; never
     increases E_Q.  To take more steps at fixed weights, call it again.
 
-    mu must be positive and finite.  The points are solved in fixed tiles
-    of _z_tile(net) points (all of them, if they fit one), each tile as
-    one batch; workers take whole tiles.  Each point's step takes one
-    small solve (_z_chain_solve), for any number of coordinate blocks.
-    Its Gauss-Newton matrix is at least mu I, so its systems are
-    nonsingular and the step is a descent direction wherever the gradient
-    is nonzero.  The step starts from ``outs``, block_outputs(net, Z,
-    data.X), computed here if not given.  Its entries 1.. are replaced in
-    place by the outputs at the new coordinates, as the line search
-    computed them; the rows of points that took no step are kept.
+    mu must be positive and finite.  The points are solved in fixed tiles of
+    _z_tile(net) points (all of them, if they fit one), each tile as one batch;
+    workers take whole tiles.  Each point's step takes one small solve
+    (_z_chain_solve) in the smaller of the output space and the last coordinate
+    block's, for any number of coordinate blocks.  Its Gauss-Newton matrix is
+    at least mu I, so its systems are nonsingular and the step is a descent
+    direction wherever the gradient is nonzero.  The step starts from ``outs``,
+    block_outputs(net, Z, data.X), computed here if not given.  Its entries
+    1.. are replaced in place by the outputs at the new coordinates, as the
+    line search computed them; the rows of points that took no step are kept.
     """
     if not 0 < mu < np.inf:  # written so that NaN fails
         raise ValueError(f"mu must be positive and finite, got {mu}")

@@ -342,6 +342,10 @@ def _z_problem(rng, kind, n):
         net = sigmoid_autoencoder((4, 24, 2, 24, 4), seed=21)
     elif kind == "rbf":
         net = rbf_autoencoder(5, 8, 2, 8, width1=1.0, width3=1.0, seed=5)
+    elif kind == "wide":
+        # one coordinate block, wider than the output
+        specs = [LayerSpec(LayerKind.SIGMOID_DENSE, 6, 8), LayerSpec(LayerKind.LINEAR_DENSE, 8, 4)]
+        net = init_weights(specs, 8, placement=[1])
     else:
         # unequal coordinate widths, and a middle block of two layer kinds
         specs = [
@@ -365,7 +369,7 @@ class TestBatchedZStep:
     # one point, parts of one tile, a nearly full tile, two tiles and a short
     # one, at tiles of TILE points
     @pytest.mark.parametrize("n", [1, 13, 37, TILE - 3, 2 * TILE + 5])
-    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path", "wide"])
     def test_matches_point_by_point_reference(self, rng, monkeypatch, kind, n):
         net, data, Z = _z_problem(rng, kind, n)
         _force_tile(monkeypatch, net)
@@ -407,7 +411,7 @@ class TestBatchedZStep:
             ref = slow_z_step(net, Z, data, 2.0)
             assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
 
-    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path"])
+    @pytest.mark.parametrize("kind", ["sigmoid", "rbf", "mixed", "path", "wide"])
     def test_chain_step_is_a_finite_descent_direction(self, rng, kind):
         # Each point's Gauss-Newton matrix is at least mu I, so its chain
         # step is finite and, its gradient being nonzero, a descent
@@ -427,6 +431,36 @@ class TestBatchedZStep:
             if mu >= 1e-3:
                 ref = slow_z_step(net, Z, data, mu)
                 assert max(np.max(np.abs(a - b)) for a, b in zip(got.coords, ref)) <= 1e-12
+
+    # coordinate widths w_0..w_{K-1} for K = 1, 2, 3, and output widths
+    # below, at and above the last one
+    @pytest.mark.parametrize("widths", [[3], [4, 3], [5, 2, 4]])
+    @pytest.mark.parametrize("out_vs_last", [-1, 0, 2])
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e4])
+    def test_chain_solve_matches_dense_normal_equations(self, rng, widths, out_vs_last, mu):
+        # Random Jacobians and residuals, and for each point the normal
+        # equations of its linearised subproblem, built densely and solved
+        # on their own: the residual rows res[j] + d_j - jacs[j-1] d_{j-1}
+        # of each coordinate block, weighted by mu, then the output rows
+        # res[K] - jacs[K-1] d_{K-1}, weighted by 1.
+        n, K, out = 6, len(widths), widths[-1] + out_vs_last
+        jacs = [rng.normal(size=(n, o, i)) / np.sqrt(i)
+                for i, o in zip(widths, widths[1:] + [out])]
+        res = [rng.normal(size=(n, w)) for w in widths + [out]]
+        d = macqp.mac._z_chain_solve(jacs, res, mu)
+        offs = np.cumsum([0] + widths)
+        for p in range(n):
+            J = np.zeros((offs[-1] + out, offs[-1]))
+            for j in range(K):
+                J[offs[j] : offs[j + 1], offs[j] : offs[j + 1]] = np.eye(widths[j])
+                if j > 0:
+                    J[offs[j] : offs[j + 1], offs[j - 1] : offs[j]] = -jacs[j - 1][p]
+            J[offs[-1] :, offs[-2] :] = -jacs[-1][p]
+            r0 = np.concatenate([r[p] for r in res])
+            weight = np.concatenate([np.full(offs[-1], mu), np.ones(out)])
+            ref = np.linalg.solve(J.T @ (weight[:, None] * J), -J.T @ (weight * r0))
+            got = np.concatenate([dj[p] for dj in d])
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_mu_that_is_not_positive_and_finite(self, rng, mu):
