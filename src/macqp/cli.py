@@ -10,7 +10,16 @@ import csv
 import os
 import sys
 
-from .model import MacqpError
+from .model import MacqpError, check_count
+
+
+def parse_worker_count(text, name):
+    """A worker count written as text; a ConfigError names ``name`` unless
+    it is an integer >= 1."""
+    text = text.strip()
+    value = int(text) if text.isdecimal() else text
+    check_count(value, name, 1)
+    return value
 
 
 def _cmd_train(args):
@@ -24,8 +33,7 @@ def _cmd_train(args):
 
 
 def _cmd_bench_parallel(args):
-    from .harness import load_config
-    from .parallel import parse_worker_count, speedup_bench
+    from .harness import load_config, speedup_bench
 
     counts = [parse_worker_count(w, "--workers") for w in args.workers.split(",")]
     cfg = load_config(args.config)

@@ -8,6 +8,7 @@ requested reconstruction images into the output directory.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -72,12 +73,6 @@ _SECTION_TYPES = {
     "selection": SelectionConfig,
     "sgd": SgdConfig,
     "cg": CgConfig,
-}
-
-_KIND_NAMES = {
-    "sigmoid_dense": LayerKind.SIGMOID_DENSE,
-    "linear_dense": LayerKind.LINEAR_DENSE,
-    "gaussian_rbf": LayerKind.GAUSSIAN_RBF,
 }
 
 
@@ -206,6 +201,31 @@ def override_workers(cfg, workers):
     return cfg
 
 
+def speedup_bench(config, worker_counts, base_output_dir=None):
+    """Run the identical experiment per worker count and time it.
+
+    Returns rows of (workers, seconds, speedup-vs-first).  The
+    correctness gate is checkpoint equality across worker counts, checked
+    here by hash; a mismatch is an error.
+    """
+    rows = []
+    digests = set()
+    for w in worker_counts:
+        cfg = override_workers(config, w)
+        if base_output_dir is not None:
+            cfg["output_dir"] = os.path.join(base_output_dir, f"workers_{w}")
+        t0 = time.perf_counter()
+        result = run_experiment(cfg)
+        seconds = time.perf_counter() - t0
+        with open(result["model_path"], "rb") as fh:
+            digests.add(hashlib.sha256(fh.read()).hexdigest())
+        speedup = rows[0][1] / seconds if rows else 1.0
+        rows.append((w, seconds, speedup))
+    if len(digests) > 1:
+        raise MacqpError("checkpoints differ across worker counts")
+    return rows
+
+
 def _synth_args(s, name="dataset.synth.{}".format):
     """synth_manifold_dataset's keyword arguments from a dataset.synth section.
 
@@ -239,8 +259,10 @@ def _layer_spec(layer, key):
     """The LayerSpec of one architecture.layers entry."""
     _check_section(layer, key)
     _check_keys(layer, _LAYER_KEYS, key)
-    if layer.get("kind") not in _KIND_NAMES:
-        raise MacqpError(f"{key}: unknown layer kind {layer.get('kind')!r}")
+    try:
+        kind = LayerKind(layer.get("kind"))
+    except ValueError:
+        raise MacqpError(f"{key}: unknown layer kind {layer.get('kind')!r}") from None
     for dim in ("in_dim", "out_dim"):
         if dim not in layer:
             raise MacqpError(f"{key} requires '{dim}'")
@@ -252,7 +274,7 @@ def _layer_spec(layer, key):
         raise MacqpError(f"{key}.bias must be true or false, got {layer['bias']!r}")
     try:
         return LayerSpec(
-            _KIND_NAMES[layer["kind"]], layer["in_dim"], layer["out_dim"],
+            kind, layer["in_dim"], layer["out_dim"],
             rbf_width=layer.get("rbf_width", 0.0), ridge=layer.get("ridge", 0.0),
             bias=layer.get("bias", True),
         )
@@ -376,9 +398,8 @@ def run_experiment(cfg):
     e1_train = nested_objective(net, dataset)
     e1_val = e1_train if dataset.val_X is None else nested_objective(net, dataset.eval_split())
     if method in ("mac", "mac_select"):
-        last_it = trace.rows[-1].iteration if trace.rows else 0
         last_s = trace.rows[-1].seconds if trace.rows else 0.0
-        trace.add(last_it + 1, last_s + post_s, trace.rows[-1].mu if trace.rows else 0.0,
+        trace.add(last_s + post_s, trace.rows[-1].mu if trace.rows else 0.0,
                   e1_train, e1_val, e1_train, 0.0, "postprocess")
 
     trace_path = os.path.join(out_dir, "trace.csv")

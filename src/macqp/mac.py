@@ -402,7 +402,10 @@ def w_step(net, Z, data, mu, transient_reg=0.0, outs=None, tables=None, candidat
     fit's output replaces its block's entry.  ``tables``, if given, holds
     each block's table of RBF fits (see fit_rbf_linear_pair), whose entries
     hold the block's inputs by reference: they must not change in place.
+    mu must be positive and finite.
     """
+    if not 0 < mu < np.inf:  # written so that NaN fails
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     candidates = candidates or {}
     new_layers = list(net.layers)
     outs = block_outputs(net, Z, data.X) if outs is None else outs
@@ -715,7 +718,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
     t0 = time.perf_counter()
     mu = MU0
     transient = TRANSIENT_REG
-    it = 0
     wsteps = 0  # W-steps taken, across stages
     stop = False
     slices = block_slices(net)
@@ -735,7 +737,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             e1_train = nested_objective(net, data, prefix=(slices[0][1], outs[0]))
             e1 = (e1_train, nested_objective(net, val_data) if track_val else e1_train)
         trace.add(
-            it,
             time.perf_counter() - t0,
             mu,
             *e1,
@@ -769,19 +770,17 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
                 net = w_step(net, Z, data, mu, transient_reg=transient, outs=outs, tables=tables)
             wsteps += 1
             e1 = None
-            it += 1
             row = record("model_select" if select else "wstep")
             if select:
                 trace.selection_events.append(
                     {
-                        "iteration": it - 1,
+                        "iteration": row.iteration - 1,
                         "before": before_total,
                         "after": row.eq + aic_cost(net, sel_cfg.epsilon_sq),
                         "sizes": [l.spec.out_dim for l in net.layers],
                     }
                 )
             Z = z_step(net, Z, data, mu, workers=workers, outs=outs)
-            it += 1
             row = record("zstep")
 
             cur = stage_signal(row)
@@ -793,7 +792,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
             if track_val and cur > prev:
                 break
             if abs(cur - prev) / max(1.0, abs(cur)) < schedule.stage_tolerance:
-                prev = cur
                 break
             prev = cur
         if track_val:
@@ -808,7 +806,6 @@ def mac_train(net, data, schedule, workers=1, time_budget=None, z_init=None,
         mu *= MU_GROWTH
         if mu > REG_DROP_MU:
             transient = 0.0
-        it += 1
         row = record("mu_increase")
         if time_budget is not None and time.perf_counter() - t0 > time_budget:
             break

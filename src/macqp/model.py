@@ -299,13 +299,12 @@ class TrainTrace:
     rows: list = field(default_factory=list)
     selection_events: list = field(default_factory=list)
 
-    def add(self, iteration, seconds, mu, e1_train, e1_val, eq, viol, event):
+    def add(self, seconds, mu, e1_train, e1_val, eq, viol, event):
+        """Append a row, numbered by its 1-based position."""
         if self.rows:
-            if iteration <= self.rows[-1].iteration:
-                raise MacqpError("trace iteration indices must increase")
             seconds = max(seconds, self.rows[-1].seconds)
         self.rows.append(
-            TraceRow(iteration, seconds, mu, e1_train, e1_val, eq, viol, event)
+            TraceRow(len(self.rows) + 1, seconds, mu, e1_train, e1_val, eq, viol, event)
         )
 
     def add_nested(self, seconds, net, data, event, e1_train=None):
@@ -315,7 +314,7 @@ class TrainTrace:
         if e1_train is None:
             e1_train = nested_objective(net, data)
         e1_val = e1_train if data.val_X is None else nested_objective(net, data.eval_split())
-        self.add(len(self.rows) + 1, seconds, 0.0, e1_train, e1_val, e1_train, 0.0, event)
+        self.add(seconds, 0.0, e1_train, e1_val, e1_train, 0.0, event)
         return e1_train
 
     def to_csv(self, path):

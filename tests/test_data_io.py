@@ -560,6 +560,23 @@ class TestHarness:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("kind", ["bogus", ["sigmoid_dense"], {"a": 1}, None],
+                             ids=["string", "list", "object", "null"])
+    def test_unknown_layer_kind_is_a_config_error(self, tmp_path, capsys, kind):
+        # a kind that is no LayerKind value, hashable or not, is named by its key
+        cfg = _mac_config(tmp_path / "run")
+        cfg["architecture"]["layers"][0]["kind"] = kind
+        message = f"architecture.layers[0]: unknown layer kind {kind!r}"
+        for load in (validate_config, run_experiment):
+            with pytest.raises(MacqpError) as err:
+                load(cfg)
+            assert str(err.value) == message
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_file_dataset_widths_checked_before_training(self, tmp_path, capsys):
         # the widths of a file's columns are known once it is read: the error
         # names the file and the layer key, and no output is written

@@ -87,6 +87,22 @@ class TestTrainTrace:
             (2, 0.5, 0.0, 7.0, e1_val if n_val else 7.0, 7.0, 0.0, "cg_iter"),
         ]
 
+    @pytest.mark.parametrize("calls", ["aan", "naa", "nna", "anan"])
+    def test_rows_numbered_by_position(self, rng, tmp_path, calls):
+        # a row's number is its 1-based position, whichever call added it
+        net = random_mixed_net(rng)
+        data = random_dataset(rng, net, n=6)
+        trace = TrainTrace()
+        for i, call in enumerate(calls):
+            if call == "a":
+                trace.add(0.1 * i, 1.0, 2.0, 2.0, 3.0, 0.5, "wstep")
+            else:
+                trace.add_nested(0.1 * i, net, data, "cg_iter")
+        assert [r.iteration for r in trace.rows] == list(range(1, len(calls) + 1))
+        trace.to_csv(tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [str(r.iteration) for r in trace.rows]
+
 
 class TestForward:
     def test_sigmoid_zero_weights_gives_half(self, rng):

@@ -10,10 +10,10 @@ import pytest
 
 import macqp.mac
 from conftest import sigmoid_autoencoder
-from macqp.harness import run_experiment
+from macqp.harness import run_experiment, speedup_bench
 from macqp.mac import AuxState, _z_tile, lift_to_feasible, w_step, z_step
 from macqp.model import Dataset, MacqpError
-from macqp.parallel import parallel_map, speedup_bench
+from macqp.parallel import parallel_map
 
 
 class TestParallelMap:

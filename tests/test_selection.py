@@ -242,6 +242,17 @@ class TestSelectionStep:
         for a, b in zip(net.layers, out.layers):
             np.testing.assert_array_equal(a.weights.matrix, b.weights.matrix)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("select", [False, True], ids=["w_step", "selection_step"])
+    def test_rejects_mu_that_is_not_positive_and_finite(self, rng, mu, select):
+        # as z_step does, before any fit divides by mu or solves with it
+        net, data, Z = self._setup(rng)
+        with pytest.raises(ValueError, match="^mu must be positive and finite, got "):
+            if select:
+                selection_step(net, Z, data, mu, SelectionConfig([[6], [7]], epsilon_sq=0.02))
+            else:
+                w_step(net, Z, data, mu)
+
     def test_huge_epsilon_picks_smallest_candidates(self, rng):
         net, data, Z = self._setup(rng)
         cfg = SelectionConfig([[2, 4, 6], [2, 5, 7]], epsilon_sq=1e6)
