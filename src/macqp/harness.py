@@ -25,7 +25,7 @@ from .baselines import (
     cg_train,
     sgd_train,
 )
-from .checkpoint import save_model
+from .checkpoint import load_model, save_model
 from .mac import (
     AuxState,
     PenaltySchedule,
@@ -50,7 +50,7 @@ from .model import (
     init_weights,
     nested_objective,
 )
-from .selection import SelectionConfig, mac_train_with_selection, selectable_blocks
+from .selection import SelectionConfig, candidates_by_block, mac_train_with_selection
 
 METHODS = ("mac", "mac_select", "sgd", "cg", "altopt")
 
@@ -145,7 +145,7 @@ def validate_config(cfg):
             except (TypeError, ValueError) as exc:
                 raise MacqpError(f"invalid {key} section: {exc}") from None
     if method == "mac_select":
-        _check_candidate_lists(cfg["selection"]["candidates_per_block"], net)
+        candidates_by_block(net, cfg["selection"]["candidates_per_block"])
     if method == "altopt":
         _check_rbf_autoencoder(_zero_weight_net(specs, placement))
     if "workers" in cfg.get("parallel", {}):
@@ -181,16 +181,6 @@ def _zero_weight_net(specs, placement):
     that read only its specs and placement."""
     return NestedNet([Layer(s, LayerWeights(np.zeros(s.weight_shape))) for s in specs],
                      placement)
-
-
-def _check_candidate_lists(cands, net):
-    """One candidate list per block of ``net`` that selection can resize."""
-    count = len(selectable_blocks(net))
-    if len(cands) != count:
-        raise MacqpError(
-            f"selection.candidates_per_block has {len(cands)} lists, but the architecture "
-            f"has {count} selectable (gaussian_rbf + linear_dense) blocks"
-        )
 
 
 def override_workers(cfg, workers):
@@ -429,8 +419,6 @@ def run_experiment(cfg):
 
 def eval_model(model_path, data_path, fmt):
     """Nested error of a stored model on a stored dataset."""
-    from .checkpoint import load_model
-
     net = load_model(model_path)
     ds = data_mod.load_dataset(data_path, fmt)
     _check_data_widths((ds.X.shape[1], ds.Y.shape[1]), [l.spec for l in net.layers], data_path)

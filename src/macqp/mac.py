@@ -193,37 +193,27 @@ def _backtrack(evaluate, x, d, vals, found):
     to the first of the steps BACKTRACK_STEPS that lowers its objective,
     where its rows of ``x`` and ``vals`` are overwritten.
     ``evaluate(rows, cand)`` returns arrays like ``vals``, the objective
-    first, for problems ``rows`` at candidate blocks ``cand``.  The pending
-    rows test their next 1, 2, 4, ... steps in one batch: a row's objective
-    is fixed until it accepts, so this picks the same step, and a row that
-    accepts none costs ceil(log2(len(BACKTRACK_STEPS) + 1)) batches.  When
-    every row has a direction, the first batch is x + d, without gathers,
-    and if every row accepts it, it is written back whole.
+    first, for problems ``rows`` at candidate blocks ``cand``.  Each batch
+    tries the next step for the rows still pending.  When every row has a
+    direction, the first batch is x + d, without gathers, and if every row
+    accepts it, it is written back whole.
 
     A row's last bits can depend on the rows that share its batch: BLAS
     rounds a one-row product unlike a multi-row one, and at N = 500 also
     by the row count.
     """
-    steps = BACKTRACK_STEPS
-    pending, tried = np.flatnonzero(found), 0
-    while pending.size and tried < steps.size:
-        s = min(tried + 1, steps.size - tried)  # 1, 2, 4, ... steps
-        every = tried == 0 and pending.size == found.size  # full steps of all rows
-        idx = pending if every else np.repeat(pending, s)  # row-major (row, step) order
-        step = steps[tried : tried + s, None]
-        cand = [xj + dj if every else
-                (xj[pending, None] + step * dj[pending, None]).reshape(idx.size, -1)
-                for xj, dj in zip(x, d)]
-        new = evaluate(idx, cand)
-        better = new[0].reshape(pending.size, s) < vals[0][pending, None]
-        hit = better.any(axis=1)
-        if every and hit.all():  # no gather or scatter
-            rows = pick = Ellipsis
-        else:
-            pick, rows = np.flatnonzero(hit) * s + better.argmax(axis=1)[hit], pending[hit]
+    pending = np.flatnonzero(found)
+    for i, step in enumerate(BACKTRACK_STEPS):
+        if not pending.size:
+            return
+        every = i == 0 and pending.size == found.size  # full steps of all rows
+        cand = [xj + dj if every else xj[pending] + step * dj[pending] for xj, dj in zip(x, d)]
+        new = evaluate(pending, cand)
+        hit = new[0] < vals[0][pending]
+        rows, pick = (Ellipsis, Ellipsis) if every and hit.all() else (pending[hit], hit)
         for old, c in zip(x + vals, cand + new):
             old[rows] = c[pick]
-        pending, tried = pending[~hit], tried + s
+        pending = pending[~hit]
 
 
 # ---------------------------------------------------------------------------

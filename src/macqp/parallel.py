@@ -23,8 +23,12 @@ def parallel_map(tasks, workers):
     With one worker this is a plain serial loop.  A failing task aborts
     the whole phase with an error naming its index.
     """
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
+    tasks, futures = list(tasks), []
+    if workers > 1 and len(tasks) > 1:
+        pool = _pool(workers)
+        futures = [pool.submit(t) for t in tasks]
+        tasks = [fut.result for fut in futures]
+    try:
         out = []
         for i, t in enumerate(tasks):
             try:
@@ -34,25 +38,13 @@ def parallel_map(tasks, workers):
             except Exception as exc:
                 raise MacqpError(f"task {i} failed: {exc}") from exc
         return out
-    from concurrent.futures import wait
-
-    pool = _pool(workers)
-    futures = [pool.submit(t) for t in tasks]
-    try:
-        out = []
-        for i, fut in enumerate(futures):
-            try:
-                out.append(fut.result())
-            except MacqpError:
-                raise
-            except Exception as exc:
-                raise MacqpError(f"task {i} failed: {exc}") from exc
-        return out
     finally:
-        # a failed phase leaves no task of it running into the next one
-        for fut in futures:
-            fut.cancel()
-        wait(futures)
+        if futures:  # a failed phase leaves no task of it running into the next one
+            from concurrent.futures import wait
+
+            for fut in futures:
+                fut.cancel()
+            wait(futures)
 
 
 def _pool(workers):

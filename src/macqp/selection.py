@@ -60,6 +60,18 @@ def selectable_blocks(net):
     return out
 
 
+def candidates_by_block(net, lists):
+    """``{block: sizes}`` pairing ``lists``, one list of candidate sizes
+    per selectable block of ``net``, with those blocks in order."""
+    sel = selectable_blocks(net)
+    if len(lists) != len(sel):
+        raise MacqpError(
+            f"selection.candidates_per_block has {len(lists)} lists, but the architecture "
+            f"has {len(sel)} selectable (gaussian_rbf + linear_dense) blocks"
+        )
+    return dict(zip(sel, lists))
+
+
 def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=None):
     """A W-step that also chooses each selectable block's size at fixed Z.
 
@@ -68,14 +80,8 @@ def selection_step(net, Z, data, mu, cfg, transient_reg=0.0, outs=None, tables=N
     chosen.  The combined fit + cost objective never increases.  ``outs``
     and ``tables`` are as in w_step.
     """
-    sel = selectable_blocks(net)
-    if len(cfg.candidates_per_block) != len(sel):
-        raise MacqpError(
-            f"candidates_per_block has {len(cfg.candidates_per_block)} lists, but the net "
-            f"has {len(sel)} selectable blocks"
-        )
     return w_step(net, Z, data, mu, transient_reg=transient_reg, outs=outs, tables=tables,
-                  candidates=dict(zip(sel, cfg.candidates_per_block)),
+                  candidates=candidates_by_block(net, cfg.candidates_per_block),
                   epsilon_sq=cfg.epsilon_sq)
 
 

@@ -488,9 +488,9 @@ class TestBatchedZStep:
     @pytest.mark.parametrize("max_backtracks", [1, 3, 20])
     def test_several_halvings_match_reference(self, rng, monkeypatch, max_backtracks):
         # At mu = 0.1 with narrow RBF widths many full Gauss-Newton steps
-        # overshoot, and some points reject 1, b and b^2: their next steps
-        # are tested four at a time, yet each point takes the step the
-        # point-by-point search takes
+        # overshoot, and some points reject 1, b and b^2: each batch tests
+        # one step for the points still searching, and each point takes the
+        # step the point-by-point search takes
         net = rbf_autoencoder(4, 6, 2, 6, width1=0.3, width3=0.3, seed=2)
         X = rng.uniform(size=(30, 4))
         data = Dataset(X, X)
@@ -725,14 +725,14 @@ class TestBacktrack:
 
     def test_one_row_rejecting_its_full_step_costs_the_usual_batches(self, rng):
         # row 4's full step overshoots t by twice its distance, raising its
-        # objective 4-fold; its next batch tries the steps 1/2 and 1/4, and
-        # takes 1/2, which lowers it 4-fold
+        # objective 4-fold; its next batch tries the step 1/2 alone and
+        # takes it, which lowers it 4-fold
         x, t = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
         d = t - x
         d[4] *= 3.0
         start = x.copy()
         _, calls = self._search(x, d, t)
-        assert [c.tolist() for c in calls] == [list(range(9)), [4, 4]]
+        assert [c.tolist() for c in calls] == [list(range(9)), [4]]
         np.testing.assert_array_equal(np.delete(x, 4, 0), np.delete(start + d, 4, 0))
         np.testing.assert_array_equal(x[4], start[4] + 0.5 * d[4])
 
@@ -746,6 +746,26 @@ class TestBacktrack:
         np.testing.assert_array_equal(calls[0], np.flatnonzero(found))
         np.testing.assert_array_equal(x[found], start[found] + d[found])
         np.testing.assert_array_equal(x[2], start[2])
+
+    def test_each_batch_tries_one_step_for_the_pending_rows(self, rng):
+        # a row whose step is c (t - x) first lowers its objective at the
+        # step 2^-k with c 2^-k < 2: c = 12, 3, 1 and 3 * 2^18 need 3, 1, 0
+        # and 19 halvings, and row 1's step points away from t, so no step
+        # lowers its objective.  Each batch holds the rows still pending.
+        halvings = [3, None, 0, 19, 1]
+        scale = np.array([12.0, -1.0, 1.0, 3.0 * 2.0**18, 3.0])
+        x, t = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        d = scale[:, None] * (t - x)
+        start = x.copy()
+        f, calls = self._search(x, d, t)
+        want_calls = [[i for i, k in enumerate(halvings) if k is None or k >= step]
+                      for step in range(macqp.mac.BACKTRACK_STEPS.size)]
+        assert [c.tolist() for c in calls] == want_calls
+        assert want_calls[-1] == [1, 3]
+        for i, k in enumerate(halvings):
+            want = start[i] if k is None else start[i] + 2.0**-k * d[i]
+            np.testing.assert_array_equal(x[i], want)
+            assert f[i] == 0.5 * np.sum((want - t[i]) ** 2)
 
 
 def _sigmoid_layer_problem(rng, n, d_in, units):
@@ -890,9 +910,9 @@ class TestBatchedWStep:
     @pytest.mark.parametrize("max_backtracks", [1, 2, 3, 7, 20, 33])
     @pytest.mark.parametrize("factor", [0.5, 0.3, 0.9])
     def test_backtracking_matches_reference(self, rng, monkeypatch, max_backtracks, factor):
-        # the trial steps are tested in batches of 1, 2, 4, ... per unit;
-        # each unit still takes the first step the sequential search takes,
-        # or none within max_backtracks
+        # each batch tests one trial step for the units still searching;
+        # each unit takes the first step the sequential search takes, or
+        # none within max_backtracks
         _backtrack_steps(monkeypatch, max_backtracks, factor)
         for _ in range(3):
             layer, A, T = _backtracking_layer_problem(rng)
@@ -936,17 +956,18 @@ class TestBatchedWStep:
         np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
 
     @pytest.mark.parametrize("max_backtracks", [1, 3, 7, 20])
-    def test_unit_that_never_accepts_costs_log_rounds(self, rng, monkeypatch, max_backtracks):
-        # the saturated unit of the test above tries every step length in
-        # ceil(log2(max_backtracks + 1)) rounds, one sigmoid call each
+    def test_unit_that_never_accepts_costs_one_call_per_step(self, rng, monkeypatch,
+                                                             max_backtracks):
+        # the other units take their full steps in the first batch; the
+        # saturated unit of the test above then tries each further step
+        # length alone, one sigmoid call each
         layer, A, T = _saturated_unit_problem(rng)
         calls = _count_sigmoid_calls(monkeypatch)
         _backtrack_steps(monkeypatch, max_backtracks)
         out = layer_apply(layer, A)
         got = macqp.mac._fit_sigmoid_layer(layer, A, T, 1.0, 0.0, out)[0].weights.matrix
         np.testing.assert_array_equal(got[1], layer.weights.matrix[1])
-        rounds = int(np.ceil(np.log2(max_backtracks + 1)))
-        assert len(calls) <= rounds
+        assert calls == [(60, 4)] + [(60, 1)] * (max_backtracks - 1)
 
     # the path (N = 120) and desk (N = 500) sigmoid layer shapes
     @pytest.mark.parametrize("n, d_in, units", [(120, 4, 24), (120, 24, 2), (500, 8, 32)])

@@ -313,7 +313,9 @@ class TestSelectionStep:
         net, data, Z = self._setup(rng)
         from macqp.model import MacqpError
 
-        with pytest.raises(MacqpError):
+        message = (r"^selection\.candidates_per_block has 1 lists, but the architecture has 2 "
+                   r"selectable \(gaussian_rbf \+ linear_dense\) blocks$")
+        with pytest.raises(MacqpError, match=message):
             selection_step(net, Z, data, 1.0, SelectionConfig([[3]], epsilon_sq=0.1))
 
 
